@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import CoopstoreError, InvalidConfig
+from .errors import CoopstoreError, CorruptShard, InvalidConfig
 from .eve import (
     NOT_COVERED,
     EveModel,
@@ -142,6 +142,7 @@ def cmd_encode(args) -> int:
     if code.variant != "stable":
         raise InvalidConfig("shard persistence is implemented for the stable variant")
     p = code.params
+    t0 = time.monotonic()
     data = Path(args.input).read_bytes()
     symbols = pack_payload(data, p.q, p.B)
     generations = stripe_symbols(symbols, p.B)
@@ -163,8 +164,17 @@ def cmd_encode(args) -> int:
             generations=len(generations),
         )
         write_shard(out_dir / shard_filename(node), meta, payload)
-    write_manifest(out_dir, _echo_config(config, code.field, p), sorted(per_node))
+    echo = _echo_config(config, code.field, p)
+    write_manifest(out_dir, echo, sorted(per_node))
+    report = ReportDoc(command="encode", config=echo)
+    report.results = {
+        "input_bytes": len(data),
+        "generations": len(generations),
+        "shards": sorted(per_node),
+    }
+    report.timings_ms["encode"] = int(1000 * (time.monotonic() - t0))
     print(f"encoded {len(data)} bytes into {p.n} shards x {len(generations)} generations")
+    _emit(report, args)
     return 0
 
 
@@ -181,11 +191,25 @@ def _load_shards(directory, node_ids=None):
         if not path.exists():
             continue
         meta, symbols = read_shard(path)
+        if meta.node_id != node:
+            raise CorruptShard(f"{path}: header is for node {meta.node_id}, not {node}")
+        if metas:
+            first = next(iter(metas.values()))
+            if _shape(meta) != _shape(first):
+                raise CorruptShard(
+                    f"{path}: variant, field, params or generation count differ "
+                    f"from {shard_filename(first.node_id)}"
+                )
         metas[node] = meta
         payloads[node] = symbols
     if not metas:
         raise InvalidConfig(f"no shard files found in {directory}")
     return metas, payloads
+
+
+def _shape(meta):
+    """Everything all shards of one encoding share."""
+    return meta.variant, meta.field_spec, meta.params, meta.generations
 
 
 def _shards_per_generation(meta, payloads):

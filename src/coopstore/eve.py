@@ -220,8 +220,8 @@ def _ctx_exchange_rows(code, senders, target, group, helpers):
 
 
 def _nominal_repair_rows(code, senders, targets):
-    """Context-free S rows; for unstable codes these are the rows of the
-    lexicographically least context (the 'declared' repair data)."""
+    """Context-free S rows; for unstable codes these are the rows under the
+    least repair group holding the failed node (the 'declared' repair data)."""
     rows = []
     for j in targets:
         for i in senders:

@@ -21,7 +21,6 @@ flagged as granted rows in reports.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .entropy import ObservationSet, entropy_symbols, observations
@@ -36,8 +35,8 @@ from .errors import (
     Singular,
     SingularLeakageMatrix,
 )
-from .matrix import Mat, vandermonde
-from .stable import CodeParams, ShardVector
+from .matrix import Mat, dot
+from .stable import CodeParams, ShardVector, StableCode, StableDeployment, repair_context
 
 
 # --------------------------------------------------------------------------
@@ -205,21 +204,14 @@ def code_a_attack(params: CodeAParams, a, b, j: int = 1) -> CodeAAttackResult:
     shards = code_a_encode(params, a, b)
     r_j = shards[j + 1].symbols  # node j+2
 
-    def dot(u, v):
-        acc = 0
-        for x, y in zip(u, v):
-            if x and y:
-                acc = f.add(acc, f.mul(x, y))
-        return acc
-
     dj_inv = [f.inv(v) for v in params.diag(j)]
-    z_dj_inv_r = dot(dj_inv, r_j)  # group (1,2) symbol from parity j
+    z_dj_inv_r = dot(f, dj_inv, r_j)  # group (1,2) symbol from parity j
     symbols = [z_dj_inv_r]
     for i in range(1, params.d + 1):
         if i == j:
             continue
         di = params.diag(i)
-        symbols.append(dot([f.mul(x, y) for x, y in zip(di, dj_inv)], r_j))
+        symbols.append(dot(f, [f.mul(x, y) for x, y in zip(di, dj_inv)], r_j))
 
     m17 = code_a_leakage_matrix(params, j)
     try:
@@ -314,33 +306,11 @@ class CodeAAdapter:
 # --------------------------------------------------------------------------
 
 
-class CodeB:
+class CodeB(StableDeployment):
     """Serial-order repair over the stable code's deployment (no G')."""
 
     variant = "code-b"
-
-    def __init__(self, params: CodeParams, field, G: Mat):
-        if params.d != params.k:
-            raise InvalidContext("this family requires d = k")
-        self.params = params
-        self.field = field
-        self.G = G
-        self._g_cols = [G.col(j) for j in range(params.n)]
-
-    @classmethod
-    def create(cls, params: CodeParams, field) -> "CodeB":
-        if field.order < params.n + 1:
-            raise FieldTooSmall(f"need field order >= {params.n + 1}")
-        return cls(params, field, vandermonde(field, range(1, params.n + 1), params.k))
-
-    def encode(self, data: Mat):
-        p = self.params
-        if (data.nrows, data.ncols) != (p.t, p.k):
-            raise DimensionMismatch(f"data matrix must be {p.t}x{p.k}")
-        coded = data.mul(self.G)
-        return [ShardVector(j + 1, coded.col(j)) for j in range(p.n)]
-
-    # --- serial-order repair ---
+    encode = StableCode.encode
 
     def packet_index(self, node: int, group) -> int:
         """Which stored packet helpers send to `node` under `group` (0-based)."""
@@ -349,26 +319,11 @@ class CodeB:
             raise InvalidContext(f"{node} not in repair group {group}")
         return group.index(node)
 
-    def validate_context(self, group, helpers):
-        p = self.params
-        group = tuple(sorted(group))
-        helpers = tuple(sorted(helpers))
-        if len(group) != p.t or len(set(group)) != p.t:
-            raise InvalidContext(f"group must be {p.t} distinct nodes")
-        if len(helpers) != p.k or len(set(helpers)) != p.k:
-            raise InvalidContext(f"helper set must be {p.k} distinct nodes")
-        if set(group) & set(helpers):
-            raise InvalidContext("group and helpers must be disjoint")
-        if not all(1 <= x <= p.n for x in group + helpers):
-            raise InvalidContext("node id out of range")
-        return group, helpers
-
     def repair(self, ctx_group, helpers, shards):
         """Original two-phase repair; regenerates the group exactly."""
         p = self.params
         group = tuple(sorted(ctx_group))
         helpers = tuple(sorted(helpers))
-        f = self.field
         gsub = self.G.submatrix(range(p.k), [h - 1 for h in helpers])
         gsub_t_inv = gsub.transpose().inverse()
         solved = {}
@@ -378,84 +333,17 @@ class CodeB:
             solved[fj] = gsub_t_inv.mul_vec(received)  # = m_idx
         out = []
         for fj in group:
-            symbols = []
             gj = self._g_cols[fj - 1]
-            for fi in group:
-                m_row = solved[fi]
-                acc = 0
-                for a_, b_ in zip(m_row, gj):
-                    if a_ and b_:
-                        acc = f.add(acc, f.mul(a_, b_))
-                symbols.append(acc)
-            out.append(ShardVector(fj, tuple(symbols)))
+            out.append(ShardVector(fj, tuple(dot(self.field, solved[fi], gj) for fi in group)))
         return out
 
-    # --- functional protocol ---
+    # --- transfer primitives: the packet sent follows the group's serial order ---
 
-    def storage_rows(self, node: int):
-        p = self.params
-        g = self._g_cols[node - 1]
-        rows = []
-        for i in range(p.t):
-            row = [0] * p.B
-            for c in range(p.k):
-                row[i * p.k + c] = g[c]
-            rows.append((f"W_{node}[{i}]", tuple(row)))
-        return rows
+    def repair_functional(self, helper: int, failed: int, group):
+        return self._packet_row(self.packet_index(failed, group), helper)
 
-    def contexts(self, node: int):
-        p = self.params
-        others = [i for i in range(1, p.n + 1) if i != node]
-        for rest in itertools.combinations(others, p.t - 1):
-            group = tuple(sorted((node,) + rest))
-            pool = [i for i in range(1, p.n + 1) if i not in group]
-            for helpers in itertools.combinations(pool, p.d):
-                yield group, helpers
-
-    def _packet_row(self, packet_idx: int, column_node: int):
-        p = self.params
-        g = self._g_cols[column_node - 1]
-        row = [0] * p.B
-        for c in range(p.k):
-            row[packet_idx * p.k + c] = g[c]
-        return tuple(row)
-
-    def repair_row_ctx(self, helper: int, failed: int, group, helpers):
-        idx = self.packet_index(failed, group)
-        ctx = f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
-        return f"S_{helper}^{failed}|{ctx}", self._packet_row(idx, helper)
-
-    def exchange_row_ctx(self, sender: int, receiver: int, group, helpers):
-        idx = self.packet_index(sender, group)
-        ctx = f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
-        return f"Z_{sender}^{receiver}|{ctx}", self._packet_row(idx, receiver)
-
-    def nominal_context(self, node: int):
-        """Lexicographically least context containing the node."""
-        return next(self.contexts(node))
-
-    def nominal_repair_row(self, helper: int, failed: int):
-        group, _ = self.nominal_context(failed)
-        idx = self.packet_index(failed, group)
-        return self._packet_row(idx, helper)
-
-    def nominal_exchange_row(self, sender: int, receiver: int):
-        group = tuple(sorted((sender, receiver)))
-        if self.params.t > 2:
-            pool = [i for i in range(1, self.params.n + 1) if i not in group]
-            group = tuple(sorted(group + tuple(pool[: self.params.t - 2])))
-        idx = self.packet_index(sender, group)
-        return self._packet_row(idx, receiver)
-
-    def downloads_for_context(self, node: int, group, helpers):
-        rows = [self.repair_row_ctx(lam, node, group, helpers) for lam in helpers]
-        rows += [
-            self.exchange_row_ctx(j, node, group, helpers) for j in group if j != node
-        ]
-        return rows
-
-    def granted_rows(self, node: int):
-        return []
+    def exchange_functional(self, sender: int, receiver: int, group):
+        return self._packet_row(self.packet_index(sender, group), receiver)
 
 
 def code_b_repair_data(code: CodeB, data: Mat, group, helpers):
@@ -465,7 +353,8 @@ def code_b_repair_data(code: CodeB, data: Mat, group, helpers):
     transmitted field element; functionals is the labeled observation set of
     the same transfers over vec(M).
     """
-    group, helpers = code.validate_context(group, helpers)
+    ctx = repair_context(code, group, helpers)
+    group, helpers = ctx.group, ctx.helpers
     shards = {s.node_id: s for s in code.encode(data)}
     symbols = {}
     rows = []

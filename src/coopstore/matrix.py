@@ -186,6 +186,16 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols} over {self.field!r}: {body})"
 
 
+def dot(field, u, v):
+    """Inner product sum_i u_i * v_i over the field."""
+    add, mul = field.add, field.mul
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc = add(acc, mul(x, y))
+    return acc
+
+
 def mat_rank(m: Mat) -> int:
     return m.rank()
 

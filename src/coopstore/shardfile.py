@@ -25,6 +25,7 @@ Files are bit-exact deterministic for a given (input, config).
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -93,9 +94,26 @@ def write_shard(path, meta: ShardMeta, symbols) -> None:
     w = meta.symbol_width
     payload = b"".join(v.to_bytes(w, "little") for v in symbols)
     try:
-        Path(path).write_bytes(_header_bytes(meta) + payload)
+        _write_atomic(path, _header_bytes(meta) + payload)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def _write_atomic(path, blob: bytes) -> None:
+    """Write to a temporary file beside path, then rename it over path.
+
+    An interrupted write leaves the previous file intact and no temporary
+    file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_shard(path):
@@ -174,7 +192,7 @@ def write_manifest(directory, config: dict, nodes) -> None:
         "config": config,
         "shards": {str(n): shard_filename(n) for n in nodes},
     }
-    Path(directory, "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    _write_atomic(Path(directory, "manifest.json"), json.dumps(doc, indent=2, sort_keys=True).encode())
 
 
 def read_manifest(directory) -> dict:

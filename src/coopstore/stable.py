@@ -34,7 +34,7 @@ from .errors import (
     SelfRepair,
     TooFewShards,
 )
-from .matrix import Mat, systematic_superregular, vandermonde
+from .matrix import Mat, dot, systematic_superregular, vandermonde
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,23 @@ def repair_context(code, group, helpers=None) -> RepairContext:
     return RepairContext(group, helpers)
 
 
-class StableCode:
-    """Instantiated code: params + field + the two generator matrices."""
+def context_label(group, helpers) -> str:
+    """The "C=...;D=..." tag every row delivered under one context carries."""
+    return f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
 
-    variant = "stable"
 
-    def __init__(self, params: CodeParams, field, G: Mat, Gp: Mat):
+class StableDeployment:
+    """The deployment shared by the d = k codes, plus their functional protocol.
+
+    Node j stores column j of M*G with a k x n Vandermonde G.  The
+    eavesdropper machinery sees each code only through the rows built here.
+    A subclass supplies the two transfer primitives,
+    repair_functional(helper, failed, group) and
+    exchange_functional(sender, receiver, group); whether they depend on the
+    group is the whole difference between a stable and an unstable code.
+    """
+
+    def __init__(self, params: CodeParams, field, G: Mat):
         if params.d != params.k:
             raise NonIntegralParams("this construction requires d = k")
         if params.beta != 1:
@@ -132,20 +143,94 @@ class StableCode:
         self.params = params
         self.field = field
         self.G = G
-        self.Gp = Gp
         self._g_cols = [G.col(j) for j in range(params.n)]
-        self._gp_cols = [Gp.col(j) for j in range(params.n)]
 
     @classmethod
-    def create(cls, params: CodeParams, field) -> "StableCode":
-        n, k, t = params.n, params.k, params.t
+    def create(cls, params: CodeParams, field):
+        n = params.n
         if field.order < n + 1:
             raise FieldTooSmall(
                 f"need field order >= {n + 1} for n={n} nonzero evaluation points"
             )
-        g = vandermonde(field, range(1, n + 1), k)
-        gp = systematic_superregular(field, t, n)
-        return cls(params, field, g, gp)
+        return cls(params, field, vandermonde(field, range(1, n + 1), params.k))
+
+    @property
+    def supported_failed_nodes(self):
+        """Nodes whose full repair-download traversal can be enumerated."""
+        return tuple(range(1, self.params.n + 1))
+
+    def storage_rows(self, node: int):
+        return [(f"W_{node}[{i}]", self._packet_row(i, node)) for i in range(self.params.t)]
+
+    def contexts(self, node: int):
+        """All (group, helper set) pairs in which the node is repaired."""
+        p = self.params
+        others = [i for i in range(1, p.n + 1) if i != node]
+        for rest in itertools.combinations(others, p.t - 1):
+            group = tuple(sorted((node,) + rest))
+            pool = [i for i in range(1, p.n + 1) if i not in group]
+            for helpers in itertools.combinations(pool, p.d):
+                yield group, helpers
+
+    def repair_row_ctx(self, helper: int, failed: int, group, helpers):
+        label = f"S_{helper}^{failed}|{context_label(group, helpers)}"
+        return label, self.repair_functional(helper, failed, group)
+
+    def exchange_row_ctx(self, sender: int, receiver: int, group, helpers):
+        label = f"Z_{sender}^{receiver}|{context_label(group, helpers)}"
+        return label, self.exchange_functional(sender, receiver, group)
+
+    def downloads_for_context(self, node: int, group, helpers):
+        """All rows delivered to `node` when repaired under (group, helpers)."""
+        ctx = context_label(group, helpers)
+        rows = [
+            (f"S_{lam}^{node}|{ctx}", self.repair_functional(lam, node, group))
+            for lam in helpers
+        ]
+        rows += [
+            (f"Z_{j}^{node}|{ctx}", self.exchange_functional(j, node, group))
+            for j in group
+            if j != node
+        ]
+        return rows
+
+    def nominal_repair_row(self, helper: int, failed: int):
+        """The transfer under the least repair group holding the failed node."""
+        return self.repair_functional(helper, failed, self._least_group(failed))
+
+    def nominal_exchange_row(self, sender: int, receiver: int):
+        """The exchange under the least repair group holding both ends."""
+        return self.exchange_functional(sender, receiver, self._least_group(sender, receiver))
+
+    def granted_rows(self, node: int):
+        """Extra functionals handed to the eavesdropper for free (none)."""
+        return []
+
+    def _packet_row(self, packet_idx: int, column_node: int):
+        """Row over vec(M) of m_packet^T g_column: one stored symbol."""
+        p = self.params
+        g = self._g_cols[column_node - 1]
+        row = [0] * p.B
+        for c in range(p.k):
+            row[packet_idx * p.k + c] = g[c]
+        return tuple(row)
+
+    def _least_group(self, *members):
+        """Lexicographically least repair group containing the members."""
+        p = self.params
+        pool = [i for i in range(1, p.n + 1) if i not in members]
+        return tuple(sorted(members + tuple(pool[: p.t - len(members)])))
+
+
+class StableCode(StableDeployment):
+    """Instantiated code: the shared deployment plus the repair generator G'."""
+
+    variant = "stable"
+
+    def __init__(self, params: CodeParams, field, G: Mat):
+        super().__init__(params, field, G)
+        self.Gp = systematic_superregular(field, params.t, params.n)
+        self._gp_cols = [self.Gp.col(j) for j in range(params.n)]
 
     # ---- encode / reconstruct -------------------------------------------
 
@@ -184,21 +269,15 @@ class StableCode:
         """
         if helper_shard.node_id == failed:
             raise SelfRepair("a node cannot help repair itself")
-        f = self.field
-        gp = self._gp_cols[failed - 1]
-        acc = 0
-        for s, c in zip(helper_shard.symbols, gp):
-            if s and c:
-                acc = f.add(acc, f.mul(s, c))
-        return acc
+        return dot(self.field, helper_shard.symbols, self._gp_cols[failed - 1])
 
-    def repair_functional(self, helper: int, failed: int):
-        """The repair symbol as a length-B row over vec(M)."""
+    def repair_functional(self, helper: int, failed: int, group=None):
+        """The repair symbol as a length-B row over vec(M); the group is ignored."""
         if helper == failed:
             raise SelfRepair("a node cannot help repair itself")
         return self._tensor_row(self._gp_cols[failed - 1], self._g_cols[helper - 1])
 
-    def exchange_functional(self, sender: int, receiver: int):
+    def exchange_functional(self, sender: int, receiver: int, group=None):
         """Phase-2 symbol (sender's solved combination against g_receiver)."""
         if sender == receiver:
             raise SelfRepair("no self exchange")
@@ -239,11 +318,7 @@ class StableCode:
             for fi in ctx.group:
                 if fi == fj:
                     continue
-                gi = self._g_cols[fi - 1]
-                sym = 0
-                for a, b in zip(solved[fj], gi):
-                    if a and b:
-                        sym = f.add(sym, f.mul(a, b))
+                sym = dot(f, solved[fj], self._g_cols[fi - 1])
                 if transcript is not None:
                     transcript.append((2, fj, fi, sym))
                 inbox[fi][fj] = sym
@@ -253,68 +328,14 @@ class StableCode:
         gp_sub_t_inv = gp_sub.transpose().inverse()
         out = []
         for fj in ctx.group:
-            gj = self._g_cols[fj - 1]
             w = []
             for fi in ctx.group:
                 if fi == fj:
-                    sym = 0
-                    for a, b in zip(solved[fj], gj):
-                        if a and b:
-                            sym = f.add(sym, f.mul(a, b))
+                    w.append(dot(f, solved[fj], self._g_cols[fj - 1]))
                 else:
-                    sym = inbox[fj][fi]
-                w.append(sym)
+                    w.append(inbox[fj][fi])
             out.append(ShardVector(fj, gp_sub_t_inv.mul_vec(tuple(w))))
         return out
-
-    # ---- functional protocol (consumed by the eavesdropper machinery) ----
-
-    def storage_rows(self, node: int):
-        p = self.params
-        g = self._g_cols[node - 1]
-        rows = []
-        for i in range(p.t):
-            row = [0] * p.B
-            for c in range(p.k):
-                row[i * p.k + c] = g[c]
-            rows.append((f"W_{node}[{i}]", tuple(row)))
-        return rows
-
-    def contexts(self, node: int):
-        """All (group, helper set) pairs in which the node is repaired."""
-        p = self.params
-        others = [i for i in range(1, p.n + 1) if i != node]
-        for rest in itertools.combinations(others, p.t - 1):
-            group = tuple(sorted((node,) + rest))
-            pool = [i for i in range(1, p.n + 1) if i not in group]
-            for helpers in itertools.combinations(pool, p.d):
-                yield group, helpers
-
-    def repair_row_ctx(self, helper: int, failed: int, group, helpers):
-        ctx = f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
-        return f"S_{helper}^{failed}|{ctx}", self.repair_functional(helper, failed)
-
-    def exchange_row_ctx(self, sender: int, receiver: int, group, helpers):
-        ctx = f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
-        return f"Z_{sender}^{receiver}|{ctx}", self.exchange_functional(sender, receiver)
-
-    def nominal_repair_row(self, helper: int, failed: int):
-        return self.repair_functional(helper, failed)
-
-    def nominal_exchange_row(self, sender: int, receiver: int):
-        return self.exchange_functional(sender, receiver)
-
-    def downloads_for_context(self, node: int, group, helpers):
-        """All rows delivered to `node` when repaired under (group, helpers)."""
-        rows = [self.repair_row_ctx(lam, node, group, helpers) for lam in helpers]
-        rows += [
-            self.exchange_row_ctx(j, node, group, helpers) for j in group if j != node
-        ]
-        return rows
-
-    def granted_rows(self, node: int):
-        """Extra functionals handed to the eavesdropper for free (none)."""
-        return []
 
     # ---- internals -------------------------------------------------------------
 
@@ -363,7 +384,7 @@ def stability_certificate(code):
         seen = {}
         for group, helpers in code.contexts(failed):
             for lam in helpers:
-                _, row = code.repair_row_ctx(lam, failed, group, helpers)
+                row = code.repair_functional(lam, failed, group)
                 if lam not in seen:
                     seen[lam] = ((group, helpers), row)
                 elif seen[lam][1] != row:
@@ -380,7 +401,4 @@ def stability_certificate(code):
 
 def eavesdroppable_nodes(code):
     """Nodes whose full repair-download traversal the code can enumerate."""
-    restricted = getattr(code, "supported_failed_nodes", None)
-    if restricted is not None:
-        return list(restricted)
-    return list(range(1, code.params.n + 1))
+    return list(code.supported_failed_nodes)

@@ -194,3 +194,90 @@ def test_bad_params_are_config_errors():
     assert run(["capacity-sweep", "--params", "n=4,k=3,d=3,t=2"]) == 2
     assert run(["verify", "--field", "p=10"]) == 2
     assert run(["verify", "--params", "nonsense"]) == 2
+
+
+class TestShardIdentity:
+    """A shard under the wrong file name or from another encoding is named, never decoded."""
+
+    def decode_fails_naming(self, shards, tmp_path, capsys, name, nodes=None):
+        out = tmp_path / "out.bin"
+        argv = ["decode", "--shard-dir", shards, "--output", out]
+        if nodes:
+            argv += ["--nodes", nodes]
+        assert run(argv) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_copied_shard(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "node_005.shard").write_bytes((shards / "node_004.shard").read_bytes())
+        self.decode_fails_naming(shards, tmp_path, capsys, "node_005.shard", nodes="1,2,5")
+
+    def test_renamed_shard(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "node_005.shard").unlink()
+        (shards / "node_004.shard").rename(shards / "node_005.shard")
+        self.decode_fails_naming(shards, tmp_path, capsys, "node_005.shard")
+
+    def test_foreign_shard_with_other_generation_count(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        other_input = tmp_path / "other.bin"
+        other_input.write_bytes(bytes(range(100)))
+        other = tmp_path / "other"
+        assert run(["encode", "--input", other_input, "--out-dir", other]) == 0
+        (shards / "node_003.shard").write_bytes((other / "node_003.shard").read_bytes())
+        self.decode_fails_naming(shards, tmp_path, capsys, "node_003.shard")
+
+    def test_repair_refuses_copied_helper(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "node_002.shard").unlink()
+        (shards / "node_003.shard").write_bytes((shards / "node_004.shard").read_bytes())
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
+        assert "node_003.shard" in capsys.readouterr().err
+        assert not (shards / "node_002.shard").exists()
+
+
+class TestAtomicWrites:
+    def test_interrupted_repair_write_keeps_old_shard(self, tmp_path, sample_file, monkeypatch):
+        from coopstore import shardfile
+
+        shards = encode_dir(tmp_path, sample_file)
+        before = {p.name: p.read_bytes() for p in shards.iterdir()}
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, blob):
+                self.fh.write(blob[: len(blob) // 2])
+                raise OSError("disk full")
+
+        real_open = open
+        monkeypatch.setattr(
+            shardfile, "open", lambda path, mode: HalfWriter(real_open(path, mode)), raising=False
+        )
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
+        after = {p.name: p.read_bytes() for p in shards.iterdir()}
+        assert after == before  # same files, same bytes, no temporary left behind
+
+
+class TestEncodeReport:
+    def test_report_written(self, tmp_path, sample_file):
+        report = tmp_path / "r.json"
+        shards = encode_dir(tmp_path, sample_file, extra=["--report", report])
+        doc = json.loads(report.read_text())
+        assert doc["command"] == "encode"
+        assert doc["pass"] is True
+        assert doc["config"]["params"]["n"] == 6
+        assert doc["results"]["input_bytes"] == 500
+        assert doc["results"]["shards"] == [1, 2, 3, 4, 5, 6]
+        manifest = json.loads((shards / "manifest.json").read_text())
+        assert doc["config"] == manifest["config"]
+        assert doc["results"]["generations"] > 0
+        assert "encode" in doc["timings_ms"]
