@@ -7,6 +7,8 @@ Flags override config-file fields; COOPSTORE_SEED is the seed fallback.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import random
@@ -31,14 +33,15 @@ from .report import ReportDoc, capacity_rows, text_table, write_capacity_csv
 from .secure import scheme_create, verify_secrecy_sweep
 from .shardfile import (
     ShardMeta,
-    read_manifest,
+    manifest_digests,
     read_shard,
+    read_shard_meta,
     shard_filename,
     write_manifest,
     write_shard,
 )
-from .stable import CodeParams, StableCode, repair_context, stability_certificate
-from .striping import pack_payload, stripe_symbols, unpack_payload
+from .stable import CodeParams, RepairPlan, StableCode, repair_context, stability_certificate
+from .striping import pack_payload, unpack_payload
 
 DEFAULT_PARAMS = {"n": 6, "k": 3, "d": 3, "t": 2}
 DEFAULT_FIELD = {"p": 11}
@@ -95,10 +98,6 @@ def _field_from_config(config) -> object:
     return field_create(spec)
 
 
-def _spec_of(field) -> FieldSpec:
-    return field.spec
-
-
 def _params_from_config(config) -> CodeParams:
     raw = {**DEFAULT_PARAMS, **config.get("params", {})}
     field = _field_from_config(config)
@@ -136,61 +135,87 @@ def _echo_config(config, field, params) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Stopwatch:
+    """Milliseconds per data-path layer, for the report's timings_ms."""
+
+    LAYERS = ("striping", "shard_read", "algebra", "shard_write")
+
+    def __init__(self, command):
+        self.command = command
+        self.ms = dict.fromkeys(self.LAYERS, 0.0)
+        self.start = time.perf_counter()
+
+    @contextlib.contextmanager
+    def layer(self, name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.ms[name] += 1000 * (time.perf_counter() - start)
+
+    def timings(self) -> dict:
+        total = 1000 * (time.perf_counter() - self.start)
+        return {name: round(ms, 3) for name, ms in {**self.ms, self.command: total}.items()}
+
+
+def _datapath_results(generations, params, **extra) -> dict:
+    return {"generations": generations, "symbols": generations * params.B, **extra}
+
+
 def cmd_encode(args) -> int:
     config = _load_config(args)
     code = _make_code(config)
     if code.variant != "stable":
         raise InvalidConfig("shard persistence is implemented for the stable variant")
     p = code.params
-    t0 = time.monotonic()
+    clock = _Stopwatch("encode")
     data = Path(args.input).read_bytes()
-    symbols = pack_payload(data, p.q, p.B)
-    generations = stripe_symbols(symbols, p.B)
-
-    per_node = {j: [] for j in range(1, p.n + 1)}
-    for gen in generations:
-        shards = code.encode(Mat(code.field, p.t, p.k, gen))
-        for s in shards:
-            per_node[s.node_id].extend(s.symbols)
+    with clock.layer("striping"):
+        symbols = pack_payload(data, p.q, p.B)
+    with clock.layer("algebra"):
+        payloads = code.encode_batch(symbols)
+    gens = len(symbols) // p.B
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for node, payload in per_node.items():
-        meta = ShardMeta(
-            variant="stable",
-            field_spec=_spec_of(code.field),
-            params=p,
-            node_id=node,
-            generations=len(generations),
-        )
-        write_shard(out_dir / shard_filename(node), meta, payload)
+    digests = {}
+    for node, payload in payloads.items():
+        meta = ShardMeta("stable", code.field.spec, p, node, gens)
+        with clock.layer("shard_write"):
+            digests[node] = write_shard(out_dir / shard_filename(node), meta, payload)
     echo = _echo_config(config, code.field, p)
-    write_manifest(out_dir, echo, sorted(per_node))
+    write_manifest(out_dir, echo, sorted(payloads), digests)
     report = ReportDoc(command="encode", config=echo)
-    report.results = {
-        "input_bytes": len(data),
-        "generations": len(generations),
-        "shards": sorted(per_node),
-    }
-    report.timings_ms["encode"] = int(1000 * (time.monotonic() - t0))
-    print(f"encoded {len(data)} bytes into {p.n} shards x {len(generations)} generations")
+    report.results = _datapath_results(gens, p, input_bytes=len(data), shards=sorted(payloads))
+    report.timings_ms = clock.timings()
+    print(f"encoded {len(data)} bytes into {p.n} shards x {gens} generations")
     _emit(report, args)
     return 0
 
 
-def _load_shards(directory, node_ids=None):
+def _present_ids(directory):
+    """Node ids of the shard files in a directory, from their names alone."""
+    return sorted(int(path.stem.split("_")[1]) for path in Path(directory).glob("node_*.shard"))
+
+
+def _expected_digest(digests, path, node):
+    """The manifest's sha256 for a shard, None when the manifest has none."""
+    if digests is None:
+        return None
+    if node not in digests:
+        raise CorruptShard(f"{path}: node {node} is not listed in manifest.json")
+    return digests[node]
+
+
+def _load_shards(directory, node_ids, digests):
+    """Read and cross-check the listed shards that exist (missing ones are skipped)."""
     directory = Path(directory)
     metas, payloads = {}, {}
-    candidates = node_ids
-    if candidates is None:
-        candidates = []
-        for path in sorted(directory.glob("node_*.shard")):
-            candidates.append(int(path.stem.split("_")[1]))
-    for node in candidates:
+    for node in node_ids:
         path = directory / shard_filename(node)
         if not path.exists():
             continue
-        meta, symbols = read_shard(path)
+        meta, symbols = read_shard(path, sha256=_expected_digest(digests, path, node))
         if meta.node_id != node:
             raise CorruptShard(f"{path}: header is for node {meta.node_id}, not {node}")
         if metas:
@@ -212,32 +237,27 @@ def _shape(meta):
     return meta.variant, meta.field_spec, meta.params, meta.generations
 
 
-def _shards_per_generation(meta, payloads):
-    """node -> per-generation ShardVector list."""
-    from .stable import ShardVector
-
-    alpha, gens = meta.params.alpha, meta.generations
-    out = []
-    for g in range(gens):
-        gen_shards = {}
-        for node, symbols in payloads.items():
-            gen_shards[node] = ShardVector(node, tuple(symbols[g * alpha : (g + 1) * alpha]))
-        out.append(gen_shards)
-    return out
-
-
 def cmd_decode(args) -> int:
-    metas, payloads = _load_shards(args.shard_dir, _parse_ids(args.nodes))
+    clock = _Stopwatch("decode")
+    nodes = _parse_ids(args.nodes) or _present_ids(args.shard_dir)
+    with clock.layer("shard_read"):
+        metas, payloads = _load_shards(args.shard_dir, nodes, manifest_digests(args.shard_dir))
     meta = next(iter(metas.values()))
     p = meta.params
     code = StableCode.create(p, field_create(meta.field_spec))
-    symbols = []
-    for gen_shards in _shards_per_generation(meta, payloads):
-        data = code.reconstruct(list(gen_shards.values())[: p.k])
-        symbols.extend(data.data)
-    blob = unpack_payload(symbols, p.q)
+    use = list(payloads)[: p.k]
+    with clock.layer("algebra"):
+        symbols = code.reconstruct_batch({n: payloads[n] for n in use})
+    with clock.layer("striping"):
+        blob = unpack_payload(symbols, p.q)
     Path(args.output).write_bytes(blob)
+    report = ReportDoc(command="decode", config=_echo_meta(meta))
+    report.results = _datapath_results(
+        meta.generations, p, output_bytes=len(blob), shards=sorted(use)
+    )
+    report.timings_ms = clock.timings()
     print(f"decoded {len(blob)} bytes from {len(payloads)} shards")
+    _emit(report, args)
     return 0
 
 
@@ -245,45 +265,64 @@ def cmd_repair(args) -> int:
     group = _parse_ids(args.group)
     if not group:
         raise InvalidConfig("--group is required, e.g. --group 2,5")
-    metas, payloads = _load_shards(args.shard_dir)
-    available = {n for n in metas if n not in group}
+    clock = _Stopwatch("repair")
+    directory = Path(args.shard_dir)
+    digests = manifest_digests(directory)
+    helpers = _parse_ids(args.helpers)
+    if helpers is None:
+        # the lowest d present nodes outside the group; d is in any header
+        pool = [n for n in _present_ids(directory) if n not in group]
+        if not pool:
+            raise InvalidConfig(f"no shard files found in {directory}")
+        helpers = pool[: read_shard_meta(directory / shard_filename(pool[0])).params.d]
+    with clock.layer("shard_read"):
+        metas, payloads = _load_shards(directory, helpers, digests)
     meta = next(iter(metas.values()))
     p = meta.params
     code = StableCode.create(p, field_create(meta.field_spec))
-    helpers = _parse_ids(args.helpers) or sorted(available)[: p.d]
     ctx = repair_context(code, group, helpers)
-
-    regenerated = {f: [] for f in ctx.group}
-    transcript = []
-    for gen_shards in _shards_per_generation(meta, payloads):
-        helper_shards = {n: gen_shards[n] for n in ctx.helpers if n in gen_shards}
-        for s in code.cooperative_repair(ctx, helper_shards, transcript=transcript):
-            regenerated[s.node_id].extend(s.symbols)
+    with clock.layer("algebra"):
+        regenerated, (phase1, phase2) = RepairPlan(code, ctx).run(payloads)
 
     gens = meta.generations
-    phase1 = sum(1 for x in transcript if x[0] == 1)
-    phase2 = sum(1 for x in transcript if x[0] == 2)
     expect1 = p.t * p.d * p.beta * gens
     expect2 = p.t * (p.t - 1) * p.beta_prime * gens
     if (phase1, phase2) != (expect1, expect2):
         raise CoopstoreError(
             f"transfer accounting broken: {(phase1, phase2)} != {(expect1, expect2)}"
         )
-    out_dir = Path(args.shard_dir)
     for node, payload in regenerated.items():
-        node_meta = ShardMeta(
-            variant=meta.variant,
-            field_spec=meta.field_spec,
-            params=p,
-            node_id=node,
-            generations=gens,
-        )
-        write_shard(out_dir / shard_filename(node), node_meta, payload)
+        path = directory / shard_filename(node)
+        with clock.layer("shard_write"):
+            write_shard(
+                path,
+                dataclasses.replace(meta, node_id=node),
+                payload,
+                sha256=_expected_digest(digests, path, node),
+            )
+    report = ReportDoc(command="repair", config=_echo_meta(meta))
+    report.results = _datapath_results(
+        gens,
+        p,
+        group=list(ctx.group),
+        helpers=list(ctx.helpers),
+        transfers_phase1=phase1,
+        transfers_phase2=phase2,
+    )
+    report.timings_ms = clock.timings()
     print(
         f"regenerated nodes {','.join(map(str, ctx.group))} from helpers "
         f"{','.join(map(str, ctx.helpers))}; transfers: phase1={phase1} phase2={phase2}"
     )
+    _emit(report, args)
     return 0
+
+
+def _echo_meta(meta) -> dict:
+    """The config a shard header records, in the shape of the encode echo."""
+    return _echo_config(
+        {"variant": meta.variant}, field_create(meta.field_spec), meta.params
+    )
 
 
 def _parse_ids(text):
@@ -550,12 +589,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shard-dir", required=True)
     sp.add_argument("--output", required=True)
     sp.add_argument("--nodes", help="comma-separated node ids to read (default: all present)")
+    sp.add_argument("--report", help="write the JSON report here")
     sp.set_defaults(func=cmd_decode)
 
     sp = sub.add_parser("repair", help="regenerate failed nodes' shard files")
     sp.add_argument("--shard-dir", required=True)
     sp.add_argument("--group", required=True, help="failed node ids, e.g. 2,5")
     sp.add_argument("--helpers", help="helper node ids (default: lowest available)")
+    sp.add_argument("--report", help="write the JSON report here")
     sp.set_defaults(func=cmd_repair)
 
     sp = sub.add_parser("attack", help="run an eavesdropping attack demonstration")

@@ -196,6 +196,44 @@ def dot(field, u, v):
     return acc
 
 
+def lincomb(field, coeffs, streams):
+    """Elementwise sum_i coeffs[i] * streams[i] over equal-length symbol lists.
+
+    The batched data path's one kernel: a whole stream of generations per
+    call.  Prime fields reduce once per output symbol; a GF(2^m) stream at
+    least q long multiplies through a per-coefficient product table and
+    adds by XOR.
+    """
+    terms = [(c, s) for c, s in zip(coeffs, streams) if c]
+    length = len(streams[0]) if streams else 0
+    if not terms:
+        return [0] * length
+    if field.kind == "prime":
+        p = field.order
+        (c, s), rest = terms[0], terms[1:]
+        if not rest:
+            return [c * x % p for x in s]
+        acc = [c * x for x in s]
+        for c, s in rest[:-1]:
+            acc = [a + c * x for a, x in zip(acc, s)]
+        c, s = rest[-1]
+        return [(a + c * x) % p for a, x in zip(acc, s)]
+    if field.kind == "binary" and field.order <= length:
+        acc = None
+        for c, s in terms:
+            table = [field.mul(c, x) for x in range(field.order)]
+            if acc is None:
+                acc = [table[x] for x in s]
+            else:
+                acc = [a ^ table[x] for a, x in zip(acc, s)]
+        return acc
+    add, mul = field.add, field.mul
+    acc = [0] * length
+    for c, s in terms:
+        acc = [add(a, mul(c, x)) for a, x in zip(acc, s)]
+    return acc
+
+
 def mat_rank(m: Mat) -> int:
     return m.rank()
 

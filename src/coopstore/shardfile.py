@@ -24,6 +24,7 @@ Files are bit-exact deterministic for a given (input, config).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -37,6 +38,7 @@ from .stable import CodeParams
 
 MAGIC = b"CRCS"
 VERSION = 1
+MANIFEST_VERSION = 2
 _HEADER = struct.Struct("<4sHBBQHHHHHHHHIHHQ")
 HEADER_SIZE = _HEADER.size + 4  # + crc32
 
@@ -85,18 +87,29 @@ def _header_bytes(meta: ShardMeta) -> bytes:
     return head + struct.pack("<I", zlib.crc32(head))
 
 
-def write_shard(path, meta: ShardMeta, symbols) -> None:
-    """symbols: flat iterable, generations * alpha entries, generation-major."""
-    symbols = list(symbols)
+def write_shard(path, meta: ShardMeta, symbols, sha256=None) -> str:
+    """Write a shard atomically; returns the sha256 hex digest of the file.
+
+    symbols: flat sequence, generations * alpha entries, generation-major.
+    With sha256 given, a file whose digest differs is refused unwritten.
+    """
     expect = meta.generations * meta.params.alpha
     if len(symbols) != expect:
         raise InvalidConfig(f"payload needs {expect} symbols, got {len(symbols)}")
     w = meta.symbol_width
-    payload = b"".join(v.to_bytes(w, "little") for v in symbols)
+    if w == 1:
+        payload = bytes(symbols)
+    else:
+        payload = b"".join([v.to_bytes(w, "little") for v in symbols])
+    blob = _header_bytes(meta) + payload
+    digest = hashlib.sha256(blob).hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise CorruptShard(f"{path}: regenerated shard does not match its manifest.json sha256")
     try:
-        _write_atomic(path, _header_bytes(meta) + payload)
+        _write_atomic(path, blob)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    return digest
 
 
 def _write_atomic(path, blob: bytes) -> None:
@@ -116,12 +129,45 @@ def _write_atomic(path, blob: bytes) -> None:
         raise
 
 
-def read_shard(path):
-    """-> (ShardMeta, flat symbol list); validates magic, CRC and length."""
+def read_shard(path, sha256=None):
+    """-> (ShardMeta, flat symbol list); validates magic, CRC and length.
+
+    With sha256 given, the whole file must have that digest.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+        raise CorruptShard(f"{path}: sha256 differs from manifest.json")
+    meta = _parse_header(path, blob)
+    w = meta.symbol_width
+    payload = blob[HEADER_SIZE:]
+    expect = meta.generations * meta.params.alpha * w
+    if len(payload) != expect:
+        raise CorruptShard(f"{path}: payload length {len(payload)} != {expect}")
+    if w == 1:
+        symbols = list(payload)
+    else:
+        symbols = [int.from_bytes(payload[off : off + w], "little") for off in range(0, expect, w)]
+    q = meta.params.q
+    if symbols and max(symbols) >= q:
+        bad = next(v for v in symbols if v >= q)
+        raise CorruptShard(f"{path}: symbol value {bad} outside the field")
+    return meta, symbols
+
+
+def read_shard_meta(path) -> ShardMeta:
+    """The validated header of a shard file, without reading its payload."""
+    try:
+        with Path(path).open("rb") as fh:
+            head = fh.read(HEADER_SIZE)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    return _parse_header(path, head)
+
+
+def _parse_header(path, blob) -> ShardMeta:
     if len(blob) < HEADER_SIZE:
         raise CorruptShard(f"{path}: truncated header")
     head, crc_bytes = blob[: _HEADER.size], blob[_HEADER.size : HEADER_SIZE]
@@ -154,9 +200,10 @@ def read_shard(path):
         spec = FieldSpec.prime(param)
     else:
         spec = FieldSpec.binary(m, param)
-    q = param if kind == 0 else 1 << m
+    field = field_create(spec)
     params = CodeParams(
-        n=n, k=k, d=d, t=t, alpha=alpha, beta=beta, beta_prime=beta_prime, B=big_b, q=q
+        n=n, k=k, d=d, t=t, alpha=alpha, beta=beta, beta_prime=beta_prime, B=big_b,
+        q=field.order,
     )
     meta = ShardMeta(
         variant=TAG_VARIANTS[variant_tag],
@@ -167,30 +214,24 @@ def read_shard(path):
     )
     if width != meta.symbol_width:
         raise CorruptShard(f"{path}: symbol width {width} != expected {meta.symbol_width}")
-    payload = blob[HEADER_SIZE:]
-    expect = generations * alpha * width
-    if len(payload) != expect:
-        raise CorruptShard(f"{path}: payload length {len(payload)} != {expect}")
-    field = field_create(spec)
-    symbols = []
-    for off in range(0, expect, width):
-        v = int.from_bytes(payload[off : off + width], "little")
-        if v >= field.order:
-            raise CorruptShard(f"{path}: symbol value {v} outside the field")
-        symbols.append(v)
-    return meta, symbols
+    return meta
 
 
 def shard_filename(node_id: int) -> str:
     return f"node_{node_id:03d}.shard"
 
 
-def write_manifest(directory, config: dict, nodes) -> None:
+def write_manifest(directory, config: dict, nodes, digests=None) -> None:
+    """manifest.json, version 2: the config echo and, per shard, its sha256.
+
+    digests maps node -> the sha256 hex digest of its shard file.
+    """
     doc = {
         "format": "coopstore-manifest",
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "config": config,
         "shards": {str(n): shard_filename(n) for n in nodes},
+        "sha256": {str(n): digests[n] for n in nodes} if digests else {},
     }
     _write_atomic(Path(directory, "manifest.json"), json.dumps(doc, indent=2, sort_keys=True).encode())
 
@@ -199,4 +240,21 @@ def read_manifest(directory) -> dict:
     path = Path(directory, "manifest.json")
     if not path.exists():
         raise IoError(f"no manifest.json in {directory}")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CorruptShard(f"{path}: unreadable manifest: {exc}") from exc
+
+
+def manifest_digests(directory):
+    """node -> expected shard sha256, or None when there is nothing to check.
+
+    A version-1 manifest predates the digests, and a directory without a
+    manifest has none; their shards are read unchecked.
+    """
+    if not Path(directory, "manifest.json").exists():
+        return None
+    doc = read_manifest(directory)
+    if doc.get("version", 1) < 2:
+        return None
+    return {int(node): digest for node, digest in doc.get("sha256", {}).items()}

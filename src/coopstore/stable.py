@@ -13,6 +13,12 @@ column submatrix invertible):
   phase 3  each replacement inverts the t x t submatrix of G' on the group
            and recovers its original column exactly.
 
+The data path runs on whole files through the batch operations
+(encode_batch, reconstruct_batch, RepairPlan): one matrix.lincomb per
+packet stream, over every generation at once, with each inverse computed
+once.  The per-generation encode / reconstruct / cooperative_repair are
+the reference they are tested against.
+
 Every transferred symbol is also exposed as a linear functional of vec(M)
 (row-major, length B = k*t) so leakage can be measured as rank.  Code
 objects are immutable after construction and all operations are pure given
@@ -34,7 +40,7 @@ from .errors import (
     SelfRepair,
     TooFewShards,
 )
-from .matrix import Mat, dot, systematic_superregular, vandermonde
+from .matrix import Mat, dot, lincomb, systematic_superregular, vandermonde
 
 
 @dataclass(frozen=True)
@@ -337,6 +343,42 @@ class StableCode(StableDeployment):
             out.append(ShardVector(fj, gp_sub_t_inv.mul_vec(tuple(w))))
         return out
 
+    # ---- batched data path -----------------------------------------------------
+    # A node payload holds gens * t symbols, generation-major, so payload[i::t]
+    # is its packet-i stream (one symbol per generation).  In the message
+    # symbol stream, entry (i, c) of every generation's data matrix is the
+    # stream symbols[i*k + c :: B].
+
+    def encode_batch(self, symbols):
+        """node -> payload for a message stream of whole generations."""
+        p = self.params
+        if len(symbols) % p.B:
+            raise DimensionMismatch(f"symbol count {len(symbols)} is not a multiple of B={p.B}")
+        rows = [[symbols[i * p.k + c :: p.B] for c in range(p.k)] for i in range(p.t)]
+        return {
+            j + 1: _interleave([lincomb(self.field, g, row) for row in rows])
+            for j, g in enumerate(self._g_cols)
+        }
+
+    def reconstruct_batch(self, payloads):
+        """The message stream from the payloads (node -> payload) of k nodes.
+
+        Like reconstruct, it uses the k lowest node ids it is given.
+        """
+        p = self.params
+        if len(payloads) < p.k:
+            raise TooFewShards(f"need {p.k} shards, got {len(payloads)}")
+        nodes = sorted(payloads)[: p.k]
+        size = _stream_size(payloads, nodes, p.t)
+        # stored packet i of the k nodes = M_i @ gsub, so M_i = stored @ gsub^-1
+        inv = self.G.submatrix(range(p.k), [j - 1 for j in nodes]).inverse()
+        out = [0] * (size * p.B)
+        for i in range(p.t):
+            packets = [payloads[j][i :: p.t] for j in nodes]
+            for c in range(p.k):
+                out[i * p.k + c :: p.B] = lincomb(self.field, inv.col(c), packets)
+        return out
+
     # ---- internals -------------------------------------------------------------
 
     def _tensor_row(self, left, right):
@@ -352,6 +394,84 @@ class StableCode(StableDeployment):
                 if right[c]:
                     row[i * p.k + c] = f.mul(li, right[c])
         return tuple(row)
+
+
+class RepairPlan:
+    """Cooperative repair of one (group, helpers) context over whole payloads.
+
+    The inverses of the helpers' G-submatrix and of the group's
+    G'-submatrix are computed once here; run() then applies phases 1-3 of
+    cooperative_repair to every generation at once, one stream per
+    transfer.
+    """
+
+    def __init__(self, code: StableCode, ctx: RepairContext):
+        p = code.params
+        self.code = code
+        self.ctx = repair_context(code, ctx.group, ctx.helpers)
+        gsub = code.G.submatrix(range(p.k), [h - 1 for h in self.ctx.helpers])
+        self.helpers_inv = gsub.transpose().inverse()
+        gp_sub = code.Gp.submatrix(range(p.t), [g - 1 for g in self.ctx.group])
+        self.group_inv = gp_sub.transpose().inverse()
+
+    def run(self, payloads):
+        """-> (node -> regenerated payload, (phase-1, phase-2) symbols sent).
+
+        payloads maps node_id -> payload and must cover the helpers.  The
+        transfer counts are the lengths of the streams sent.
+        """
+        code, ctx = self.code, self.ctx
+        p, f = code.params, code.field
+        for h in ctx.helpers:
+            if h not in payloads:
+                raise MissingShard(f"helper shard {h} unavailable")
+        _stream_size(payloads, ctx.helpers, p.t)
+        packets = {lam: [payloads[lam][i :: p.t] for i in range(p.t)] for lam in ctx.helpers}
+
+        # phase 1: d streams toward each replacement; solve for its combination
+        sent1 = sent2 = 0
+        solved = {}
+        for fj in ctx.group:
+            gp = code._gp_cols[fj - 1]
+            received = [lincomb(f, gp, packets[lam]) for lam in ctx.helpers]
+            sent1 += sum(map(len, received))
+            solved[fj] = [lincomb(f, self.helpers_inv.row(r), received) for r in range(p.k)]
+
+        # phase 2: every replacement sends its combination against g_i
+        inbox = {fj: {} for fj in ctx.group}
+        for fj in ctx.group:
+            for fi in ctx.group:
+                if fi != fj:
+                    stream = lincomb(f, code._g_cols[fi - 1], solved[fj])
+                    sent2 += len(stream)
+                    inbox[fi][fj] = stream
+
+        # phase 3: invert the group's t x t submatrix of G'
+        out = {}
+        for fj in ctx.group:
+            w = [
+                lincomb(f, code._g_cols[fj - 1], solved[fj]) if fi == fj else inbox[fj][fi]
+                for fi in ctx.group
+            ]
+            out[fj] = _interleave([lincomb(f, self.group_inv.row(i), w) for i in range(p.t)])
+        return out, (sent1, sent2)
+
+
+def _stream_size(payloads, nodes, t):
+    """Generations in the nodes' payloads, which must all hold the same count."""
+    sizes = {len(payloads[j]) for j in nodes}
+    if len(sizes) != 1 or next(iter(sizes)) % t:
+        raise DimensionMismatch(f"payload lengths {sorted(sizes)} are not one multiple of t={t}")
+    return next(iter(sizes)) // t
+
+
+def _interleave(streams):
+    """One payload from its packet streams: out[i::t] = streams[i]."""
+    t = len(streams)
+    out = [0] * (t * len(streams[0]))
+    for i, stream in enumerate(streams):
+        out[i::t] = stream
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,3 +19,21 @@ def det_oracle(field, mat):
             term = field.neg(term)
         total = field.add(total, term)
     return total
+
+
+def bytes_to_symbols_oracle(data, q):
+    """s-bit chunks of data through one big integer (quadratic; reference only)."""
+    s = q.bit_length() - 1
+    acc = int.from_bytes(data, "little")
+    mask = (1 << s) - 1
+    return [(acc >> shift) & mask for shift in range(0, len(data) * 8, s)]
+
+
+def symbols_to_bytes_oracle(symbols, q, nbytes):
+    """Inverse of bytes_to_symbols_oracle through one big integer."""
+    s = q.bit_length() - 1
+    acc = 0
+    for i, v in enumerate(symbols):
+        acc |= v << (i * s)
+    acc &= (1 << (nbytes * 8)) - 1
+    return acc.to_bytes(nbytes, "little")

@@ -281,3 +281,116 @@ class TestEncodeReport:
         assert doc["config"] == manifest["config"]
         assert doc["results"]["generations"] > 0
         assert "encode" in doc["timings_ms"]
+
+
+def _flip_payload_byte(path, q=11):
+    """Change the last payload symbol to another value inside the field."""
+    blob = bytearray(path.read_bytes())
+    blob[-1] = (blob[-1] + 1) % q
+    path.write_bytes(bytes(blob))
+
+
+class TestManifestDigests:
+    def test_manifest_holds_shard_digests(self, tmp_path, sample_file):
+        shards = encode_dir(tmp_path, sample_file)
+        manifest = json.loads((shards / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        for j in range(1, 7):
+            blob = (shards / f"node_{j:03d}.shard").read_bytes()
+            assert manifest["sha256"][str(j)] == hashlib.sha256(blob).hexdigest()
+
+    def decode_fails_naming(self, shards, tmp_path, capsys, name, nodes):
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", nodes]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_payload_byte_flip(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        _flip_payload_byte(shards / "node_002.shard")
+        self.decode_fails_naming(shards, tmp_path, capsys, "node_002.shard", "2,4,6")
+
+    def test_foreign_shard_of_same_shape(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        other_input = tmp_path / "other.bin"
+        other_input.write_bytes(random.Random(7).randbytes(500))
+        other = tmp_path / "other"
+        assert run(["encode", "--input", other_input, "--out-dir", other]) == 0
+        (shards / "node_003.shard").write_bytes((other / "node_003.shard").read_bytes())
+        self.decode_fails_naming(shards, tmp_path, capsys, "node_003.shard", "1,2,3")
+
+    def test_version_1_manifest_decodes_unchecked(self, tmp_path, sample_file):
+        shards = encode_dir(tmp_path, sample_file)
+        manifest = json.loads((shards / "manifest.json").read_text())
+        manifest["version"] = 1
+        del manifest["sha256"]
+        (shards / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out]) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
+
+    def test_repair_refuses_shard_that_misses_its_digest(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        manifest = json.loads((shards / "manifest.json").read_text())
+        manifest["sha256"]["2"] = "0" * 64
+        (shards / "manifest.json").write_text(json.dumps(manifest))
+        (shards / "node_002.shard").unlink()
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
+        assert "node_002.shard" in capsys.readouterr().err
+        assert not (shards / "node_002.shard").exists()
+
+    def test_repair_refuses_flipped_helper(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "node_002.shard").unlink()
+        _flip_payload_byte(shards / "node_004.shard")
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
+        assert "node_004.shard" in capsys.readouterr().err
+        assert not (shards / "node_002.shard").exists()
+
+
+class TestRepairReadsOnlyHelpers:
+    @pytest.mark.parametrize("helpers", [["--helpers", "1,3,4"], []], ids=["explicit", "default"])
+    def test_corrupt_non_helper_is_not_read(self, tmp_path, sample_file, helpers):
+        shards = encode_dir(tmp_path, sample_file)
+        saved = {j: (shards / f"node_00{j}.shard").read_bytes() for j in (2, 5)}
+        for j in (2, 5):
+            (shards / f"node_00{j}.shard").unlink()
+        (shards / "node_006.shard").write_bytes(b"not a shard")
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5", *helpers]) == 0
+        for j in (2, 5):
+            assert (shards / f"node_00{j}.shard").read_bytes() == saved[j]
+
+
+class TestDataPathReports:
+    LAYERS = {"striping", "shard_read", "algebra", "shard_write"}
+
+    def check_timings(self, doc, command):
+        timings = doc["timings_ms"]
+        assert set(timings) == self.LAYERS | {command}
+        assert sum(timings[name] for name in self.LAYERS) <= timings[command]
+
+    def test_encode_decode_repair_reports(self, tmp_path, sample_file):
+        reports = {cmd: tmp_path / f"{cmd}.json" for cmd in ("encode", "decode", "repair")}
+        shards = encode_dir(tmp_path, sample_file, extra=["--report", reports["encode"]])
+        out = tmp_path / "out.bin"
+        argv = ["decode", "--shard-dir", shards, "--output", out, "--nodes", "2,4,6"]
+        assert run(argv + ["--report", reports["decode"]]) == 0
+        argv = ["repair", "--shard-dir", shards, "--group", "2,5", "--helpers", "1,3,4"]
+        assert run(argv + ["--report", reports["repair"]]) == 0
+        docs = {cmd: json.loads(path.read_text()) for cmd, path in reports.items()}
+        gens = docs["encode"]["results"]["generations"]
+        n, k, d, t, B = 6, 3, 3, 2, 6
+        for cmd, doc in docs.items():
+            assert doc["command"] == cmd and doc["pass"] is True
+            assert doc["results"]["generations"] == gens
+            assert doc["results"]["symbols"] == gens * B
+            assert doc["config"]["params"]["n"] == n
+            self.check_timings(doc, cmd)
+        assert docs["decode"]["results"]["shards"] == [2, 4, 6]
+        assert docs["decode"]["results"]["output_bytes"] == 500
+        repair = docs["repair"]["results"]
+        assert (repair["group"], repair["helpers"]) == ([2, 5], [1, 3, 4])
+        assert repair["transfers_phase1"] == t * d * gens
+        assert repair["transfers_phase2"] == t * (t - 1) * gens
+        assert docs["repair"]["timings_ms"]["striping"] == 0
+        assert docs["decode"]["timings_ms"]["shard_write"] == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,8 +9,10 @@ from coopstore.field import FieldSpec
 from coopstore.shardfile import (
     HEADER_SIZE,
     ShardMeta,
+    manifest_digests,
     read_manifest,
     read_shard,
+    read_shard_meta,
     shard_filename,
     write_manifest,
     write_shard,
@@ -138,9 +142,61 @@ class TestShardFile:
         with pytest.raises(CorruptShard):
             read_shard(path)
 
+    def test_out_of_field_error_names_the_value(self, tmp_path):
+        path = tmp_path / "x.shard"
+        write_shard(path, self.meta(), [1, 2, 3, 4])
+        blob = bytearray(path.read_bytes())
+        blob[-2] = 200
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptShard, match="symbol value 200 outside the field"):
+            read_shard(path)
+
+    def test_two_byte_symbols_round_trip(self, tmp_path):
+        params = CodeParams.mscr(n=6, k=3, d=3, t=2, q=257)
+        meta = ShardMeta(
+            variant="stable",
+            field_spec=FieldSpec.prime(257),
+            params=params,
+            node_id=2,
+            generations=2,
+        )
+        path = tmp_path / "x.shard"
+        write_shard(path, meta, [256, 0, 1, 255])
+        assert len(path.read_bytes()) == HEADER_SIZE + 8
+        assert read_shard(path) == (meta, [256, 0, 1, 255])
+
+    def test_digest_returned_and_checked(self, tmp_path):
+        path = tmp_path / "x.shard"
+        digest = write_shard(path, self.meta(), [1, 2, 3, 4])
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert read_shard(path, sha256=digest)[1] == [1, 2, 3, 4]
+        with pytest.raises(CorruptShard, match="x.shard"):
+            read_shard(path, sha256="0" * 64)
+        other = tmp_path / "y.shard"
+        with pytest.raises(CorruptShard, match="y.shard"):
+            write_shard(other, self.meta(), [4, 3, 2, 1], sha256=digest)
+        assert not other.exists()
+
+    def test_header_only_read(self, tmp_path):
+        path = tmp_path / "x.shard"
+        write_shard(path, self.meta(), [1, 2, 3, 4])
+        path.write_bytes(path.read_bytes()[:HEADER_SIZE])  # payload gone
+        assert read_shard_meta(path) == self.meta()
+
 
 def test_manifest_round_trip(tmp_path):
     write_manifest(tmp_path, {"variant": "stable"}, [1, 2, 3])
     doc = read_manifest(tmp_path)
     assert doc["config"]["variant"] == "stable"
     assert doc["shards"]["2"] == shard_filename(2)
+
+
+def test_manifest_digests(tmp_path):
+    assert manifest_digests(tmp_path) is None  # no manifest: nothing to check
+    write_manifest(tmp_path, {"variant": "stable"}, [1, 2], {1: "aa", 2: "bb"})
+    assert read_manifest(tmp_path)["version"] == 2
+    assert manifest_digests(tmp_path) == {1: "aa", 2: "bb"}
+    doc = read_manifest(tmp_path)
+    doc["version"] = 1
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    assert manifest_digests(tmp_path) is None  # version 1 predates the digests
