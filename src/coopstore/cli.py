@@ -207,29 +207,37 @@ def _expected_digest(digests, path, node):
     return digests[node]
 
 
-def _load_shards(directory, node_ids, digests):
-    """Read and cross-check the listed shards that exist (missing ones are skipped)."""
+def _load_shards(directory, node_ids, digests, count=None):
+    """Read and cross-check the listed shards that exist (missing ones are skipped).
+
+    With count given, reading stops once count(first header) shards are loaded.
+    """
     directory = Path(directory)
     metas, payloads = {}, {}
     for node in node_ids:
+        if metas and count is not None and len(metas) == count(next(iter(metas.values()))):
+            break
         path = directory / shard_filename(node)
         if not path.exists():
             continue
         meta, symbols = read_shard(path, sha256=_expected_digest(digests, path, node))
-        if meta.node_id != node:
-            raise CorruptShard(f"{path}: header is for node {meta.node_id}, not {node}")
-        if metas:
-            first = next(iter(metas.values()))
-            if _shape(meta) != _shape(first):
-                raise CorruptShard(
-                    f"{path}: variant, field, params or generation count differ "
-                    f"from {shard_filename(first.node_id)}"
-                )
+        _check_identity(path, node, meta, next(iter(metas.values()), meta))
         metas[node] = meta
         payloads[node] = symbols
     if not metas:
         raise InvalidConfig(f"no shard files found in {directory}")
     return metas, payloads
+
+
+def _check_identity(path, node, meta, first):
+    """A shard's header must name its file's node and match the first shard's shape."""
+    if meta.node_id != node:
+        raise CorruptShard(f"{path}: header is for node {meta.node_id}, not {node}")
+    if _shape(meta) != _shape(first):
+        raise CorruptShard(
+            f"{path}: variant, field, params or generation count differ "
+            f"from {shard_filename(first.node_id)}"
+        )
 
 
 def _shape(meta):
@@ -239,21 +247,29 @@ def _shape(meta):
 
 def cmd_decode(args) -> int:
     clock = _Stopwatch("decode")
-    nodes = _parse_ids(args.nodes) or _present_ids(args.shard_dir)
+    directory = Path(args.shard_dir)
+    nodes = _parse_ids(args.nodes) or _present_ids(directory)
     with clock.layer("shard_read"):
-        metas, payloads = _load_shards(args.shard_dir, nodes, manifest_digests(args.shard_dir))
-    meta = next(iter(metas.values()))
+        # the first k present shards are read in full and used; the others
+        # only have their headers checked, so their payloads cannot block decode
+        metas, payloads = _load_shards(
+            directory, nodes, manifest_digests(directory), count=lambda m: m.params.k
+        )
+        meta = next(iter(metas.values()))
+        for node in nodes:
+            path = directory / shard_filename(node)
+            if node not in metas and path.exists():
+                _check_identity(path, node, read_shard_meta(path), meta)
     p = meta.params
     code = StableCode.create(p, field_create(meta.field_spec))
-    use = list(payloads)[: p.k]
     with clock.layer("algebra"):
-        symbols = code.reconstruct_batch({n: payloads[n] for n in use})
+        symbols = code.reconstruct_batch(payloads)
     with clock.layer("striping"):
         blob = unpack_payload(symbols, p.q)
     Path(args.output).write_bytes(blob)
     report = ReportDoc(command="decode", config=_echo_meta(meta))
     report.results = _datapath_results(
-        meta.generations, p, output_bytes=len(blob), shards=sorted(use)
+        meta.generations, p, output_bytes=len(blob), shards=sorted(payloads)
     )
     report.timings_ms = clock.timings()
     print(f"decoded {len(blob)} bytes from {len(payloads)} shards")
@@ -269,14 +285,14 @@ def cmd_repair(args) -> int:
     directory = Path(args.shard_dir)
     digests = manifest_digests(directory)
     helpers = _parse_ids(args.helpers)
-    if helpers is None:
-        # the lowest d present nodes outside the group; d is in any header
-        pool = [n for n in _present_ids(directory) if n not in group]
-        if not pool:
-            raise InvalidConfig(f"no shard files found in {directory}")
-        helpers = pool[: read_shard_meta(directory / shard_filename(pool[0])).params.d]
     with clock.layer("shard_read"):
-        metas, payloads = _load_shards(directory, helpers, digests)
+        if helpers is None:
+            # the lowest d present nodes outside the group; d is in the first one's header
+            pool = [n for n in _present_ids(directory) if n not in group]
+            metas, payloads = _load_shards(directory, pool, digests, count=lambda m: m.params.d)
+            helpers = tuple(metas)
+        else:
+            metas, payloads = _load_shards(directory, helpers, digests)
     meta = next(iter(metas.values()))
     p = meta.params
     code = StableCode.create(p, field_create(meta.field_spec))

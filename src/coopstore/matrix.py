@@ -200,9 +200,8 @@ def lincomb(field, coeffs, streams):
     """Elementwise sum_i coeffs[i] * streams[i] over equal-length symbol lists.
 
     The batched data path's one kernel: a whole stream of generations per
-    call.  Prime fields reduce once per output symbol; a GF(2^m) stream at
-    least q long multiplies through a per-coefficient product table and
-    adds by XOR.
+    call.  Prime fields reduce once per output symbol; other fields go
+    through field.add and field.mul.
     """
     terms = [(c, s) for c, s in zip(coeffs, streams) if c]
     length = len(streams[0]) if streams else 0
@@ -218,15 +217,6 @@ def lincomb(field, coeffs, streams):
             acc = [a + c * x for a, x in zip(acc, s)]
         c, s = rest[-1]
         return [(a + c * x) % p for a, x in zip(acc, s)]
-    if field.kind == "binary" and field.order <= length:
-        acc = None
-        for c, s in terms:
-            table = [field.mul(c, x) for x in range(field.order)]
-            if acc is None:
-                acc = [table[x] for x in s]
-            else:
-                acc = [a ^ table[x] for a, x in zip(acc, s)]
-        return acc
     add, mul = field.add, field.mul
     acc = [0] * length
     for c, s in terms:

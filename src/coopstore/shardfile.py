@@ -222,17 +222,20 @@ def shard_filename(node_id: int) -> str:
 
 
 def write_manifest(directory, config: dict, nodes, digests=None) -> None:
-    """manifest.json, version 2: the config echo and, per shard, its sha256.
+    """manifest.json: the config echo and the shard file names.
 
-    digests maps node -> the sha256 hex digest of its shard file.
+    With digests (node -> sha256 hex digest of its shard file) it is version 2
+    and records them; without, it is version 1 and its shards read unchecked.
     """
     doc = {
         "format": "coopstore-manifest",
-        "version": MANIFEST_VERSION,
+        "version": 1,
         "config": config,
         "shards": {str(n): shard_filename(n) for n in nodes},
-        "sha256": {str(n): digests[n] for n in nodes} if digests else {},
     }
+    if digests is not None:
+        doc["version"] = MANIFEST_VERSION
+        doc["sha256"] = {str(n): digests[n] for n in nodes}
     _write_atomic(Path(directory, "manifest.json"), json.dumps(doc, indent=2, sort_keys=True).encode())
 
 

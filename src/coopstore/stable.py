@@ -402,16 +402,16 @@ class RepairPlan:
     The inverses of the helpers' G-submatrix and of the group's
     G'-submatrix are computed once here; run() then applies phases 1-3 of
     cooperative_repair to every generation at once, one stream per
-    transfer.
+    transfer.  ctx must come from repair_context, which validates it.
     """
 
     def __init__(self, code: StableCode, ctx: RepairContext):
         p = code.params
         self.code = code
-        self.ctx = repair_context(code, ctx.group, ctx.helpers)
-        gsub = code.G.submatrix(range(p.k), [h - 1 for h in self.ctx.helpers])
+        self.ctx = ctx
+        gsub = code.G.submatrix(range(p.k), [h - 1 for h in ctx.helpers])
         self.helpers_inv = gsub.transpose().inverse()
-        gp_sub = code.Gp.submatrix(range(p.t), [g - 1 for g in self.ctx.group])
+        gp_sub = code.Gp.submatrix(range(p.t), [g - 1 for g in ctx.group])
         self.group_inv = gp_sub.transpose().inverse()
 
     def run(self, payloads):

@@ -348,6 +348,16 @@ class TestManifestDigests:
         assert not (shards / "node_002.shard").exists()
 
 
+class TestDecodeReadsOnlyWhatItUses:
+    @pytest.mark.parametrize("nodes", [["--nodes", "1,2,3,6"], []], ids=["explicit", "default"])
+    def test_flipped_unused_shard_is_not_read(self, tmp_path, sample_file, nodes):
+        shards = encode_dir(tmp_path, sample_file)
+        _flip_payload_byte(shards / "node_006.shard")
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out, *nodes]) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
+
+
 class TestRepairReadsOnlyHelpers:
     @pytest.mark.parametrize("helpers", [["--helpers", "1,3,4"], []], ids=["explicit", "default"])
     def test_corrupt_non_helper_is_not_read(self, tmp_path, sample_file, helpers):

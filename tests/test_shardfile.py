@@ -200,3 +200,10 @@ def test_manifest_digests(tmp_path):
     doc["version"] = 1
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     assert manifest_digests(tmp_path) is None  # version 1 predates the digests
+
+
+def test_manifest_without_digests_is_version_1(tmp_path):
+    write_manifest(tmp_path, {"variant": "stable"}, [1, 2])
+    doc = read_manifest(tmp_path)
+    assert doc["version"] == 1 and "sha256" not in doc
+    assert manifest_digests(tmp_path) is None
