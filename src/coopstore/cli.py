@@ -57,8 +57,16 @@ def _parse_kv(text: str) -> dict:
         if "=" not in part:
             raise InvalidConfig(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
-        out[key.strip()] = int(value, 0)
+        out[key.strip()] = _parse_int(value, part)
     return out
+
+
+def _parse_int(text: str, context: str) -> int:
+    """An integer literal (base prefixes allowed); a bad one is a config error."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise InvalidConfig(f"not an integer in {context!r}") from None
 
 
 def _load_config(args) -> dict:
@@ -194,8 +202,17 @@ def cmd_encode(args) -> int:
 
 
 def _present_ids(directory):
-    """Node ids of the shard files in a directory, from their names alone."""
-    return sorted(int(path.stem.split("_")[1]) for path in Path(directory).glob("node_*.shard"))
+    """Node ids of the shard files in a directory, from their names alone.
+
+    Only names that shard_filename produces count; a stray node_old.shard
+    or node_2.shard is ignored.
+    """
+    ids = []
+    for path in Path(directory).glob("node_*.shard"):
+        digits = path.stem[len("node_"):]
+        if digits.isdecimal() and path.name == shard_filename(int(digits)):
+            ids.append(int(digits))
+    return sorted(ids)
 
 
 def _expected_digest(digests, path, node):
@@ -344,7 +361,7 @@ def _echo_meta(meta) -> dict:
 def _parse_ids(text):
     if not text:
         return None
-    return tuple(int(x) for x in str(text).split(",") if x.strip())
+    return tuple(_parse_int(x, text) for x in str(text).split(",") if x.strip())
 
 
 # ---------------------------------------------------------------------------

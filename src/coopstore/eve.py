@@ -25,7 +25,7 @@ from .entropy import (
     observations,
 )
 from .errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
-from .stable import eavesdroppable_nodes
+from .stable import context_label, eavesdroppable_nodes
 
 
 class NotCovered:
@@ -205,8 +205,9 @@ def _obs(code, rows):
 
 def _ctx_repair_rows(code, senders, targets, group, helpers):
     """S_senders^targets rows under a concrete (group, helpers) context."""
+    ctx = context_label(group, helpers)
     return [
-        code.repair_row_ctx(i, j, group, helpers)
+        (f"S_{i}^{j}|{ctx}", code.repair_functional(i, j, group))
         for j in targets
         for i in senders
         if i != j
@@ -214,8 +215,11 @@ def _ctx_repair_rows(code, senders, targets, group, helpers):
 
 
 def _ctx_exchange_rows(code, senders, target, group, helpers):
+    ctx = context_label(group, helpers)
     return [
-        code.exchange_row_ctx(j, target, group, helpers) for j in senders if j != target
+        (f"Z_{j}^{target}|{ctx}", code.exchange_functional(j, target, group))
+        for j in senders
+        if j != target
     ]
 
 
@@ -368,10 +372,10 @@ def lemma_suite(code, seed=0) -> LemmaResults:
             for l1 in range(0, p.k - l2):
                 for e_set in itertools.combinations(rest, l1):
                     pool = [x for x in rest if x not in e_set]
+                    cond = _obs(code, _storage(code, list(e_set) + list(f_set)))
+                    lhs = conditional_entropy(tilde, cond)
                     for g_set in itertools.combinations(pool, p.k - l1 - l2):
                         chk.checked += 1
-                        cond = _obs(code, _storage(code, list(e_set) + list(f_set)))
-                        lhs = conditional_entropy(tilde, cond)
                         rhs = entropy_symbols(
                             _obs(code, _nominal_repair_rows(code, g_set, f_set))
                         )

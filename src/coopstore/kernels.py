@@ -1,49 +1,91 @@
-"""Kernel selection: compiled elimination when available, pure Python otherwise.
+"""Elimination kernels: rank and square-system solving.
 
-The compiled module covers prime fields and GF(2^m); tower (extension over
-extension) fields always use the pure-Python path, which is generic over any
-field object.  Set COOPSTORE_PURE=1 to force the pure path (used by the
-benchmark for comparison).
+Exact Gaussian elimination with first-nonzero pivoting on flat row-major
+matrices, in pure Python.  Works over any field object exposing
+add/sub/mul/inv on canonical int elements (0 is the additive, 1 the
+multiplicative identity): prime fields, GF(2^m) and towers alike.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _purekern
-
-try:
-    from . import _fastkern
-except ImportError:  # extension not built
-    _fastkern = None
-
-
-def _compiled_params(field):
-    """(kind, m, mod) for the compiled kernel, or None if unsupported."""
-    if _fastkern is None or os.environ.get("COOPSTORE_PURE") == "1":
-        return None
-    if field.kind == "prime":
-        return (0, 0, field.order)
-    if field.kind == "binary":
-        return (1, field.m, field.poly)
-    return None
-
 
 def backend_name(field) -> str:
-    return "compiled" if _compiled_params(field) is not None else "pure-python"
+    """The kernel that runs for a field; there is one, for every field."""
+    return "pure-python"
 
 
-def rank(data, nrows, ncols, field) -> int:
-    params = _compiled_params(field)
-    if params is not None:
-        kind, m, mod = params
-        return _fastkern.rank(list(data), nrows, ncols, kind, m, mod)
-    return _purekern.rank(data, nrows, ncols, field)
+def rank(data, nrows, ncols, field):
+    """Rank of a row-major matrix given as a flat list of field elements."""
+    m = list(data)
+    sub, mul, inv = field.sub, field.mul, field.inv
+    r = 0
+    for col in range(ncols):
+        piv = -1
+        for row in range(r, nrows):
+            if m[row * ncols + col]:
+                piv = row
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            for c in range(col, ncols):
+                m[r * ncols + c], m[piv * ncols + c] = m[piv * ncols + c], m[r * ncols + c]
+        pinv = inv(m[r * ncols + col])
+        for row in range(r + 1, nrows):
+            f = m[row * ncols + col]
+            if f:
+                f = mul(f, pinv)
+                m[row * ncols + col] = 0
+                for c in range(col + 1, ncols):
+                    v = m[r * ncols + c]
+                    if v:
+                        m[row * ncols + c] = sub(m[row * ncols + c], mul(f, v))
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def solve(a_data, n, b_data, bcols, field):
-    params = _compiled_params(field)
-    if params is not None:
-        kind, m, mod = params
-        return _fastkern.solve(list(a_data), n, list(b_data), bcols, kind, m, mod)
-    return _purekern.solve(a_data, n, b_data, bcols, field)
+    """Solve A X = B for square A (n x n), B given row-major (n x bcols).
+
+    Returns the flat row-major solution, or None when A is singular.
+    """
+    w = n + bcols
+    m = [0] * (n * w)
+    for i in range(n):
+        m[i * w : i * w + n] = a_data[i * n : (i + 1) * n]
+        m[i * w + n : (i + 1) * w] = b_data[i * bcols : (i + 1) * bcols]
+    sub, mul, inv = field.sub, field.mul, field.inv
+
+    for col in range(n):
+        piv = -1
+        for row in range(col, n):
+            if m[row * w + col]:
+                piv = row
+                break
+        if piv < 0:
+            return None
+        if piv != col:
+            for c in range(col, w):
+                m[col * w + c], m[piv * w + c] = m[piv * w + c], m[col * w + c]
+        pinv = inv(m[col * w + col])
+        for c in range(col, w):
+            v = m[col * w + c]
+            if v:
+                m[col * w + c] = mul(v, pinv)
+        for row in range(n):
+            if row == col:
+                continue
+            f = m[row * w + col]
+            if f:
+                m[row * w + col] = 0
+                for c in range(col + 1, w):
+                    v = m[col * w + c]
+                    if v:
+                        m[row * w + c] = sub(m[row * w + c], mul(f, v))
+
+    out = [0] * (n * bcols)
+    for i in range(n):
+        out[i * bcols : (i + 1) * bcols] = m[i * w + n : (i + 1) * w]
+    return out

@@ -2,7 +2,7 @@
 
 A Mat is immutable: (field, nrows, ncols, flat row-major tuple of canonical
 int elements).  Rank, inverse and solving go through the kernel layer
-(compiled when available).  The structured constructors build the
+(``kernels``).  The structured constructors build the
 code-generator matrices: Vandermonde, systematic-plus-Cauchy (every square
 submatrix of which is invertible), and Moore matrices of Frobenius powers.
 """

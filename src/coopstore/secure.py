@@ -4,11 +4,11 @@ A capacity-sized secret is padded with uniform randomness and mixed through
 a Gabidulin (Moore-matrix) generator over the extension field F_{q^B}; the
 mixed vector becomes the B data cells of the stable code, each cell one
 extension symbol.  Storage-code coefficients live in the base field F_q and
-act on cells coordinate-wise, so everything an eavesdropper sees expands to
-F_q-linear functionals of the secret-plus-randomness coordinates.  Secrecy
-is then an exact rank fact checked per instance: the observed rows must be
-coverable by the randomness (and, for zero mutual information, independent
-of the secret block).
+act on cells coordinate-wise, so every symbol an eavesdropper sees is an
+ext-linear functional of the secret-plus-randomness vector.  Secrecy is then
+an exact rank fact checked per instance, by two eliminations over the
+extension field: the observed functionals must have no component outside
+the randomness positions (zero mutual information with the secret).
 
 The tower F_{(2^4)^6} is fixed by the published reduction polynomial
 y^6 + y^3 + (x^3 + 1) over GF(16), with GF(16) = GF(2)[x]/(x^4 + x + 1).
@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entropy import (
-    ObservationSet,
-    conditional_entropy,
-    entropy_symbols,
-    mutual_information,
-    observations,
-)
+from .entropy import entropy_symbols, observations
 from .errors import (
     FieldKindUnsupported,
     LengthMismatch,
@@ -145,85 +139,66 @@ class SecrecyCheck:
         return self.mutual_information == 0
 
 
-def _coordinate_rows(scheme: SecureScheme, cell_rows):
-    """Expand cell-functionals (over F_q) to rows over the u-coordinates.
+def _observed_vectors(scheme: SecureScheme, cell_rows):
+    """w(lam) = Gab @ lam^T over ext for each observed cell row lam.
 
     A cell row lam observes sum_j lam_j c_j with c = u @ Gab, which equals
-    u . (Gab @ lam^T).  Splitting each extension symbol u_i into B base
-    coordinates turns one observed symbol into B base-field rows of length
-    B * B.
+    u . w(lam): one extension symbol, linear in u over ext.
     """
     ext = scheme.ext
-    b = scheme.B
-    basis = [ext.from_coords([1 if s == i else 0 for s in range(b)]) for i in range(b)]
+    gab = scheme.gabidulin
     out = []
     for lam in cell_rows:
-        w = [0] * b
-        for i in range(b):
+        w = []
+        for i in range(scheme.B):
             acc = 0
             for j, coef in enumerate(lam):
                 if coef:
-                    acc = ext.add(acc, ext.scale(coef, scheme.gabidulin.at(i, j)))
-            w[i] = acc
-        # sigma = sum_i u_i w_i; coordinate t of sigma is linear in u_{i,s}
-        cols = {}
-        for i in range(b):
-            if not w[i]:
-                continue
-            for s in range(b):
-                prod = ext.mul(basis[s], w[i])
-                for t_out, coef in enumerate(ext.coords(prod)):
-                    if coef:
-                        cols.setdefault(t_out, {})[(i, s)] = coef
-        for t_out in range(b):
-            row = [0] * (b * b)
-            for (i, s), coef in cols.get(t_out, {}).items():
-                row[i * b + s] = coef
-            out.append(tuple(row))
+                    acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
+            w.append(acc)
+        out.append(tuple(w))
     return out
-
-
-def _selector_rows(scheme: SecureScheme, start: int, stop: int):
-    b = scheme.B
-    rows = []
-    for i in range(start, stop):
-        for s in range(b):
-            row = [0] * (b * b)
-            row[i * b + s] = 1
-            rows.append((f"u_{i}[{s}]", tuple(row)))
-    return rows
 
 
 def verify_secrecy(scheme: SecureScheme, eve: EveModel) -> SecrecyCheck:
     """Exact rank verification that the eavesdropper learns nothing.
 
-    The pass condition is zero mutual information between secret
-    coordinates and observed rows; the two sufficient conditions (coverage
-    by randomness and randomness determined given secret and observations)
-    are reported as diagnostics.
-    """
-    base = scheme.code.field
-    b = scheme.B
-    cell_obs = leakage_observations(scheme.code, eve)
-    coord_rows = _coordinate_rows(scheme, cell_obs.unique_rows())
-    e_obs = observations(
-        base, b * b, [(f"e[{i}]", r) for i, r in enumerate(coord_rows)]
-    )
-    s_obs = observations(base, b * b, _selector_rows(scheme, 0, scheme.secret_len))
-    r_obs = observations(base, b * b, _selector_rows(scheme, scheme.secret_len, b))
+    Eve sees the b base-field coordinates of u . w for every observed
+    vector w in W, where u = (secret || randomness) in ext^B and b is the
+    extension degree.  Those coordinates are traces Tr(theta_t u . w)
+    against the dual basis, and the trace form is non-degenerate, so their
+    base-field span is {u -> Tr(u . v) : v in span_ext(W)} and
 
-    h_e = entropy_symbols(e_obs)
-    h_r = entropy_symbols(r_obs)
-    coverable = h_e <= h_r
-    determined = conditional_entropy(r_obs, s_obs.concat(e_obs)) == 0
-    mi = mutual_information(s_obs, e_obs)
+        H(observations) = b * rank_ext(W)            (in log-q symbols).
+
+    The secret and the randomness are independent and uniform, so
+    H(observations | secret) is b times the ext-rank of W restricted to the
+    randomness positions secret_len..B-1, which gives
+
+        I(secret; observations) = b * rank_ext(W) - b * rank_ext(W_rand),
+        H(randomness | secret, observations) = b * random_len - b * rank_ext(W_rand).
+
+    The pass condition is zero mutual information; coverage by the
+    randomness (H(observations) <= H(randomness)) and a determined
+    randomness are reported as diagnostics.
+    """
+    ext = scheme.ext
+    b = ext.degree
+    cell_obs = leakage_observations(scheme.code, eve)
+    ws = _observed_vectors(scheme, cell_obs.unique_rows())
+    s = scheme.secret_len
+    h_e = b * entropy_symbols(observations(ext, scheme.B, [("w", w) for w in ws]))
+    h_e_given_s = b * entropy_symbols(
+        observations(ext, scheme.random_len, [("w", w[s:]) for w in ws])
+    )
+    h_r = b * scheme.random_len
     return SecrecyCheck(
         eve=eve,
         observed_rank=h_e,
         randomness_entropy=h_r,
-        coverable=coverable,
-        randomness_determined=determined,
-        mutual_information=mi,
+        coverable=h_e <= h_r,
+        randomness_determined=h_r == h_e_given_s,
+        mutual_information=h_e - h_e_given_s,
     )
 
 

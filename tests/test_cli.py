@@ -190,10 +190,25 @@ class TestSweepVerify:
         assert all(p["mutual_information"] == 0 for p in doc["results"]["placements"])
 
 
-def test_bad_params_are_config_errors():
+def test_bad_params_are_config_errors(tmp_path, sample_file, capsys):
     assert run(["capacity-sweep", "--params", "n=4,k=3,d=3,t=2"]) == 2
     assert run(["verify", "--field", "p=10"]) == 2
     assert run(["verify", "--params", "nonsense"]) == 2
+    # a malformed integer is a config error (exit 2, one line), not a crash
+    shards = encode_dir(tmp_path, sample_file)
+    capsys.readouterr()
+    out = tmp_path / "out.bin"
+    for argv in (
+        ["decode", "--shard-dir", shards, "--output", out, "--nodes", "2,x"],
+        ["repair", "--shard-dir", shards, "--group", "2,five"],
+        ["repair", "--shard-dir", shards, "--group", "2,5", "--helpers", "1,x,3"],
+        ["verify", "--params", "n=abc"],
+        ["verify", "--field", "p=abc"],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 class TestShardIdentity:
@@ -404,3 +419,39 @@ class TestDataPathReports:
         assert repair["transfers_phase2"] == t * (t - 1) * gens
         assert docs["repair"]["timings_ms"]["striping"] == 0
         assert docs["decode"]["timings_ms"]["shard_write"] == 0
+
+
+class TestStrayShardNames:
+    """Files that merely look like shards are not taken for one."""
+
+    @pytest.mark.parametrize("stray", ["node_old.shard", "node_2.shard", "node_0002.shard"])
+    def test_default_decode_and_repair_ignore_stray_names(self, tmp_path, sample_file, stray):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / stray).write_bytes(b"not a shard")
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out]) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
+        original = (shards / "node_002.shard").read_bytes()
+        (shards / "node_002.shard").unlink()
+        (shards / "node_005.shard").unlink()
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 0
+        assert (shards / "node_002.shard").read_bytes() == original
+
+
+class TestTruncatedShard:
+    """A shard cut short is named and never decoded, with or without a manifest."""
+
+    @pytest.mark.parametrize("manifest", ["v2", "none"])
+    def test_truncated_shard_fails_naming_it(self, tmp_path, sample_file, capsys, manifest):
+        shards = encode_dir(tmp_path, sample_file)
+        if manifest == "none":
+            (shards / "manifest.json").unlink()
+        path = shards / "node_002.shard"
+        path.write_bytes(path.read_bytes()[:-7])
+        capsys.readouterr()
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", "2,4,6"]) == 1
+        err = capsys.readouterr().err
+        assert "node_002.shard" in err
+        assert ("sha256" if manifest == "v2" else "payload length") in err
+        assert not out.exists()

@@ -170,6 +170,35 @@ class TestLemmaSuite:
         rows = _ctx_repair_rows(code, (3, 4, 5), (1, 2), (1, 2), (3, 4, 5))
         assert entropy_symbols(_obs(code, rows)) == 6
 
+    @pytest.mark.parametrize("make", [s1, b1], ids=["s1", "b1"])
+    def test_context_rows_match_row_ctx(self, make):
+        # one label per context, byte-identical to the per-row repair_row_ctx /
+        # exchange_row_ctx labels, on every context of every node
+        from coopstore.eve import _ctx_exchange_rows, _ctx_repair_rows
+
+        code = make()
+        nodes = range(1, code.params.n + 1)
+        for node in nodes:
+            for group, helpers in code.contexts(node):
+                assert _ctx_repair_rows(code, helpers, group, group, helpers) == [
+                    code.repair_row_ctx(i, j, group, helpers)
+                    for j in group
+                    for i in helpers
+                ]
+                assert _ctx_exchange_rows(code, group, node, group, helpers) == [
+                    code.exchange_row_ctx(j, node, group, helpers) for j in group if j != node
+                ]
+
+    def test_traversal_span_counts_and_witnesses(self):
+        # pinned before conditional_entropy moved out of the G loop
+        assert lemma_suite(s1()).checks["traversal_span"].checked == 261
+        res = lemma_suite(b1())
+        assert res.checks["traversal_span"].checked == 101
+        assert res.checks["traversal_span"].witness == (
+            "span(tilde S^F) != span(W_F u S^F)",
+            (2,),
+        )
+
     def test_code_b_l4_l5_fail_with_witness(self):
         res = lemma_suite(b1())
         assert res.checks["group_volume"].passed

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from helpers import secrecy_oracle
 
 from coopstore.errors import LengthMismatch, NotCoveredRegime, FieldKindUnsupported
 from coopstore.eve import EveModel
@@ -137,3 +139,38 @@ class TestVerifySecrecy:
         assert all(not c.coverable for c in checks)
         assert all(c.mutual_information > 0 for c in checks)
         assert not any(c.passed for c in checks)
+
+
+class TestAgainstStackedOracle:
+    """The two extension-field ranks equal the stacked base-field computation."""
+
+    FIELDS = ("observed_rank", "randomness_entropy", "coverable", "randomness_determined",
+              "mutual_information")
+
+    def assert_matches_oracle(self, scheme):
+        checks = verify_secrecy_sweep(scheme)
+        assert checks
+        for chk in checks:
+            got = {name: getattr(chk, name) for name in self.FIELDS}
+            assert got == secrecy_oracle(scheme, chk.eve), chk.eve
+        return checks
+
+    @pytest.mark.parametrize("l1,l2,placements", [(1, 1, 30), (0, 1, 6), (1, 0, 6), (2, 0, 15)])
+    def test_every_placement(self, l1, l2, placements):
+        checks = self.assert_matches_oracle(scheme_create(s1_binary(), l1, l2))
+        assert len(checks) == placements and all(c.passed for c in checks)
+
+    def test_negative_control(self, scheme):
+        tampered = dataclasses.replace(
+            scheme, secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
+        )
+        checks = self.assert_matches_oracle(tampered)
+        assert not any(c.passed or c.coverable for c in checks)
+
+    def test_surplus_randomness_is_not_determined(self):
+        # one more random symbol than needed: still no leakage, but the
+        # observations no longer pin the randomness down
+        base = scheme_create(s1_binary(), 1, 1)
+        padded = dataclasses.replace(base, secret_len=0, random_len=base.B)
+        checks = self.assert_matches_oracle(padded)
+        assert all(c.passed and c.coverable and not c.randomness_determined for c in checks)
