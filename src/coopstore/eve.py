@@ -97,6 +97,22 @@ def repair_download_rows(code, node: int):
     return rows
 
 
+def download_span(code, node: int):
+    """The distinct rows of repair_download_rows(code, node), first occurrence first.
+
+    They span exactly what the full traversal spans, so a rank taken over
+    them is the measured leakage, not an assumed one.  The traversal yields
+    hundreds of labelled rows but only a handful of distinct ones; callers
+    build the span once per node per call and reuse it across placements.
+    """
+    return list(dict.fromkeys(row for _, row in repair_download_rows(code, node)))
+
+
+def _span_rows(spans, nodes):
+    """The download spans of `nodes`, node by node, labelled for an ObservationSet."""
+    return [(f"~S^{f}[{i}]", row) for f in nodes for i, row in enumerate(spans[f])]
+
+
 def leakage_observations(code, eve: EveModel) -> ObservationSet:
     """The adversary's full view: W_E plus every download of every F node."""
     _validate_eve(code, eve)
@@ -109,9 +125,24 @@ def leakage_observations(code, eve: EveModel) -> ObservationSet:
     return observations(code.field, code.params.B, rows)
 
 
+def _leaked_symbols(code, eve: EveModel, spans) -> int:
+    """rank(W_E, then per F node its download span and granted rows).
+
+    The distinct rows arrive in the order leakage_observations gives them,
+    so the elimination is the one the full view would run.
+    """
+    rows = _storage(code, eve.E)
+    for f in eve.F:
+        rows.extend(_span_rows(spans, [f]))
+        rows.extend(code.granted_rows(f))
+    return entropy_symbols(_obs(code, rows))
+
+
 def measured_secrecy_capacity(code, eve: EveModel) -> int:
     """B minus the rank of everything the adversary observed."""
-    return code.params.B - entropy_symbols(leakage_observations(code, eve))
+    _validate_eve(code, eve)
+    spans = {f: download_span(code, f) for f in eve.F}
+    return code.params.B - _leaked_symbols(code, eve, spans)
 
 
 def predicted_secrecy_capacity(params, l1: int, l2: int):
@@ -271,7 +302,7 @@ def _subset_chains(nodes, sizes, rng=None, samples=200):
         yield tuple(out)
 
 
-EXHAUSTIVE_NODE_LIMIT = 8
+EXHAUSTIVE_NODE_LIMIT = 9
 SAMPLE_DRAWS = 200
 
 
@@ -289,7 +320,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     helper_uniformity: per-helper entropy toward a set F is |F|*beta,
         identically across helpers.
 
-    Subset enumeration is exhaustive for n <= 8 and seeded-random (200
+    Subset enumeration is exhaustive for n <= 9 and seeded-random (200
     draws per lemma) beyond.
     """
     import random as _random
@@ -353,12 +384,10 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     # --- traversal span -----------------------------------------------------
     chk = res.get("traversal_span")
     allowed_f = sorted(eavesdroppable_nodes(code))
+    spans = {f: download_span(code, f) for f in allowed_f}
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
-            downloads = []
-            for f in f_set:
-                downloads.extend(repair_download_rows(code, f))
-            tilde = _obs(code, downloads)
+            tilde = _obs(code, _span_rows(spans, f_set))
             span_ref = _obs(
                 code, _storage(code, f_set) + _nominal_repair_rows(code, nodes, f_set)
             )
@@ -443,13 +472,15 @@ def capacity_table(code, pairs=None, compare_predicted=True):
         ]
     nodes = list(range(1, p.n + 1))
     allowed_f = sorted(eavesdroppable_nodes(code))
+    spans = {f: download_span(code, f) for f in allowed_f} if any(l2 for _, l2 in pairs) else {}
     cells = []
     for l1, l2 in pairs:
         for f_set in itertools.combinations(allowed_f, l2):
             rest = [x for x in nodes if x not in f_set]
             for e_set in itertools.combinations(rest, l1):
                 eve = EveModel(E=e_set, F=f_set)
-                measured = measured_secrecy_capacity(code, eve)
+                _validate_eve(code, eve)
+                measured = p.B - _leaked_symbols(code, eve, spans)
                 predicted = (
                     predicted_secrecy_capacity(p, l1, l2)
                     if compare_predicted
@@ -481,11 +512,9 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     e_set = tuple(range(1, l1 + 1))
     f_set = tuple(range(l1 + 1, l1 + l2 + 1))
     nodes = list(range(1, p.n + 1))
+    spans = {f: download_span(code, f) for f in f_set}
 
-    downloads = []
-    for f in f_set:
-        downloads.extend(repair_download_rows(code, f))
-    tilde = _obs(code, downloads)
+    tilde = _obs(code, _span_rows(spans, f_set))
     w_f = _obs(code, _storage(code, f_set))
     s_f = _obs(code, _nominal_repair_rows(code, nodes, f_set))
 

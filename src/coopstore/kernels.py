@@ -3,7 +3,8 @@
 Exact Gaussian elimination with first-nonzero pivoting on flat row-major
 matrices, in pure Python.  Works over any field object exposing
 add/sub/mul/inv on canonical int elements (0 is the additive, 1 the
-multiplicative identity): prime fields, GF(2^m) and towers alike.
+multiplicative identity): prime fields, GF(2^m) and towers alike.  rank
+runs prime fields through the same loop with `% p` arithmetic inline.
 """
 
 from __future__ import annotations
@@ -16,6 +17,44 @@ def backend_name(field) -> str:
 
 def rank(data, nrows, ncols, field):
     """Rank of a row-major matrix given as a flat list of field elements."""
+    if field.kind == "prime":
+        return _rank_prime(data, nrows, ncols, field.order)
+    return _rank_generic(data, nrows, ncols, field)
+
+
+def _rank_prime(data, nrows, ncols, p):
+    """The loop of _rank_generic over GF(p), its arithmetic written inline."""
+    m = list(data)
+    r = 0
+    for col in range(ncols):
+        piv = -1
+        for row in range(r, nrows):
+            if m[row * ncols + col]:
+                piv = row
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            for c in range(col, ncols):
+                m[r * ncols + c], m[piv * ncols + c] = m[piv * ncols + c], m[r * ncols + c]
+        pinv = pow(m[r * ncols + col], p - 2, p)
+        for row in range(r + 1, nrows):
+            f = m[row * ncols + col]
+            if f:
+                f = f * pinv % p
+                m[row * ncols + col] = 0
+                for c in range(col + 1, ncols):
+                    v = m[r * ncols + c]
+                    if v:
+                        m[row * ncols + c] = (m[row * ncols + c] - f * v) % p
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _rank_generic(data, nrows, ncols, field):
+    """Rank through the field's own add/sub/mul/inv: GF(2^m) and towers."""
     m = list(data)
     sub, mul, inv = field.sub, field.mul, field.inv
     r = 0

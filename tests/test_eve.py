@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,11 +11,13 @@ from coopstore.eve import (
     EveModel,
     bandwidth_comparison,
     capacity_table,
+    download_span,
     leakage_observations,
     leakage_report,
     lemma_suite,
     measured_secrecy_capacity,
     predicted_secrecy_capacity,
+    repair_download_rows,
     specific_verifications,
 )
 from coopstore.field import prime_field
@@ -23,6 +26,15 @@ from coopstore.legacy import CodeAAdapter
 from coopstore.stable import CodeParams, StableCode
 
 S1_TABLE = {(0, 0): 6, (1, 0): 4, (2, 0): 2, (0, 1): 2, (1, 1): 1, (0, 2): 0}
+
+
+def n8():
+    """n=8, k=d=4, t=2 over GF(11): 525 traversal rows per node, 14 distinct."""
+    return StableCode.create(CodeParams.mscr(n=8, k=4, d=4, t=2, q=11), prime_field(11))
+
+
+def code_a():
+    return CodeAAdapter(a1())
 
 
 class TestLeakageObservations:
@@ -81,6 +93,41 @@ class TestLeakageObservations:
         more_e = entropy_symbols(leakage_observations(code, EveModel(E=(5,), F=(3,))))
         more_f = entropy_symbols(leakage_observations(code, EveModel(F=(3, 4))))
         assert more_e >= base and more_f >= base
+
+
+class TestDownloadSpan:
+    @pytest.mark.parametrize("make", [s1, b1, code_a, n8], ids=["s1", "b1", "code-a", "n8"])
+    def test_span_is_the_distinct_traversal_rows(self, make):
+        code = make()
+        for f in code.supported_failed_nodes:
+            span = download_span(code, f)
+            full = [row for _, row in repair_download_rows(code, f)]
+            assert len(span) == len(set(span)) <= len(full)
+            assert set(span) == set(full)
+            assert span == sorted(span, key=full.index)
+
+    @pytest.mark.parametrize("make", [s1, b1, code_a, n8], ids=["s1", "b1", "code-a", "n8"])
+    def test_capacity_from_spans_equals_full_view(self, make):
+        # every placement: the capacity sweep and measured_secrecy_capacity,
+        # both over spans, against the rank of the full labelled view
+        code = make()
+        p = code.params
+        cells = capacity_table(code, compare_predicted=False)
+        allowed = len(code.supported_failed_nodes)
+        assert len(cells) == sum(
+            comb(allowed, l2) * comb(p.n - l2, tot - l2)
+            for tot in range(p.k)
+            for l2 in range(tot + 1)
+        )
+        for cell in cells:
+            eve = EveModel(E=cell.E, F=cell.F)
+            full = p.B - entropy_symbols(leakage_observations(code, eve))
+            assert cell.measured == measured_secrecy_capacity(code, eve) == full
+
+    def test_n8_span_size(self):
+        code = n8()
+        assert len(repair_download_rows(code, 3)) == 525
+        assert len(download_span(code, 3)) == 14
 
 
 class TestPredictedCapacity:
@@ -199,6 +246,27 @@ class TestLemmaSuite:
             (2,),
         )
 
+    def test_n8_counts_unchanged(self):
+        # pinned before the traversals were reduced to their spans
+        res = lemma_suite(n8())
+        assert res.all_passed, res.summary()
+        assert {name: chk.checked for name, chk in res.checks.items()} == {
+            "group_volume": 2520,
+            "member_volume": 3360,
+            "traversal_span": 3592,
+            "helper_uniformity": 92,
+        }
+
+    def test_b1_witnesses_unchanged(self):
+        summary = lemma_suite(b1()).summary()
+        assert {name: (c["checked"], c["passed"]) for name, c in summary.items()} == {
+            "group_volume": (180, True),
+            "member_volume": (360, True),
+            "traversal_span": (101, False),
+            "helper_uniformity": (21, False),
+        }
+        assert summary["helper_uniformity"]["witness"] == "('H(S_i^F) != |F|beta', (2, 3), 1, 2)"
+
     def test_code_b_l4_l5_fail_with_witness(self):
         res = lemma_suite(b1())
         assert res.checks["group_volume"].passed
@@ -224,6 +292,19 @@ class TestSpecificVerifications:
     def test_s1_canonical_placements(self, l1, l2):
         res = specific_verifications(s1(), l1, l2)
         assert res.all_passed, res.summary()
+
+    @pytest.mark.parametrize("make", [s1, n8], ids=["s1", "n8"])
+    def test_every_canonical_placement_counts(self, make):
+        code = make()
+        k = code.params.k
+        for l2 in range(1, k):
+            for l1 in range(k - l2):
+                summary = specific_verifications(code, l1, l2).summary()
+                assert {name: (c["checked"], c["passed"]) for name, c in summary.items()} == {
+                    "downloads_span": (2, True),
+                    "leak_decomposition": (3, True),
+                    "leak_totals": (3, True),
+                }
 
     def test_invalid_l(self):
         with pytest.raises(InvalidL):
