@@ -89,7 +89,7 @@ def _load_config(args) -> dict:
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     elif "seed" not in config and os.environ.get("COOPSTORE_SEED"):
-        config["seed"] = int(os.environ["COOPSTORE_SEED"])
+        config["seed"] = _parse_int(os.environ["COOPSTORE_SEED"], "COOPSTORE_SEED")
     config.setdefault("seed", 0)
     config.setdefault("variant", "stable")
     return config
@@ -657,11 +657,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     from .errors import (
+        FieldKindUnsupported,
         FieldTooSmall,
         InadmissibleOmega,
+        InvalidEveModel,
+        InvalidL,
         NonIntegralParams,
         NonPrimeModulus,
+        NotCoveredRegime,
         NotGenerator,
+        ParameterTooSmall,
         ReduciblePolynomial,
     )
 
@@ -670,9 +675,14 @@ def main(argv=None) -> int:
         InadmissibleOmega,
         NotGenerator,
         FieldTooSmall,
+        FieldKindUnsupported,
         NonIntegralParams,
         NonPrimeModulus,
         ReduciblePolynomial,
+        ParameterTooSmall,
+        InvalidL,
+        InvalidEveModel,
+        NotCoveredRegime,
     )
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -2,9 +2,13 @@
 
 Every observed symbol is a linear functional of a uniform message vector
 over GF(q), so joint entropies are matrix ranks: H(rows) = rank(rows) in
-units of log q ("symbols").  Conditional entropy and mutual information
-follow from rank identities on stacked row sets.  A brute-force enumerator
-over all q^B messages certifies the rank formula on tiny instances.
+units of log q ("symbols").  rank_rows is the one row-level entry: the
+analysis layer ranks plain rows through it, because a rank never depends
+on what the rows are called.  ObservationSet adds labels for reports and
+the labelled reference views; entropy_symbols, conditional_entropy and
+mutual_information are its rank identities on stacked row sets.  A
+brute-force enumerator over all q^B messages certifies the rank formula on
+tiny instances.
 
 Entropies are reported in symbols because every identity being verified
 is integer-valued in that unit; multiply by log2(q) for bits.
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kernels
 from .errors import DimensionMismatch, InstanceTooLarge
 
 BRUTE_FORCE_LIMIT = 1 << 20
@@ -54,13 +59,7 @@ class ObservationSet:
             raise DimensionMismatch("observation sets over different message spaces")
 
     def unique_rows(self):
-        seen = set()
-        out = []
-        for r in self.rows:
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        return out
+        return list(dict.fromkeys(self.rows))
 
 
 def observations(field, message_len, labeled_rows) -> ObservationSet:
@@ -77,36 +76,31 @@ def empty_observations(field, message_len) -> ObservationSet:
     return ObservationSet(field, message_len)
 
 
-def _rank_of_rows(field, ncols, rows) -> int:
+def rank_rows(field, ncols, rows) -> int:
+    """Rank of hashable rows of length ncols; repeats are dropped, first kept."""
+    rows = list(dict.fromkeys(rows))
     if not rows:
         return 0
-    flat = [v for r in rows for v in r]
-    from . import kernels
-
-    return kernels.rank(flat, len(rows), ncols, field)
+    return kernels.rank([v for r in rows for v in r], len(rows), ncols, field)
 
 
 def entropy_symbols(obs: ObservationSet) -> int:
     """H(obs) in log-q units: the rank of the observation rows."""
-    return _rank_of_rows(obs.field, obs.message_len, obs.unique_rows())
+    return rank_rows(obs.field, obs.message_len, obs.unique_rows())
 
 
 def conditional_entropy(x: ObservationSet, y: ObservationSet) -> int:
     """H(X | Y) = rank(X stacked on Y) - rank(Y)."""
     x._check_compatible(y)
     joint = x.unique_rows() + y.unique_rows()
-    return _rank_of_rows(x.field, x.message_len, joint) - entropy_symbols(y)
+    return rank_rows(x.field, x.message_len, joint) - entropy_symbols(y)
 
 
 def mutual_information(x: ObservationSet, y: ObservationSet) -> int:
     """I(X; Y) = rank(X) + rank(Y) - rank(X stacked on Y); always >= 0."""
     x._check_compatible(y)
     joint = x.unique_rows() + y.unique_rows()
-    return (
-        entropy_symbols(x)
-        + entropy_symbols(y)
-        - _rank_of_rows(x.field, x.message_len, joint)
-    )
+    return entropy_symbols(x) + entropy_symbols(y) - rank_rows(x.field, x.message_len, joint)
 
 
 def brute_force_entropy(obs: ObservationSet) -> Fraction:

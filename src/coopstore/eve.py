@@ -10,6 +10,11 @@ The lemma suite re-proves the code's information-theoretic properties on a
 concrete instance by exhaustive subset enumeration: joint repair-data
 entropies, the reduction of full downloads to storage-plus-repair spans,
 and the per-helper entropy counts that produce the closed-form capacity.
+
+A rank depends only on the rows, never on their names, so the analysis
+(lemma suite, capacity sweep, measured capacity, secrecy checks) ranks
+plain rows through entropy.rank_rows.  Labels are formatted only for the
+labelled reference view, leakage_observations, and for leakage_report.
 """
 
 from __future__ import annotations
@@ -18,14 +23,9 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .entropy import (
-    ObservationSet,
-    conditional_entropy,
-    entropy_symbols,
-    observations,
-)
+from .entropy import ObservationSet, entropy_symbols, observations, rank_rows
 from .errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
-from .stable import context_label, eavesdroppable_nodes
+from .stable import eavesdroppable_nodes
 
 
 class NotCovered:
@@ -77,7 +77,8 @@ class LeakageReport:
     lemma_results: object = None
 
 
-def _validate_eve(code, eve: EveModel):
+def validate_eve(code, eve: EveModel):
+    """Raise InvalidEveModel unless the code can model this placement."""
     p = code.params
     nodes = set(range(1, p.n + 1))
     if not set(eve.E) <= nodes or not set(eve.F) <= nodes:
@@ -108,14 +109,9 @@ def download_span(code, node: int):
     return list(dict.fromkeys(row for _, row in repair_download_rows(code, node)))
 
 
-def _span_rows(spans, nodes):
-    """The download spans of `nodes`, node by node, labelled for an ObservationSet."""
-    return [(f"~S^{f}[{i}]", row) for f in nodes for i, row in enumerate(spans[f])]
-
-
 def leakage_observations(code, eve: EveModel) -> ObservationSet:
     """The adversary's full view: W_E plus every download of every F node."""
-    _validate_eve(code, eve)
+    validate_eve(code, eve)
     rows = []
     for e in eve.E:
         rows.extend(code.storage_rows(e))
@@ -125,22 +121,28 @@ def leakage_observations(code, eve: EveModel) -> ObservationSet:
     return observations(code.field, code.params.B, rows)
 
 
-def _leaked_symbols(code, eve: EveModel, spans) -> int:
-    """rank(W_E, then per F node its download span and granted rows).
+def observed_rows(code, eve: EveModel, spans):
+    """The distinct rows of leakage_observations(code, eve), in its order.
 
-    The distinct rows arrive in the order leakage_observations gives them,
-    so the elimination is the one the full view would run.
+    spans maps each node of eve.F to its download_span; eve must already
+    have passed validate_eve.  Every node's span holds the distinct rows of
+    its traversal in first-occurrence order, so de-duplicating W_E, then
+    per F node its span and granted rows, keeps the full view's order.
     """
     rows = _storage(code, eve.E)
     for f in eve.F:
-        rows.extend(_span_rows(spans, [f]))
-        rows.extend(code.granted_rows(f))
-    return entropy_symbols(_obs(code, rows))
+        rows.extend(spans[f])
+        rows.extend(row for _, row in code.granted_rows(f))
+    return list(dict.fromkeys(rows))
+
+
+def _leaked_symbols(code, eve: EveModel, spans) -> int:
+    return _rank(code, observed_rows(code, eve, spans))
 
 
 def measured_secrecy_capacity(code, eve: EveModel) -> int:
     """B minus the rank of everything the adversary observed."""
-    _validate_eve(code, eve)
+    validate_eve(code, eve)
     spans = {f: download_span(code, f) for f in eve.F}
     return code.params.B - _leaked_symbols(code, eve, spans)
 
@@ -230,46 +232,35 @@ class LemmaResults:
         }
 
 
-def _obs(code, rows):
-    return observations(code.field, code.params.B, rows)
+def _rank(code, rows):
+    """H(rows) in symbols."""
+    return rank_rows(code.field, code.params.B, rows)
 
 
-def _ctx_repair_rows(code, senders, targets, group, helpers):
-    """S_senders^targets rows under a concrete (group, helpers) context."""
-    ctx = context_label(group, helpers)
-    return [
-        (f"S_{i}^{j}|{ctx}", code.repair_functional(i, j, group))
-        for j in targets
-        for i in senders
-        if i != j
-    ]
+def _rank_given(code, rows, given):
+    """H(rows | given) = rank(rows stacked on given) - rank(given)."""
+    return _rank(code, rows + given) - _rank(code, given)
 
 
-def _ctx_exchange_rows(code, senders, target, group, helpers):
-    ctx = context_label(group, helpers)
-    return [
-        (f"Z_{j}^{target}|{ctx}", code.exchange_functional(j, target, group))
-        for j in senders
-        if j != target
-    ]
+def _ctx_repair_rows(code, senders, targets, group):
+    """S_senders^targets rows when `group` is being repaired."""
+    return [code.repair_functional(i, j, group) for j in targets for i in senders if i != j]
+
+
+def _ctx_exchange_rows(code, senders, target, group):
+    """Z_senders^target rows when `group` is being repaired."""
+    return [code.exchange_functional(j, target, group) for j in senders if j != target]
 
 
 def _nominal_repair_rows(code, senders, targets):
     """Context-free S rows; for unstable codes these are the rows under the
     least repair group holding the failed node (the 'declared' repair data)."""
-    rows = []
-    for j in targets:
-        for i in senders:
-            if i != j:
-                rows.append((f"S_{i}^{j}", code.nominal_repair_row(i, j)))
-    return rows
+    return [code.nominal_repair_row(i, j) for j in targets for i in senders if i != j]
 
 
 def _storage(code, nodes):
-    rows = []
-    for i in nodes:
-        rows.extend(code.storage_rows(i))
-    return rows
+    """W_nodes: every stored symbol of the nodes, node by node."""
+    return [row for i in nodes for _, row in code.storage_rows(i)]
 
 
 def _subset_chains(nodes, sizes, rng=None, samples=200):
@@ -337,16 +328,12 @@ def lemma_suite(code, seed=0) -> LemmaResults:
         for c_set, a_set, b_set in _subset_chains(nodes, sizes, rng, SAMPLE_DRAWS):
             chk.checked += 1
             ab = tuple(a_set) + tuple(b_set)  # |A| + |B| = d: a valid helper set
-            joint = _obs(code, _ctx_repair_rows(code, ab, c_set, c_set, ab))
-            if entropy_symbols(joint) != p.d * p.t * p.beta:
+            if _rank(code, _ctx_repair_rows(code, ab, c_set, c_set)) != p.d * p.t * p.beta:
                 chk.fail(("H(S_{A u B}^C) != dt*beta", c_set, a_set, b_set))
                 continue
-            given = _obs(
-                code,
-                _storage(code, c_set) + _ctx_repair_rows(code, a_set, c_set, c_set, ab),
-            )
-            b_rows = _obs(code, _ctx_repair_rows(code, b_set, c_set, c_set, ab))
-            if conditional_entropy(b_rows, given) != 0:
+            given = _storage(code, c_set) + _ctx_repair_rows(code, a_set, c_set, c_set)
+            b_rows = _ctx_repair_rows(code, b_set, c_set, c_set)
+            if _rank_given(code, b_rows, given) != 0:
                 chk.fail(("H(S_B^C|W_C,S_A^C) != 0", c_set, a_set, b_set))
 
     # --- member volume ------------------------------------------------------
@@ -357,26 +344,19 @@ def lemma_suite(code, seed=0) -> LemmaResults:
         chk.checked += 1
         group = tuple(sorted((i,) + c_prime))
         helpers = tuple(a_prime) + tuple(b_prime)  # |A'| + |B'| = d
-        joint = _obs(
-            code,
-            _ctx_repair_rows(code, helpers, [i], group, helpers)
-            + _ctx_exchange_rows(code, c_prime, i, group, helpers),
+        joint = _ctx_repair_rows(code, helpers, [i], group) + _ctx_exchange_rows(
+            code, c_prime, i, group
         )
-        if entropy_symbols(joint) != (p.d + p.t - 1) * p.beta:
+        if _rank(code, joint) != (p.d + p.t - 1) * p.beta:
             chk.fail(
                 ("H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta", i, c_prime, a_prime, b_prime)
             )
             continue
-        given = _obs(
-            code,
-            _storage(code, [i]) + _ctx_repair_rows(code, a_prime, [i], group, helpers),
+        given = _storage(code, [i]) + _ctx_repair_rows(code, a_prime, [i], group)
+        target = _ctx_repair_rows(code, b_prime, [i], group) + _ctx_exchange_rows(
+            code, c_prime, i, group
         )
-        target = _obs(
-            code,
-            _ctx_repair_rows(code, b_prime, [i], group, helpers)
-            + _ctx_exchange_rows(code, c_prime, i, group, helpers),
-        )
-        if conditional_entropy(target, given) != 0:
+        if _rank_given(code, target, given) != 0:
             chk.fail(
                 ("H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0", i, c_prime, a_prime, b_prime)
             )
@@ -387,27 +367,20 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     spans = {f: download_span(code, f) for f in allowed_f}
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
-            tilde = _obs(code, _span_rows(spans, f_set))
-            span_ref = _obs(
-                code, _storage(code, f_set) + _nominal_repair_rows(code, nodes, f_set)
-            )
+            tilde = [row for f in f_set for row in spans[f]]
+            span_ref = _storage(code, f_set) + _nominal_repair_rows(code, nodes, f_set)
             chk.checked += 1
-            h_tilde = entropy_symbols(tilde)
-            joint = entropy_symbols(tilde.concat(span_ref))
-            if not (h_tilde == entropy_symbols(span_ref) == joint):
+            if not (_rank(code, tilde) == _rank(code, span_ref) == _rank(code, tilde + span_ref)):
                 chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
                 continue
             rest = [x for x in nodes if x not in f_set]
             for l1 in range(0, p.k - l2):
                 for e_set in itertools.combinations(rest, l1):
                     pool = [x for x in rest if x not in e_set]
-                    cond = _obs(code, _storage(code, list(e_set) + list(f_set)))
-                    lhs = conditional_entropy(tilde, cond)
+                    lhs = _rank_given(code, tilde, _storage(code, e_set + f_set))
                     for g_set in itertools.combinations(pool, p.k - l1 - l2):
                         chk.checked += 1
-                        rhs = entropy_symbols(
-                            _obs(code, _nominal_repair_rows(code, g_set, f_set))
-                        )
+                        rhs = _rank(code, _nominal_repair_rows(code, g_set, f_set))
                         if lhs != rhs:
                             chk.fail(
                                 ("H(tilde S^F|W_E,W_F) != H(S_G^F)", f_set, e_set, g_set)
@@ -420,9 +393,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
             outside = [x for x in nodes if x not in f_set]
             entropies = {}
             for i in outside:
-                entropies[i] = entropy_symbols(
-                    _obs(code, _nominal_repair_rows(code, [i], f_set))
-                )
+                entropies[i] = _rank(code, _nominal_repair_rows(code, [i], f_set))
             chk.checked += 1
             if len(set(entropies.values())) != 1:
                 chk.fail(("H(S_i^F) differs across helpers", f_set, entropies))
@@ -479,7 +450,7 @@ def capacity_table(code, pairs=None, compare_predicted=True):
             rest = [x for x in nodes if x not in f_set]
             for e_set in itertools.combinations(rest, l1):
                 eve = EveModel(E=e_set, F=f_set)
-                _validate_eve(code, eve)
+                validate_eve(code, eve)
                 measured = p.B - _leaked_symbols(code, eve, spans)
                 predicted = (
                     predicted_secrecy_capacity(p, l1, l2)
@@ -514,55 +485,46 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     nodes = list(range(1, p.n + 1))
     spans = {f: download_span(code, f) for f in f_set}
 
-    tilde = _obs(code, _span_rows(spans, f_set))
-    w_f = _obs(code, _storage(code, f_set))
-    s_f = _obs(code, _nominal_repair_rows(code, nodes, f_set))
+    tilde = [row for f in f_set for row in spans[f]]
+    w_f = _storage(code, f_set)
+    s_f = _nominal_repair_rows(code, nodes, f_set)
 
     # downloads span
     chk = res.get("downloads_span")
     chk.checked += 1
-    ref = w_f.concat(s_f)
-    if not (
-        entropy_symbols(tilde)
-        == entropy_symbols(ref)
-        == entropy_symbols(tilde.concat(ref))
-    ):
+    ref = w_f + s_f
+    if not (_rank(code, tilde) == _rank(code, ref) == _rank(code, tilde + ref)):
         chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
-    exchange_rows = []
-    for i in f_set:
-        for j in nodes:
-            if j != i:
-                exchange_rows.append((f"Z_{j}^{i}", code.nominal_exchange_row(j, i)))
-    z_f = _obs(code, exchange_rows)
+    z_f = [code.nominal_exchange_row(j, i) for i in f_set for j in nodes if j != i]
     chk.checked += 1
-    if conditional_entropy(z_f, w_f) != 0 or conditional_entropy(w_f, z_f) != 0:
+    if _rank_given(code, z_f, w_f) != 0 or _rank_given(code, w_f, z_f) != 0:
         chk.fail(("span(Z^F) != span(W_F)", f_set))
 
     # leak decomposition
     chk = res.get("leak_decomposition")
     chk.checked += 1
-    w_ef = _obs(code, _storage(code, e_set + f_set))
+    w_ef = _storage(code, e_set + f_set)
     mid = [x for x in range(1, p.k + 1) if x not in e_set + f_set]
-    s_mid = _obs(code, _nominal_repair_rows(code, mid, f_set))
+    s_mid = _nominal_repair_rows(code, mid, f_set)
     tail = [x for x in nodes if x > p.k and x not in f_set]
-    s_tail = _obs(code, _nominal_repair_rows(code, tail, f_set))
-    lhs = entropy_symbols(w_ef.concat(s_f))
-    rhs = entropy_symbols(w_ef) + entropy_symbols(s_mid)
+    s_tail = _nominal_repair_rows(code, tail, f_set)
+    lhs = _rank(code, w_ef + s_f)
+    rhs = _rank(code, w_ef) + _rank(code, s_mid)
     if lhs != rhs:
         chk.fail(("H(W_{EuF}, S^F) != H(W_{EuF}) + H(S_mid^F)", lhs, rhs))
     chk.checked += 1
-    if conditional_entropy(s_mid, w_ef) != entropy_symbols(s_mid):
+    if _rank_given(code, s_mid, w_ef) != _rank(code, s_mid):
         chk.fail(("H(S_mid^F|W) != H(S_mid^F)",))
     chk.checked += 1
-    if conditional_entropy(s_tail, w_ef.concat(s_mid)) != 0:
+    if _rank_given(code, s_tail, w_ef + s_mid) != 0:
         chk.fail(("tail repair rows add entropy beyond W and the k-set",))
 
     # leak totals
     chk = res.get("leak_totals")
-    leaked = entropy_symbols(_obs(code, _storage(code, e_set)).concat(tilde))
+    leaked = _rank(code, _storage(code, e_set) + tilde)
     per_helper = {}
     for g in range(l1 + l2 + 1, p.k + 1):
-        per_helper[g] = entropy_symbols(_obs(code, _nominal_repair_rows(code, [g], f_set)))
+        per_helper[g] = _rank(code, _nominal_repair_rows(code, [g], f_set))
     chk.checked += 1
     if leaked != (l1 + l2) * p.alpha + sum(per_helper.values()):
         chk.fail(("leak total != (l1+l2)alpha + sum H(S_g^F)", leaked, per_helper))

@@ -35,6 +35,7 @@ from .errors import (
     Singular,
     SingularLeakageMatrix,
 )
+from .eve import EveModel, leakage_observations
 from .matrix import Mat, dot
 from .stable import CodeParams, ShardVector, StableCode, StableDeployment, repair_context
 
@@ -225,7 +226,7 @@ def code_a_attack(params: CodeAParams, a, b, j: int = 1) -> CodeAAttackResult:
     rec_b = tuple(f.sub(vi, f.mul(dji, ai)) for vi, dji, ai in zip(v, dj_inv, a))
     rec_a = a  # granted
 
-    obs = code_a_full_observations(params)
+    obs = leakage_observations(CodeAAdapter(params), EveModel(F=(1,)))
     return CodeAAttackResult(
         recovered_a=rec_a,
         recovered_b=rec_b,
@@ -233,17 +234,6 @@ def code_a_attack(params: CodeAParams, a, b, j: int = 1) -> CodeAAttackResult:
         observations=obs,
         parity_index=j,
     )
-
-
-def code_a_full_observations(params: CodeAParams) -> ObservationSet:
-    """Everything node 1's observer sees across every group, plus granted a."""
-    rows = []
-    for ell in range(2, params.n + 1):
-        sub = code_a_repair_functionals(params, (1, ell))
-        rows.extend(zip(sub.labels, sub.rows))
-    adapter = CodeAAdapter(params)
-    rows.extend(adapter.granted_rows(1))
-    return observations(params.field, params.B, rows)
 
 
 class CodeAAdapter:

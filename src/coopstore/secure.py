@@ -24,7 +24,14 @@ from .errors import (
     LengthMismatch,
     NotCoveredRegime,
 )
-from .eve import NOT_COVERED, EveModel, leakage_observations, predicted_secrecy_capacity
+from .eve import (
+    NOT_COVERED,
+    EveModel,
+    download_span,
+    observed_rows,
+    predicted_secrecy_capacity,
+    validate_eve,
+)
 from .field import ExtensionField
 from .matrix import Mat, moore_matrix
 from .stable import CodeParams, StableCode
@@ -182,10 +189,12 @@ def verify_secrecy(scheme: SecureScheme, eve: EveModel) -> SecrecyCheck:
     randomness (H(observations) <= H(randomness)) and a determined
     randomness are reported as diagnostics.
     """
+    code = scheme.code
+    validate_eve(code, eve)
+    spans = {f: download_span(code, f) for f in eve.F}
     ext = scheme.ext
     b = ext.degree
-    cell_obs = leakage_observations(scheme.code, eve)
-    ws = _observed_vectors(scheme, cell_obs.unique_rows())
+    ws = _observed_vectors(scheme, observed_rows(code, eve, spans))
     s = scheme.secret_len
     h_e = b * entropy_symbols(observations(ext, scheme.B, [("w", w) for w in ws]))
     h_e_given_s = b * entropy_symbols(

@@ -194,21 +194,38 @@ def test_bad_params_are_config_errors(tmp_path, sample_file, capsys):
     assert run(["capacity-sweep", "--params", "n=4,k=3,d=3,t=2"]) == 2
     assert run(["verify", "--field", "p=10"]) == 2
     assert run(["verify", "--params", "nonsense"]) == 2
-    # a malformed integer is a config error (exit 2, one line), not a crash
+    # a malformed integer or an unusable setting is a config error (exit 2,
+    # one line), neither a crash nor a failed verification (exit 1)
     shards = encode_dir(tmp_path, sample_file)
     capsys.readouterr()
     out = tmp_path / "out.bin"
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(json.dumps({"eve": {"E": [1], "F": [1]}}))
     for argv in (
         ["decode", "--shard-dir", shards, "--output", out, "--nodes", "2,x"],
         ["repair", "--shard-dir", shards, "--group", "2,five"],
         ["repair", "--shard-dir", shards, "--group", "2,5", "--helpers", "1,x,3"],
         ["verify", "--params", "n=abc"],
         ["verify", "--field", "p=abc"],
+        ["verify", "--field", "m=30"],
+        ["secure-verify", "--field", "p=11"],
+        ["secure-verify", "--params", "n=8,k=4,d=4,t=2"],
+        ["attack", "--variant", "code-a", "--params", "d=1"],
+        ["secure-verify", "--l1", "-1"],
+        ["capacity-sweep", "--config", overlap],
+        ["secure-verify", "--l1", "0", "--l2", "2"],
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_bad_seed_variable_is_a_config_error(capsys, monkeypatch):
+    monkeypatch.setenv("COOPSTORE_SEED", "abc")
+    assert run(["capacity-sweep"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "COOPSTORE_SEED" in err and err.count("\n") == 1, err
 
 
 class TestShardIdentity:

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from coopstore.entropy import entropy_symbols
+from coopstore.entropy import entropy_symbols, rank_rows
 from coopstore.errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
 from coopstore.eve import (
     NOT_COVERED,
@@ -16,6 +16,7 @@ from coopstore.eve import (
     leakage_report,
     lemma_suite,
     measured_secrecy_capacity,
+    observed_rows,
     predicted_secrecy_capacity,
     repair_download_rows,
     specific_verifications,
@@ -124,6 +125,22 @@ class TestDownloadSpan:
             full = p.B - entropy_symbols(leakage_observations(code, eve))
             assert cell.measured == measured_secrecy_capacity(code, eve) == full
 
+    @pytest.mark.parametrize(
+        "make, placements",
+        [(s1, 73), (b1, 73), (code_a, 7), (n8, 577)],
+        ids=["s1", "b1", "code-a", "n8"],
+    )
+    def test_observed_rows_are_the_distinct_full_view(self, make, placements):
+        # every placement: the bare rows the analysis ranks against the
+        # labelled reference view, row for row and in order
+        code = make()
+        spans = {f: download_span(code, f) for f in code.supported_failed_nodes}
+        cells = capacity_table(code, compare_predicted=False)
+        assert len(cells) == placements
+        for cell in cells:
+            eve = EveModel(E=cell.E, F=cell.F)
+            assert observed_rows(code, eve, spans) == leakage_observations(code, eve).unique_rows()
+
     def test_n8_span_size(self):
         code = n8()
         assert len(repair_download_rows(code, 3)) == 525
@@ -188,14 +205,14 @@ class TestCapacityTable:
     def test_capacity_from_single_helper_entropy(self):
         # measured == (k - l1 - l2)(alpha - H(S_g^F)) for any g in G
         code = s1()
-        from coopstore.eve import _nominal_repair_rows, _obs
+        from coopstore.eve import _nominal_repair_rows
 
         for f_set in itertools.combinations(range(1, 7), 1):
             for e_set in itertools.combinations([x for x in range(1, 7) if x not in f_set], 1):
                 eve = EveModel(E=e_set, F=f_set)
                 rest = [x for x in range(1, 7) if x not in e_set + f_set]
                 g = rest[0]
-                h_g = entropy_symbols(_obs(code, _nominal_repair_rows(code, [g], f_set)))
+                h_g = rank_rows(code.field, 6, _nominal_repair_rows(code, [g], f_set))
                 expect = (3 - 2) * (2 - h_g)
                 assert measured_secrecy_capacity(code, eve) == expect
 
@@ -212,28 +229,28 @@ class TestLemmaSuite:
     def test_l2_specific_subset_full_rank(self):
         # rank of repair data toward C={1,2} from A={3}, B={4,5} is dt*beta=6
         code = s1()
-        from coopstore.eve import _ctx_repair_rows, _obs
+        from coopstore.eve import _ctx_repair_rows
 
-        rows = _ctx_repair_rows(code, (3, 4, 5), (1, 2), (1, 2), (3, 4, 5))
-        assert entropy_symbols(_obs(code, rows)) == 6
+        rows = _ctx_repair_rows(code, (3, 4, 5), (1, 2), (1, 2))
+        assert rank_rows(code.field, 6, rows) == 6
 
     @pytest.mark.parametrize("make", [s1, b1], ids=["s1", "b1"])
     def test_context_rows_match_row_ctx(self, make):
-        # one label per context, byte-identical to the per-row repair_row_ctx /
-        # exchange_row_ctx labels, on every context of every node
+        # the bare rows the lemma suite ranks equal the rows of the labelled
+        # repair_row_ctx / exchange_row_ctx, on every context of every node
         from coopstore.eve import _ctx_exchange_rows, _ctx_repair_rows
 
         code = make()
         nodes = range(1, code.params.n + 1)
         for node in nodes:
             for group, helpers in code.contexts(node):
-                assert _ctx_repair_rows(code, helpers, group, group, helpers) == [
-                    code.repair_row_ctx(i, j, group, helpers)
+                assert _ctx_repair_rows(code, helpers, group, group) == [
+                    code.repair_row_ctx(i, j, group, helpers)[1]
                     for j in group
                     for i in helpers
                 ]
-                assert _ctx_exchange_rows(code, group, node, group, helpers) == [
-                    code.exchange_row_ctx(j, node, group, helpers) for j in group if j != node
+                assert _ctx_exchange_rows(code, group, node, group) == [
+                    code.exchange_row_ctx(j, node, group, helpers)[1] for j in group if j != node
                 ]
 
     def test_traversal_span_counts_and_witnesses(self):
@@ -346,15 +363,14 @@ class TestStorageRecoverability:
     def test_repair_data_alone_does_not(self):
         # the caveat that separates cooperative codes from single-repair
         # ones: H(W_i | S^i) > 0 here, so the suite must never assert it zero
-        from coopstore.entropy import conditional_entropy, observations
-        from coopstore.eve import _nominal_repair_rows
+        from coopstore.eve import _nominal_repair_rows, _storage
 
         code = s1()
         nodes = list(range(1, 7))
         for i in nodes:
-            w_i = observations(code.field, 6, code.storage_rows(i))
-            s_i = observations(code.field, 6, _nominal_repair_rows(code, nodes, [i]))
-            assert conditional_entropy(w_i, s_i) == 1
+            w_i = _storage(code, [i])
+            s_i = _nominal_repair_rows(code, nodes, [i])
+            assert rank_rows(code.field, 6, w_i + s_i) - rank_rows(code.field, 6, s_i) == 1
 
 
 def test_leakage_report_shape():

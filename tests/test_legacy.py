@@ -264,10 +264,11 @@ def test_code_a_full_observation_rank_counts():
     # the traversal leaks all B symbols; granting node 1's content is about
     # making the recovery explicit, not about adding entropy
     from coopstore.entropy import observations
-    from coopstore.legacy import code_a_full_observations, code_a_repair_functionals
+    from coopstore.eve import EveModel, leakage_observations
+    from coopstore.legacy import CodeAAdapter, code_a_repair_functionals
 
     params = a1()
-    full = code_a_full_observations(params)
+    full = leakage_observations(CodeAAdapter(params), EveModel(F=(1,)))
     assert entropy_symbols(full) == 6
     repair_only = []
     for ell in range(2, 6):

@@ -5,7 +5,7 @@ import random
 import pytest
 from helpers import secrecy_oracle
 
-from coopstore.errors import LengthMismatch, NotCoveredRegime, FieldKindUnsupported
+from coopstore.errors import InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
 from coopstore.eve import EveModel
 from coopstore.instances import s1, s1_binary
 from coopstore.secure import (
@@ -122,6 +122,11 @@ class TestVerifySecrecy:
     def test_empty_eve_trivially_passes(self, scheme):
         chk = verify_secrecy(scheme, EveModel())
         assert chk.passed and chk.observed_rank == 0
+
+    @pytest.mark.parametrize("eve", [EveModel(E=(1, 2), F=(3,)), EveModel(F=(7,))])
+    def test_invalid_placement_rejected(self, scheme, eve):
+        with pytest.raises(InvalidEveModel):
+            verify_secrecy(scheme, eve)
 
     def test_negative_control_smaller_randomness(self, scheme):
         # one fewer random symbol: the observed rows can no longer be covered
