@@ -1,6 +1,7 @@
 """Command-line shell: encode/decode/repair plus the verification commands.
 
-Exit codes: 0 success, 1 a verification failed, 2 usage or config error.
+Exit codes: 0 the report passes, 1 a check failed or the data is bad, 2 usage
+or config error (see main).
 Flags override config-file fields; COOPSTORE_SEED is the seed fallback.
 """
 
@@ -14,19 +15,21 @@ import os
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import CoopstoreError, CorruptShard, InvalidConfig
+from .entropy import brute_force_entropy, entropy_symbols, observations
+from .errors import ConfigError, CoopstoreError, CorruptShard, InvalidConfig
 from .eve import (
-    NOT_COVERED,
     EveModel,
     bandwidth_comparison,
+    capacity_cell,
     capacity_table,
     lemma_suite,
     specific_verifications,
 )
-from .field import FieldSpec, field_create
+from .field import FieldSpec, field_create, prime_field
 from .legacy import CodeB, code_a_attack, code_a_init, code_b_attack
 from .matrix import Mat
 from .report import ReportDoc, capacity_rows, text_table, write_capacity_csv
@@ -106,19 +109,14 @@ def _field_from_config(config) -> object:
     return field_create(spec)
 
 
-def _params_from_config(config) -> CodeParams:
-    raw = {**DEFAULT_PARAMS, **config.get("params", {})}
+def _make_code(config):
     field = _field_from_config(config)
-    return CodeParams.mscr(
+    raw = {**DEFAULT_PARAMS, **config.get("params", {})}
+    params = CodeParams.mscr(
         n=raw["n"], k=raw["k"], d=raw["d"], t=raw["t"], q=field.order,
         beta=raw.get("beta", 1),
     )
-
-
-def _make_code(config):
     variant = config.get("variant", "stable")
-    field = _field_from_config(config)
-    params = _params_from_config(config)
     if variant == "stable":
         return StableCode.create(params, field)
     if variant == "code-b":
@@ -144,7 +142,10 @@ def _echo_config(config, field, params) -> dict:
 
 
 class _Stopwatch:
-    """Milliseconds per data-path layer, for the report's timings_ms."""
+    """Milliseconds per data-path layer and for the whole command: timings_ms.
+
+    main starts one per command; the analysis commands leave the layers at 0.
+    """
 
     LAYERS = ("striping", "shard_read", "algebra", "shard_write")
 
@@ -170,13 +171,12 @@ def _datapath_results(generations, params, **extra) -> dict:
     return {"generations": generations, "symbols": generations * params.B, **extra}
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args, clock) -> ReportDoc:
     config = _load_config(args)
     code = _make_code(config)
     if code.variant != "stable":
         raise InvalidConfig("shard persistence is implemented for the stable variant")
     p = code.params
-    clock = _Stopwatch("encode")
     data = Path(args.input).read_bytes()
     with clock.layer("striping"):
         symbols = pack_payload(data, p.q, p.B)
@@ -195,10 +195,8 @@ def cmd_encode(args) -> int:
     write_manifest(out_dir, echo, sorted(payloads), digests)
     report = ReportDoc(command="encode", config=echo)
     report.results = _datapath_results(gens, p, input_bytes=len(data), shards=sorted(payloads))
-    report.timings_ms = clock.timings()
     print(f"encoded {len(data)} bytes into {p.n} shards x {gens} generations")
-    _emit(report, args)
-    return 0
+    return report
 
 
 def _present_ids(directory):
@@ -262,8 +260,7 @@ def _shape(meta):
     return meta.variant, meta.field_spec, meta.params, meta.generations
 
 
-def cmd_decode(args) -> int:
-    clock = _Stopwatch("decode")
+def cmd_decode(args, clock) -> ReportDoc:
     directory = Path(args.shard_dir)
     nodes = _parse_ids(args.nodes) or _present_ids(directory)
     with clock.layer("shard_read"):
@@ -288,17 +285,14 @@ def cmd_decode(args) -> int:
     report.results = _datapath_results(
         meta.generations, p, output_bytes=len(blob), shards=sorted(payloads)
     )
-    report.timings_ms = clock.timings()
     print(f"decoded {len(blob)} bytes from {len(payloads)} shards")
-    _emit(report, args)
-    return 0
+    return report
 
 
-def cmd_repair(args) -> int:
+def cmd_repair(args, clock) -> ReportDoc:
     group = _parse_ids(args.group)
     if not group:
         raise InvalidConfig("--group is required, e.g. --group 2,5")
-    clock = _Stopwatch("repair")
     directory = Path(args.shard_dir)
     digests = manifest_digests(directory)
     helpers = _parse_ids(args.helpers)
@@ -342,13 +336,11 @@ def cmd_repair(args) -> int:
         transfers_phase1=phase1,
         transfers_phase2=phase2,
     )
-    report.timings_ms = clock.timings()
     print(
         f"regenerated nodes {','.join(map(str, ctx.group))} from helpers "
         f"{','.join(map(str, ctx.helpers))}; transfers: phase1={phase1} phase2={phase2}"
     )
-    _emit(report, args)
-    return 0
+    return report
 
 
 def _echo_meta(meta) -> dict:
@@ -369,14 +361,13 @@ def _parse_ids(text):
 # ---------------------------------------------------------------------------
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args, clock) -> ReportDoc:
     config = _load_config(args)
     rng = random.Random(config["seed"])
     report = ReportDoc(command="attack", config=config)
-    t0 = time.monotonic()
     variant = config.get("variant")
     if variant == "code-a":
-        field = _field_from_config({"field": config.get("field") or dict(DEFAULT_FIELD)})
+        field = _field_from_config(config)
         d = config.get("params", {}).get("d", DEFAULT_CODE_A["d"])
         omega = config.get("omega", DEFAULT_CODE_A["omega"])
         params = code_a_init(d, field, omega)
@@ -422,48 +413,27 @@ def cmd_attack(args) -> int:
         )
     else:
         raise InvalidConfig("attack needs --variant code-a or code-b")
-    report.timings_ms["attack"] = int(1000 * (time.monotonic() - t0))
-    _emit(report, args)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_capacity_sweep(args) -> int:
-    from .eve import CapacityCell, measured_secrecy_capacity, predicted_secrecy_capacity
-
+def cmd_capacity_sweep(args, clock) -> ReportDoc:
     config = _load_config(args)
     code = _make_code(config)
-    compare = code.variant == "stable"
     report = ReportDoc(command="capacity-sweep", config=config)
-    t0 = time.monotonic()
     if "eve" in config:
         eve = EveModel(
             E=tuple(config["eve"].get("E", ())), F=tuple(config["eve"].get("F", ()))
         )
-        predicted = (
-            predicted_secrecy_capacity(code.params, eve.l1, eve.l2)
-            if compare
-            else NOT_COVERED
-        )
-        cells = [
-            CapacityCell(
-                l1=eve.l1,
-                l2=eve.l2,
-                E=eve.E,
-                F=eve.F,
-                measured=measured_secrecy_capacity(code, eve),
-                predicted=predicted,
-            )
-        ]
+        cells = [capacity_cell(code, eve)]
     else:
         pairs = None
         if "pairs" in config.get("sweep", {}):
             pairs = [tuple(x) for x in config["sweep"]["pairs"]]
-        cells = capacity_table(code, pairs=pairs, compare_predicted=compare)
-    report.timings_ms["sweep"] = int(1000 * (time.monotonic() - t0))
+        cells = capacity_table(code, pairs=pairs)
     rows = capacity_rows(cells)
     report.results = {"variant": code.variant, "cells": rows, "placements": len(rows)}
     for cell in cells:
-        if compare and not cell.matches:
+        if not cell.matches:
             report.fail(
                 f"measured {cell.measured} != predicted {cell.predicted} at "
                 f"l1={cell.l1} l2={cell.l2} E={cell.E} F={cell.F}"
@@ -479,16 +449,14 @@ def cmd_capacity_sweep(args) -> int:
     )
     if args.csv:
         write_capacity_csv(args.csv, cells)
-    _emit(report, args)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, clock) -> ReportDoc:
     config = _load_config(args)
     code = _make_code(config)
     p = code.params
     report = ReportDoc(command="verify", config=config)
-    t0 = time.monotonic()
 
     witness = stability_certificate(code)
     report.results["stability"] = "pass" if witness is None else witness.describe()
@@ -500,7 +468,7 @@ def cmd_verify(args) -> int:
         print(f"  second: C={witness.second_context[0]} D={witness.second_context[1]}")
         print(f"          row {witness.second_row}")
 
-    lemmas = lemma_suite(code)
+    lemmas = lemma_suite(code, seed=config["seed"])
     report.results["lemmas"] = lemmas.summary()
     for name, chk in lemmas.checks.items():
         if not chk.passed:
@@ -518,11 +486,6 @@ def cmd_verify(args) -> int:
         report.results["placement_verifications"] = verif
 
     # entropy oracle cross-check on seeded random observation sets
-    from fractions import Fraction
-
-    from .entropy import brute_force_entropy, entropy_symbols, observations
-    from .field import prime_field
-
     rng = random.Random(config["seed"])
     oracle_cases = 0
     for _ in range(40):
@@ -543,22 +506,19 @@ def cmd_verify(args) -> int:
     report.results["bandwidth"] = {"msr_total": str(msr), "mscr_total": str(mscr)}
     print(f"bandwidth per {p.t}-failure repair: MSCR {mscr} {'<' if mscr < msr else '='} MSR {msr}")
 
-    report.timings_ms["verify"] = int(1000 * (time.monotonic() - t0))
     for name, chk in lemmas.checks.items():
         print(f"lemma {name}: {'pass' if chk.passed else 'FAIL'} ({chk.checked} cases)")
     print(f"stability: {report.results['stability']}")
     print(f"verify: {'PASS' if report.passed else 'FAIL'}")
-    _emit(report, args)
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_secure_verify(args) -> int:
+def cmd_secure_verify(args, clock) -> ReportDoc:
     config = _load_config(args)
     if "field" not in config:
         config["field"] = {"m": 4}
     code = _make_code({**config, "variant": "stable"})
     report = ReportDoc(command="secure-verify", config=config)
-    t0 = time.monotonic()
     l1, l2 = args.l1, args.l2
     scheme = scheme_create(code, l1, l2)
     report.results["secret_symbols"] = scheme.secret_len
@@ -578,18 +538,11 @@ def cmd_secure_verify(args) -> int:
         if not chk.passed:
             report.fail(f"leak at E={chk.eve.E} F={chk.eve.F}: I={chk.mutual_information}")
     report.results["placements"] = placements
-    report.timings_ms["secure-verify"] = int(1000 * (time.monotonic() - t0))
     print(
         f"secure mode (l1={l1}, l2={l2}): secret={scheme.secret_len} random={scheme.random_len} "
         f"placements={len(checks)} all-zero-leak={report.passed}"
     )
-    _emit(report, args)
-    return 0 if report.passed else 1
-
-
-def _emit(report: ReportDoc, args) -> None:
-    if getattr(args, "report", None):
-        report.write_json(args.report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -656,39 +609,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import (
-        FieldKindUnsupported,
-        FieldTooSmall,
-        InadmissibleOmega,
-        InvalidEveModel,
-        InvalidL,
-        NonIntegralParams,
-        NonPrimeModulus,
-        NotCoveredRegime,
-        NotGenerator,
-        ParameterTooSmall,
-        ReduciblePolynomial,
-    )
+    """Run one command; its report gets the timings and goes to --report.
 
-    config_errors = (
-        InvalidConfig,
-        InadmissibleOmega,
-        NotGenerator,
-        FieldTooSmall,
-        FieldKindUnsupported,
-        NonIntegralParams,
-        NonPrimeModulus,
-        ReduciblePolynomial,
-        ParameterTooSmall,
-        InvalidL,
-        InvalidEveModel,
-        NotCoveredRegime,
-    )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    Exit status: 0 when the report passes, 1 when a check in it failed or a
+    CoopstoreError other than a ConfigError was raised, 2 on a ConfigError
+    or an OSError.
+    """
+    args = build_parser().parse_args(argv)
+    clock = _Stopwatch(args.command)
     try:
-        return args.func(args)
-    except config_errors as exc:
+        report = args.func(args, clock)
+        report.timings_ms = clock.timings()
+        if args.report:
+            report.write_json(args.report)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoopstoreError as exc:
@@ -697,6 +631,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

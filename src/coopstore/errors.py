@@ -1,8 +1,9 @@
 """Exception types raised by the library.
 
-Everything derives from CoopstoreError so callers can catch broadly; the
-CLI maps CoopstoreError to exit code 2 (usage/config) unless a verification
-is what failed (exit code 1).
+Everything derives from CoopstoreError so callers can catch broadly.  The
+CLI exits 2 on a ConfigError (the parameters, field or eavesdropper model
+asked for are unusable), 1 on any other CoopstoreError (corrupt data or a
+broken invariant), and 1 when a verification fails without raising.
 """
 
 
@@ -10,22 +11,26 @@ class CoopstoreError(Exception):
     """Base class for all library errors."""
 
 
+class ConfigError(CoopstoreError):
+    """The requested configuration is unusable; the CLI exits 2."""
+
+
 # --- field / matrix construction ---------------------------------------
 
 
-class NonPrimeModulus(CoopstoreError):
+class NonPrimeModulus(ConfigError):
     pass
 
 
-class ReduciblePolynomial(CoopstoreError):
+class ReduciblePolynomial(ConfigError):
     pass
 
 
-class FieldTooSmall(CoopstoreError):
+class FieldTooSmall(ConfigError):
     pass
 
 
-class FieldKindUnsupported(CoopstoreError):
+class FieldKindUnsupported(ConfigError):
     pass
 
 
@@ -72,11 +77,11 @@ class InvalidGroup(CoopstoreError):
     pass
 
 
-class NotGenerator(CoopstoreError):
+class NotGenerator(ConfigError):
     pass
 
 
-class InadmissibleOmega(CoopstoreError):
+class InadmissibleOmega(ConfigError):
     """The diagonal-code admissibility condition on omega fails."""
 
     def __init__(self, message, condition_value=None):
@@ -88,18 +93,18 @@ class SingularLeakageMatrix(CoopstoreError):
     pass
 
 
-class ParameterTooSmall(CoopstoreError):
+class ParameterTooSmall(ConfigError):
     pass
 
 
 # --- eavesdropper / analysis ----------------------------------------------
 
 
-class InvalidEveModel(CoopstoreError):
+class InvalidEveModel(ConfigError):
     pass
 
 
-class InvalidL(CoopstoreError):
+class InvalidL(ConfigError):
     pass
 
 
@@ -113,14 +118,14 @@ class InstanceTooLarge(CoopstoreError):
     pass
 
 
-class NonIntegralParams(CoopstoreError):
+class NonIntegralParams(ConfigError):
     pass
 
 
 # --- secure precoding ------------------------------------------------------
 
 
-class NotCoveredRegime(CoopstoreError):
+class NotCoveredRegime(ConfigError):
     pass
 
 
@@ -131,7 +136,7 @@ class LengthMismatch(CoopstoreError):
 # --- CLI / persistence -------------------------------------------------------
 
 
-class InvalidConfig(CoopstoreError):
+class InvalidConfig(ConfigError):
     pass
 
 

@@ -426,12 +426,48 @@ class CapacityCell:
         return self.predicted is NOT_COVERED or self.measured == self.predicted
 
 
-def capacity_table(code, pairs=None, compare_predicted=True):
-    """Measured (and predicted) capacity for every admissible placement.
+def placements(code, l1: int, l2: int):
+    """Every disjoint placement with |E| = l1 and |F| = l2, as EveModels.
+
+    F is drawn from the nodes whose traversal the code can model, E from
+    the other nodes; both in lexicographic order, F outermost.
+    """
+    nodes = range(1, code.params.n + 1)
+    for f_set in itertools.combinations(sorted(code.supported_failed_nodes), l2):
+        rest = [x for x in nodes if x not in f_set]
+        for e_set in itertools.combinations(rest, l1):
+            yield EveModel(E=e_set, F=f_set)
+
+
+def capacity_cell(code, eve: EveModel, spans=None) -> CapacityCell:
+    """Measured capacity at one placement, beside the predicted one.
+
+    Only the stable code has a closed form; every other code is measured
+    against NOT_COVERED.  spans maps each node of eve.F to its
+    download_span and is built here when not given.
+    """
+    validate_eve(code, eve)
+    if spans is None:
+        spans = {f: download_span(code, f) for f in eve.F}
+    p = code.params
+    predicted = (
+        predicted_secrecy_capacity(p, eve.l1, eve.l2) if code.variant == "stable" else NOT_COVERED
+    )
+    return CapacityCell(
+        l1=eve.l1,
+        l2=eve.l2,
+        E=eve.E,
+        F=eve.F,
+        measured=p.B - _leaked_symbols(code, eve, spans),
+        predicted=predicted,
+    )
+
+
+def capacity_table(code, pairs=None):
+    """capacity_cell for every admissible placement.
 
     pairs defaults to every (l1, l2) with l1 + l2 <= k - 1; for each pair
-    every disjoint placement of E and F is enumerated (F restricted to the
-    nodes whose traversal the code can model).
+    every placement is enumerated.
     """
     p = code.params
     if pairs is None:
@@ -441,26 +477,9 @@ def capacity_table(code, pairs=None, compare_predicted=True):
             for l1 in range(tot + 1)
             for l2 in [tot - l1]
         ]
-    nodes = list(range(1, p.n + 1))
     allowed_f = sorted(eavesdroppable_nodes(code))
     spans = {f: download_span(code, f) for f in allowed_f} if any(l2 for _, l2 in pairs) else {}
-    cells = []
-    for l1, l2 in pairs:
-        for f_set in itertools.combinations(allowed_f, l2):
-            rest = [x for x in nodes if x not in f_set]
-            for e_set in itertools.combinations(rest, l1):
-                eve = EveModel(E=e_set, F=f_set)
-                validate_eve(code, eve)
-                measured = p.B - _leaked_symbols(code, eve, spans)
-                predicted = (
-                    predicted_secrecy_capacity(p, l1, l2)
-                    if compare_predicted
-                    else NOT_COVERED
-                )
-                cells.append(
-                    CapacityCell(l1=l1, l2=l2, E=e_set, F=f_set, measured=measured, predicted=predicted)
-                )
-    return cells
+    return [capacity_cell(code, eve, spans) for l1, l2 in pairs for eve in placements(code, l1, l2)]
 
 
 def specific_verifications(code, l1: int, l2: int) -> LemmaResults:

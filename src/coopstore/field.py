@@ -175,9 +175,6 @@ class Field:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -192,12 +189,6 @@ class Field:
     def element(self, v: int) -> int:
         """Canonical representative of an int (reduces prime residues)."""
         raise NotImplementedError
-
-    def elements(self):
-        return range(self.order)
-
-    def rand(self, rng) -> int:
-        return rng.randrange(self.order)
 
     def element_order(self, a: int) -> int:
         """Multiplicative order, via the factorization of order-1."""

@@ -87,14 +87,6 @@ class Mat:
             tuple(self.at(i, j) for i in row_idx for j in col_idx),
         )
 
-    def hstack(self, other):
-        self._check_field(other)
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("hstack row counts differ")
-        return Mat.from_rows(
-            self.field, [self.row(i) + other.row(i) for i in range(self.nrows)]
-        )
-
     def vstack(self, other):
         self._check_field(other)
         if self.ncols != other.ncols:

@@ -29,6 +29,7 @@ from .eve import (
     EveModel,
     download_span,
     observed_rows,
+    placements,
     predicted_secrecy_capacity,
     validate_eve,
 )
@@ -213,13 +214,4 @@ def verify_secrecy(scheme: SecureScheme, eve: EveModel) -> SecrecyCheck:
 
 def verify_secrecy_sweep(scheme: SecureScheme):
     """verify_secrecy over every (E, F) placement at the scheme's (l1, l2)."""
-    import itertools
-
-    p = scheme.code.params
-    nodes = range(1, p.n + 1)
-    checks = []
-    for f_set in itertools.combinations(nodes, scheme.l2):
-        rest = [x for x in nodes if x not in f_set]
-        for e_set in itertools.combinations(rest, scheme.l1):
-            checks.append(verify_secrecy(scheme, EveModel(E=e_set, F=f_set)))
-    return checks
+    return [verify_secrecy(scheme, eve) for eve in placements(scheme.code, scheme.l1, scheme.l2)]

@@ -32,7 +32,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorruptShard, InvalidConfig, IoError
+from .errors import ConfigError, CorruptShard, InvalidConfig, IoError
 from .field import FieldSpec, field_create
 from .stable import CodeParams
 
@@ -196,15 +196,22 @@ def _parse_header(path, blob) -> ShardMeta:
         raise CorruptShard(f"{path}: unsupported version {version}")
     if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(head):
         raise CorruptShard(f"{path}: header checksum mismatch")
+    if variant_tag not in TAG_VARIANTS:
+        raise CorruptShard(f"{path}: unknown variant tag {variant_tag}")
+    if kind not in (0, 1):
+        raise CorruptShard(f"{path}: unknown field kind {kind}")
     if kind == 0:
         spec = FieldSpec.prime(param)
     else:
         spec = FieldSpec.binary(m, param)
-    field = field_create(spec)
-    params = CodeParams(
-        n=n, k=k, d=d, t=t, alpha=alpha, beta=beta, beta_prime=beta_prime, B=big_b,
-        q=field.order,
-    )
+    try:
+        field = field_create(spec)
+        params = CodeParams(
+            n=n, k=k, d=d, t=t, alpha=alpha, beta=beta, beta_prime=beta_prime, B=big_b,
+            q=field.order,
+        )
+    except ConfigError as exc:
+        raise CorruptShard(f"{path}: invalid header: {exc}") from exc
     meta = ShardMeta(
         variant=TAG_VARIANTS[variant_tag],
         field_spec=spec,

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import random
+import struct
+import zlib
 
 import pytest
 
+from coopstore import cli, errors, shardfile
 from coopstore.cli import main
 
 
@@ -219,6 +222,75 @@ def test_bad_params_are_config_errors(tmp_path, sample_file, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_config_errors_are_the_unusable_settings():
+    config_errors = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ConfigError) and obj is not errors.ConfigError
+    }
+    assert config_errors == {
+        "InvalidConfig",
+        "InadmissibleOmega",
+        "NotGenerator",
+        "FieldTooSmall",
+        "FieldKindUnsupported",
+        "NonIntegralParams",
+        "NonPrimeModulus",
+        "ReduciblePolynomial",
+        "ParameterTooSmall",
+        "InvalidL",
+        "InvalidEveModel",
+        "NotCoveredRegime",
+    }
+
+
+def test_verify_seed_reaches_the_lemma_suite(monkeypatch):
+    seeds = []
+    real = cli.lemma_suite
+
+    def spy(code, seed=0):
+        seeds.append(seed)
+        return real(code, seed=seed)
+
+    monkeypatch.setattr(cli, "lemma_suite", spy)
+    assert run(["verify", "--seed", "7"]) == 0
+    assert seeds == [7]
+
+
+class TestEveryCommandReport:
+    """main finishes every command's report the same way."""
+
+    LAYERS = {"striping", "shard_read", "algebra", "shard_write"}
+
+    def test_report_command_timings_and_exit_status(self, tmp_path, sample_file):
+        shards = tmp_path / "shards"
+        runs = [
+            ["encode", "--input", sample_file, "--out-dir", shards],
+            ["decode", "--shard-dir", shards, "--output", tmp_path / "out.bin"],
+            ["repair", "--shard-dir", shards, "--group", "2,5", "--helpers", "1,3,4"],
+            ["attack", "--variant", "code-b"],
+            ["capacity-sweep"],
+            ["verify"],
+            ["verify", "--variant", "code-b"],
+            ["secure-verify", "--l1", "0", "--l2", "1"],
+        ]
+        statuses = []
+        for i, argv in enumerate(runs):
+            report = tmp_path / f"r{i}.json"
+            rc = run(argv + ["--report", report])
+            doc = json.loads(report.read_text())
+            command = argv[0]
+            assert doc["command"] == command, argv
+            assert set(doc["timings_ms"]) == self.LAYERS | {command}, argv
+            assert doc["timings_ms"][command] > 0, argv
+            assert rc == (0 if doc["pass"] else 1), argv
+            statuses.append(rc)
+        assert {argv[0] for argv in runs} == {
+            "encode", "decode", "repair", "attack", "capacity-sweep", "verify", "secure-verify"
+        }
+        assert statuses == [0, 0, 0, 0, 0, 0, 1, 0]
 
 
 def test_bad_seed_variable_is_a_config_error(capsys, monkeypatch):
@@ -471,4 +543,35 @@ class TestTruncatedShard:
         err = capsys.readouterr().err
         assert "node_002.shard" in err
         assert ("sha256" if manifest == "v2" else "payload length") in err
+        assert not out.exists()
+
+
+class TestForeignHeader:
+    """A CRC-valid header naming no known variant, field or code is a corrupt shard."""
+
+    FIELDS = ("magic", "version", "variant_tag", "kind", "param", "m", "n")
+    CASES = {
+        "variant-tag-9": ("variant_tag", 9),
+        "field-kind-5": ("kind", 5),
+        "p-12": ("param", 12),
+        "n-0": ("n", 0),
+    }
+
+    @pytest.mark.parametrize("nodes", ["2,4,6", "4,6,1,2"], ids=["used", "unused"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_foreign_header_fails_naming_it(self, tmp_path, sample_file, capsys, case, nodes):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "manifest.json").unlink()
+        path = shards / "node_002.shard"
+        blob = path.read_bytes()
+        values = list(shardfile._HEADER.unpack(blob[: shardfile._HEADER.size]))
+        name, value = self.CASES[case]
+        values[self.FIELDS.index(name)] = value
+        head = shardfile._HEADER.pack(*values)
+        path.write_bytes(head + struct.pack("<I", zlib.crc32(head)) + blob[shardfile.HEADER_SIZE :])
+        capsys.readouterr()
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", nodes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "node_002.shard" in err, err
         assert not out.exists()

@@ -113,7 +113,7 @@ class TestDownloadSpan:
         # both over spans, against the rank of the full labelled view
         code = make()
         p = code.params
-        cells = capacity_table(code, compare_predicted=False)
+        cells = capacity_table(code)
         allowed = len(code.supported_failed_nodes)
         assert len(cells) == sum(
             comb(allowed, l2) * comb(p.n - l2, tot - l2)
@@ -135,7 +135,7 @@ class TestDownloadSpan:
         # labelled reference view, row for row and in order
         code = make()
         spans = {f: download_span(code, f) for f in code.supported_failed_nodes}
-        cells = capacity_table(code, compare_predicted=False)
+        cells = capacity_table(code)
         assert len(cells) == placements
         for cell in cells:
             eve = EveModel(E=cell.E, F=cell.F)
