@@ -31,7 +31,7 @@ from .eve import (
 )
 from .field import FieldSpec, field_create, prime_field
 from .legacy import CodeB, code_a_attack, code_a_init, code_b_attack
-from .matrix import Mat
+from .matrix import Mat, lincomb_branch
 from .report import ReportDoc, capacity_rows, text_table, write_capacity_csv
 from .secure import scheme_create, verify_secrecy_sweep
 from .shardfile import (
@@ -167,8 +167,13 @@ class _Stopwatch:
         return {name: round(ms, 3) for name, ms in {**self.ms, self.command: total}.items()}
 
 
-def _datapath_results(generations, params, **extra) -> dict:
-    return {"generations": generations, "symbols": generations * params.B, **extra}
+def _datapath_results(code, generations, **extra) -> dict:
+    return {
+        "generations": generations,
+        "symbols": generations * code.params.B,
+        "lincomb": lincomb_branch(code.field),
+        **extra,
+    }
 
 
 def cmd_encode(args, clock) -> ReportDoc:
@@ -194,7 +199,7 @@ def cmd_encode(args, clock) -> ReportDoc:
     echo = _echo_config(config, code.field, p)
     write_manifest(out_dir, echo, sorted(payloads), digests)
     report = ReportDoc(command="encode", config=echo)
-    report.results = _datapath_results(gens, p, input_bytes=len(data), shards=sorted(payloads))
+    report.results = _datapath_results(code, gens, input_bytes=len(data), shards=sorted(payloads))
     print(f"encoded {len(data)} bytes into {p.n} shards x {gens} generations")
     return report
 
@@ -262,7 +267,8 @@ def _shape(meta):
 
 def cmd_decode(args, clock) -> ReportDoc:
     directory = Path(args.shard_dir)
-    nodes = _parse_ids(args.nodes) or _present_ids(directory)
+    listed = _parse_ids(args.nodes, "--nodes")
+    nodes = listed or _present_ids(directory)
     with clock.layer("shard_read"):
         # the first k present shards are read in full and used; the others
         # only have their headers checked, so their payloads cannot block decode
@@ -270,6 +276,8 @@ def cmd_decode(args, clock) -> ReportDoc:
             directory, nodes, manifest_digests(directory), count=lambda m: m.params.k
         )
         meta = next(iter(metas.values()))
+        if listed:
+            _check_ids("--nodes", listed, meta.params.n, meta.params.k, None)
         for node in nodes:
             path = directory / shard_filename(node)
             if node not in metas and path.exists():
@@ -283,19 +291,19 @@ def cmd_decode(args, clock) -> ReportDoc:
     Path(args.output).write_bytes(blob)
     report = ReportDoc(command="decode", config=_echo_meta(meta))
     report.results = _datapath_results(
-        meta.generations, p, output_bytes=len(blob), shards=sorted(payloads)
+        code, meta.generations, output_bytes=len(blob), shards=sorted(payloads)
     )
     print(f"decoded {len(blob)} bytes from {len(payloads)} shards")
     return report
 
 
 def cmd_repair(args, clock) -> ReportDoc:
-    group = _parse_ids(args.group)
+    group = _parse_ids(args.group, "--group")
     if not group:
         raise InvalidConfig("--group is required, e.g. --group 2,5")
     directory = Path(args.shard_dir)
     digests = manifest_digests(directory)
-    helpers = _parse_ids(args.helpers)
+    helpers = _parse_ids(args.helpers, "--helpers")
     with clock.layer("shard_read"):
         if helpers is None:
             # the lowest d present nodes outside the group; d is in the first one's header
@@ -306,6 +314,9 @@ def cmd_repair(args, clock) -> ReportDoc:
             metas, payloads = _load_shards(directory, helpers, digests)
     meta = next(iter(metas.values()))
     p = meta.params
+    _check_ids("--group", group, p.n, p.t, p.t)
+    if args.helpers:
+        _check_ids("--helpers", helpers, p.n, p.d, p.d)
     code = StableCode.create(p, field_create(meta.field_spec))
     ctx = repair_context(code, group, helpers)
     with clock.layer("algebra"):
@@ -329,8 +340,8 @@ def cmd_repair(args, clock) -> ReportDoc:
             )
     report = ReportDoc(command="repair", config=_echo_meta(meta))
     report.results = _datapath_results(
+        code,
         gens,
-        p,
         group=list(ctx.group),
         helpers=list(ctx.helpers),
         transfers_phase1=phase1,
@@ -350,10 +361,24 @@ def _echo_meta(meta) -> dict:
     )
 
 
-def _parse_ids(text):
+def _parse_ids(text, option):
+    """The node ids of a comma-separated list, which must not repeat one."""
     if not text:
         return None
-    return tuple(_parse_int(x, text) for x in str(text).split(",") if x.strip())
+    ids = tuple(_parse_int(x, text) for x in str(text).split(",") if x.strip())
+    if len(set(ids)) != len(ids):
+        raise InvalidConfig(f"{option} {text} names a node twice")
+    return ids
+
+
+def _check_ids(option, ids, n, least, most):
+    """A node list against the header's params: ids in 1..n, least to most of them."""
+    bad = [i for i in ids if not 1 <= i <= n]
+    if bad:
+        raise InvalidConfig(f"{option}: node {bad[0]} is outside 1..{n}")
+    if len(ids) < least or most is not None and len(ids) > most:
+        want = least if least == most else f"at least {least}"
+        raise InvalidConfig(f"{option} needs {want} nodes, got {len(ids)}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ submatrix of which is invertible), and Moore matrices of Frobenius powers.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import kernels
 from .errors import (
     DependentPoints,
@@ -189,14 +191,36 @@ def dot(field, u, v):
 
 
 def lincomb(field, coeffs, streams):
-    """Elementwise sum_i coeffs[i] * streams[i] over equal-length symbol lists.
+    """Elementwise sum_i coeffs[i] * streams[i] over equal-length symbol streams.
 
     The batched data path's one kernel: a whole stream of generations per
-    call.  Prime fields reduce once per output symbol; other fields go
-    through field.add and field.mul.
+    call.  Streams are int lists, or bytes / bytearrays when the field has
+    at most 256 elements; the result has the type of its input.  Bytes
+    streams over GF(2^m), m <= 8, and GF(p), p < 128, run through product
+    tables (see lincomb_branch); every other case runs the int-list
+    comprehension, which stays the reference.
     """
     terms = [(c, s) for c, s in zip(coeffs, streams) if c]
     length = len(streams[0]) if streams else 0
+    if streams and isinstance(streams[0], (bytes, bytearray)) and field.order <= 256:
+        if lincomb_branch(field) == "bytes-table":
+            return _lincomb_table(field, terms, length)
+        return bytes(_lincomb_list(field, terms, length))
+    return _lincomb_list(field, terms, length)
+
+
+def lincomb_branch(field) -> str:
+    """Which lincomb branch the data path's streams over this field take.
+
+    "bytes-table" for GF(2^m), m <= 8, and GF(p), p < 128, whose streams
+    are bytes; "int-list" for every other field.
+    """
+    if (field.kind == "binary" and field.order <= 256) or (field.kind == "prime" and field.order < 128):
+        return "bytes-table"
+    return "int-list"
+
+
+def _lincomb_list(field, terms, length):
     if not terms:
         return [0] * length
     if field.kind == "prime":
@@ -214,6 +238,50 @@ def lincomb(field, coeffs, streams):
     for c, s in terms:
         acc = [add(a, mul(c, x)) for a, x in zip(acc, s)]
     return acc
+
+
+def _lincomb_table(field, terms, length):
+    """Bytes lincomb: one translate per term, one big-int sum over all of them.
+
+    Each term c * stream is stream.translate(product table of c), the
+    region-multiply-by-constant table of Plank, Greenan and Miller (FAST
+    2013).  The products are added as the ints int.from_bytes gives: by XOR
+    in GF(2^m); in GF(p) by integer addition, which cannot carry from one
+    byte to the next while the bytes' bound stays at most 255, with one
+    translate through the mod-p table whenever the next term would pass it.
+    """
+    if not terms:
+        return bytes(length)
+    if len(terms) == 1:
+        c, s = terms[0]
+        return s.translate(_product_table(field, c))
+    if field.kind == "binary":
+        acc = 0
+        for c, s in terms:
+            acc ^= int.from_bytes(s.translate(_product_table(field, c)), "little")
+        return acc.to_bytes(length, "little")
+    top = field.order - 1
+    mod = _mod_table(field.order)
+    acc = bound = 0
+    for c, s in terms:
+        if bound + top > 255:
+            acc = int.from_bytes(acc.to_bytes(length, "little").translate(mod), "little")
+            bound = top
+        acc += int.from_bytes(s.translate(_product_table(field, c)), "little")
+        bound += top
+    return acc.to_bytes(length, "little").translate(mod)
+
+
+@lru_cache(maxsize=None)
+def _product_table(field, c):
+    """x -> c * x for every byte x; bytes outside the field map to 0."""
+    mul = field.mul
+    return bytes(mul(c, x) if x < field.order else 0 for x in range(256))
+
+
+@lru_cache(maxsize=None)
+def _mod_table(p):
+    return bytes(x % p for x in range(256))
 
 
 def mat_rank(m: Mat) -> int:

@@ -91,29 +91,34 @@ def write_shard(path, meta: ShardMeta, symbols, sha256=None) -> str:
     """Write a shard atomically; returns the sha256 hex digest of the file.
 
     symbols: flat sequence, generations * alpha entries, generation-major.
+    At width 1, bytes or a bytearray is written as it is, without a copy.
     With sha256 given, a file whose digest differs is refused unwritten.
     """
     expect = meta.generations * meta.params.alpha
     if len(symbols) != expect:
         raise InvalidConfig(f"payload needs {expect} symbols, got {len(symbols)}")
     w = meta.symbol_width
-    if w == 1:
-        payload = bytes(symbols)
-    else:
+    if w > 1:
         payload = b"".join([v.to_bytes(w, "little") for v in symbols])
-    blob = _header_bytes(meta) + payload
-    digest = hashlib.sha256(blob).hexdigest()
+    elif isinstance(symbols, (bytes, bytearray)):
+        payload = symbols
+    else:
+        payload = bytes(symbols)
+    head = _header_bytes(meta)
+    hasher = hashlib.sha256(head)
+    hasher.update(payload)
+    digest = hasher.hexdigest()
     if sha256 is not None and digest != sha256:
         raise CorruptShard(f"{path}: regenerated shard does not match its manifest.json sha256")
     try:
-        _write_atomic(path, blob)
+        _write_atomic(path, head, payload)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     return digest
 
 
-def _write_atomic(path, blob: bytes) -> None:
-    """Write to a temporary file beside path, then rename it over path.
+def _write_atomic(path, *chunks) -> None:
+    """Write the chunks to a temporary file beside path, then rename it over path.
 
     An interrupted write leaves the previous file intact and no temporary
     file behind.
@@ -122,7 +127,8 @@ def _write_atomic(path, blob: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -130,30 +136,36 @@ def _write_atomic(path, blob: bytes) -> None:
 
 
 def read_shard(path, sha256=None):
-    """-> (ShardMeta, flat symbol list); validates magic, CRC and length.
+    """-> (ShardMeta, flat symbols); validates magic, CRC, length and values.
 
-    With sha256 given, the whole file must have that digest.
+    The symbols are the payload bytes themselves at width 1, else a list of
+    ints.  With sha256 given, the whole file must have that digest.
     """
     try:
-        blob = Path(path).read_bytes()
+        with Path(path).open("rb") as fh:
+            head = fh.read(HEADER_SIZE)
+            payload = fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
-        raise CorruptShard(f"{path}: sha256 differs from manifest.json")
-    meta = _parse_header(path, blob)
+    if sha256 is not None:
+        hasher = hashlib.sha256(head)
+        hasher.update(payload)
+        if hasher.hexdigest() != sha256:
+            raise CorruptShard(f"{path}: sha256 differs from manifest.json")
+    meta = _parse_header(path, head)
     w = meta.symbol_width
-    payload = blob[HEADER_SIZE:]
     expect = meta.generations * meta.params.alpha * w
     if len(payload) != expect:
         raise CorruptShard(f"{path}: payload length {len(payload)} != {expect}")
+    q = meta.params.q
     if w == 1:
-        symbols = list(payload)
+        symbols = payload
+        outside = payload.translate(None, bytes(range(q)))
     else:
         symbols = [int.from_bytes(payload[off : off + w], "little") for off in range(0, expect, w)]
-    q = meta.params.q
-    if symbols and max(symbols) >= q:
-        bad = next(v for v in symbols if v >= q)
-        raise CorruptShard(f"{path}: symbol value {bad} outside the field")
+        outside = [v for v in symbols if v >= q]
+    if outside:
+        raise CorruptShard(f"{path}: symbol value {outside[0]} outside the field")
     return meta, symbols
 
 

@@ -347,7 +347,9 @@ class StableCode(StableDeployment):
     # A node payload holds gens * t symbols, generation-major, so payload[i::t]
     # is its packet-i stream (one symbol per generation).  In the message
     # symbol stream, entry (i, c) of every generation's data matrix is the
-    # stream symbols[i*k + c :: B].
+    # stream symbols[i*k + c :: B].  Streams are bytes when q <= 256 and int
+    # lists otherwise; every payload and stream built here has its input's
+    # type (see matrix.lincomb).
 
     def encode_batch(self, symbols):
         """node -> payload for a message stream of whole generations."""
@@ -372,7 +374,7 @@ class StableCode(StableDeployment):
         size = _stream_size(payloads, nodes, p.t)
         # stored packet i of the k nodes = M_i @ gsub, so M_i = stored @ gsub^-1
         inv = self.G.submatrix(range(p.k), [j - 1 for j in nodes]).inverse()
-        out = [0] * (size * p.B)
+        out = _blank(payloads[nodes[0]], size * p.B)
         for i in range(p.t):
             packets = [payloads[j][i :: p.t] for j in nodes]
             for c in range(p.k):
@@ -468,10 +470,15 @@ def _stream_size(payloads, nodes, t):
 def _interleave(streams):
     """One payload from its packet streams: out[i::t] = streams[i]."""
     t = len(streams)
-    out = [0] * (t * len(streams[0]))
+    out = _blank(streams[0], t * len(streams[0]))
     for i, stream in enumerate(streams):
         out[i::t] = stream
     return out
+
+
+def _blank(like, size):
+    """size zero symbols, in a bytearray when the stream like is bytes, else a list."""
+    return bytearray(size) if isinstance(like, (bytes, bytearray)) else [0] * size
 
 
 @dataclass(frozen=True)

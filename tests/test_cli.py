@@ -508,6 +508,59 @@ class TestDataPathReports:
         assert repair["transfers_phase2"] == t * (t - 1) * gens
         assert docs["repair"]["timings_ms"]["striping"] == 0
         assert docs["decode"]["timings_ms"]["shard_write"] == 0
+        assert {doc["results"]["lincomb"] for doc in docs.values()} == {"bytes-table"}
+
+    @pytest.mark.parametrize(
+        "field, branch",
+        [("p=11", "bytes-table"), ("m=8", "bytes-table"), ("p=131", "int-list"), ("p=257", "int-list")],
+    )
+    def test_layer_timings_sum_within_total(self, tmp_path, sample_file, field, branch):
+        """Each layer is timed inside the command, so their sum cannot pass its total."""
+        reports = {cmd: tmp_path / f"{cmd}.json" for cmd in ("encode", "decode", "repair")}
+        shards = encode_dir(tmp_path, sample_file, ["--field", field, "--report", reports["encode"]])
+        out = tmp_path / "out.bin"
+        argv = ["decode", "--shard-dir", shards, "--output", out, "--report", reports["decode"]]
+        assert run(argv) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
+        argv = ["repair", "--shard-dir", shards, "--group", "2,5", "--report", reports["repair"]]
+        assert run(argv) == 0
+        for cmd, path in reports.items():
+            doc = json.loads(path.read_text())
+            self.check_timings(doc, cmd)
+            assert doc["results"]["lincomb"] == branch, cmd
+
+
+class TestBadNodeLists:
+    """A node list that cannot name a valid set of nodes is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["decode", "--nodes", "2,4"], "--nodes needs at least 3 nodes, got 2"),
+            (["decode", "--nodes", "2,2,4"], "--nodes 2,2,4 names a node twice"),
+            (["decode", "--nodes", "0,1,2"], "--nodes: node 0 is outside 1..6"),
+            (["repair", "--group", "2,2"], "--group 2,2 names a node twice"),
+            (["repair", "--group", "9"], "--group: node 9 is outside 1..6"),
+            (["repair", "--group", "2"], "--group needs 2 nodes, got 1"),
+            (["repair", "--group", "2,5", "--helpers", "1,3"], "--helpers needs 3 nodes, got 2"),
+            (["repair", "--group", "2,5", "--helpers", "1,3,7"], "--helpers: node 7 is outside 1..6"),
+        ],
+        ids=[
+            "decode-too-few", "decode-repeated", "decode-node-0", "repair-repeated",
+            "repair-node-9", "repair-short-group", "repair-short-helpers", "repair-helper-7",
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, sample_file, capsys, argv, message):
+        shards = encode_dir(tmp_path, sample_file)
+        before = {p.name: p.read_bytes() for p in shards.iterdir()}
+        command, *options = argv
+        out = ["--output", tmp_path / "out.bin"] if command == "decode" else []
+        capsys.readouterr()
+        assert run([command, "--shard-dir", shards, *out, *options]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+        assert not (tmp_path / "out.bin").exists()
+        assert {p.name: p.read_bytes() for p in shards.iterdir()} == before
 
 
 class TestStrayShardNames:

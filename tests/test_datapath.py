@@ -1,9 +1,10 @@
 """The batched data path against the per-generation reference it replaced.
 
 Encode, every k-subset decode and every (group, helpers) repair at S1 run
-both ways on random files and must agree symbol for symbol; the striping
-conversion must agree with the one-big-integer reference; and the shard
-files of a fixed input keep the digests the per-generation CLI produced.
+both ways on random files and must agree symbol for symbol; bytes-stream
+lincomb must agree with the int-list branch, and lane striping with the
+one-big-integer reference; and the shard files of a fixed input keep the
+digests the earlier CLI produced.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from helpers import bytes_to_symbols_oracle, symbols_to_bytes_oracle
 from coopstore.cli import main
 from coopstore.errors import DimensionMismatch, MissingShard, TooFewShards
 from coopstore.field import ExtensionField, binary_field, prime_field
-from coopstore.matrix import Mat, dot, lincomb
+from coopstore.matrix import Mat, dot, lincomb, lincomb_branch
 from coopstore.secure import PUBLISHED_TOWERS
 from coopstore.stable import (
     CodeParams,
@@ -34,7 +35,7 @@ from coopstore.striping import (
 
 
 def s1_code(q):
-    field = prime_field(q) if q == 11 else binary_field(4)
+    field = binary_field(q.bit_length() - 1) if q in (16, 256) else prime_field(q)
     return StableCode.create(CodeParams.mscr(n=6, k=3, d=3, t=2, q=q), field)
 
 
@@ -55,6 +56,11 @@ def reference_encode(code, symbols):
         for shard in code.encode(Mat(code.field, p.t, p.k, gen)):
             per_node[shard.node_id].extend(shard.symbols)
     return per_node
+
+
+def as_lists(payloads):
+    """node -> list of ints, whatever the stream type."""
+    return {j: list(v) for j, v in payloads.items()}
 
 
 class TestLincomb:
@@ -84,32 +90,100 @@ class TestLincomb:
 
     def test_all_zero_coefficients(self, gf11):
         assert lincomb(gf11, [0, 0], [[1, 2, 3], [4, 5, 6]]) == [0, 0, 0]
+        assert lincomb(gf11, [0, 0], [b"\1\2\3", b"\4\5\6"]) == bytes(3)
+
+
+BYTES_FIELDS = {
+    "gf2": prime_field(2),
+    "gf3": prime_field(3),
+    "gf11": prime_field(11),
+    "gf127": prime_field(127),
+    "gf131": prime_field(131),
+    "gf2^4": binary_field(4),
+    "gf2^8": binary_field(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTES_FIELDS))
+class TestBytesLincomb:
+    """Bytes streams against the int-list branch, which is the reference."""
+
+    def test_branch(self, name):
+        field = BYTES_FIELDS[name]
+        assert lincomb_branch(field) == ("int-list" if name == "gf131" else "bytes-table")
+
+    def test_every_coefficient(self, name):
+        field = BYTES_FIELDS[name]
+        rng = random.Random(name)
+        stream = [rng.randrange(field.order) for _ in range(300)]
+        other = [rng.randrange(field.order) for _ in range(300)]
+        for c in range(field.order):
+            for coeffs, streams in (([c], [stream]), ([c, 1], [stream, other])):
+                want = lincomb(field, coeffs, streams)
+                got = lincomb(field, coeffs, [bytes(x) for x in streams])
+                assert type(got) is bytes and list(got) == want, c
+
+    def test_random_streams(self, name):
+        field = BYTES_FIELDS[name]
+        rng = random.Random(name + "random")
+        for length in list(range(0, 20)) + [257, 1000]:
+            for width in (1, 2, 3, 5, 8):
+                coeffs = [rng.randrange(field.order) for _ in range(width)]
+                streams = [
+                    [rng.randrange(field.order) for _ in range(length)] for _ in range(width)
+                ]
+                want = lincomb(field, coeffs, streams)
+                got = lincomb(field, coeffs, [bytearray(x) for x in streams])
+                assert isinstance(got, (bytes, bytearray)) and list(got) == want
+
+
+def test_gf11_sum_past_the_reduction_point():
+    """30 terms at their largest: the byte bound passes 255 after 25 of them."""
+    field = prime_field(11)
+    rng = random.Random(30)
+    top = [10] * 64
+    for coeffs, streams in (
+        ([10] * 30, [top] * 30),
+        (
+            [rng.randrange(11) for _ in range(30)],
+            [[rng.randrange(11) for _ in range(64)] for _ in range(30)],
+        ),
+    ):
+        want = lincomb(field, coeffs, streams)
+        assert list(lincomb(field, coeffs, [bytes(x) for x in streams])) == want
 
 
 class TestStriping:
-    @pytest.mark.parametrize("q", [2, 11, 16, 257, 2**31 - 1])
+    @pytest.mark.parametrize("q", [2, 3, 11, 16, 127, 131, 256, 257, 2**31 - 1])
     def test_matches_big_integer_reference(self, q):
         rng = random.Random(q)
         for size in range(0, 301):
             data = rng.randbytes(size)
             symbols = bytes_to_symbols(data, q)
-            assert symbols == bytes_to_symbols_oracle(data, q)
+            assert isinstance(symbols, bytes) == (q <= 256)
+            assert list(symbols) == bytes_to_symbols_oracle(data, q)
             assert symbols_to_bytes(symbols, q, size) == data
-            # arbitrary field elements spill above s bits just as in one int
+            # arbitrary field elements spill above s bits just as in one int;
+            # so do arbitrary bytes, up to 8 - s bits past the next symbol
             noise = [rng.randrange(q) for _ in symbols]
-            for nbytes in (size, size + 5, size // 2):
-                assert symbols_to_bytes(noise, q, nbytes) == symbols_to_bytes_oracle(
-                    noise, q, nbytes
-                )
+            wide = [rng.randrange(256 if q <= 256 else q << 40) for _ in symbols]
+            for values in (noise, wide):
+                stream = bytes(values) if q <= 256 else values
+                for nbytes in (size, size + 5, size // 2):
+                    assert symbols_to_bytes(stream, q, nbytes) == symbols_to_bytes_oracle(
+                        values, q, nbytes
+                    )
 
 
-@pytest.mark.parametrize("q", [11, 16])
+@pytest.mark.parametrize("q", [11, 16, 131, 256, 257])
 class TestAgainstPerGeneration:
     def test_encode(self, q):
         code = s1_code(q)
         for nbytes, seed in ((1, 1), (97, 2), (400, 3)):
             symbols = random_symbols(code, nbytes, seed)
-            assert code.encode_batch(symbols) == reference_encode(code, symbols)
+            payloads = code.encode_batch(symbols)
+            assert {type(v) for v in payloads.values()} == {bytearray if q <= 256 else list}
+            assert as_lists(payloads) == reference_encode(code, symbols)
 
     def test_every_k_subset_decode(self, q):
         code = s1_code(q)
@@ -123,7 +197,8 @@ class TestAgainstPerGeneration:
             for g in range(gens):
                 shards = generation_shards(code, payloads, g, nodes)
                 want.extend(code.reconstruct(list(shards.values())).data)
-            assert got == want == symbols, nodes
+            assert list(got) == want == list(symbols), nodes
+            assert type(got) is type(payloads[1])
 
     def test_every_repair_context(self, q):
         code = s1_code(q)
@@ -145,7 +220,8 @@ class TestAgainstPerGeneration:
                     shards = generation_shards(code, payloads, g, helpers)
                     for s in code.cooperative_repair(ctx, shards, transcript=transcript):
                         want[s.node_id].extend(s.symbols)
-                assert got == want == {j: payloads[j] for j in group}
+                assert as_lists(got) == want == as_lists({j: payloads[j] for j in group})
+                assert {type(v) for v in got.values()} == {type(payloads[1])}
                 phases = [x[0] for x in transcript]
                 assert transfers == (phases.count(1), phases.count(2))
                 assert transfers == (p.t * p.d * gens, p.t * (p.t - 1) * gens)
@@ -179,8 +255,10 @@ class TestBatchErrors:
             plan.run({1: payloads[1], 3: payloads[3]})
 
 
-# sha256 of node_001..node_006.shard for the 500-byte input below, written by
-# the per-generation encode path before the batched one replaced it
+# sha256 of node_001..node_006.shard for the 500-byte input below: p=11 and
+# m=4 written by the per-generation encode path before the batched one
+# replaced it; m=8, p=131 and p=257 by the list-stream batched path before
+# bytes streams replaced it
 PINNED = {
     "p=11": (
         "97b196f697081d44daf5cd13fee56c9481f632f074e7e08d46c8e6e0f1cc135e",
@@ -197,6 +275,30 @@ PINNED = {
         "1c6f582053930e2ae2ca5153aa2c7a37ea0a1e622e2a9ea766a0b117db355a60",
         "a62fffd4ab3ac6e2ace2bd2487c57d522886d13060cfdb7465ecbef634827946",
         "4b5da5a06e194f8e642f1cad5c64232ef69d55437197de9c1201dc4db854d6b6",
+    ),
+    "m=8": (
+        "7521ca7db609b6412113caf8aabd7d36764a7e169800bdc82135d67e129b95cc",
+        "daa0858fed875ffbd1d6992557e939fa80e11fa605f8fbfd767dcef318ed1e0a",
+        "ff188d97755fc4918b4bec5d22c818b308e7d51e149adbbdbbbdbdd9ad6d0113",
+        "a0748f27edd51c67378e7acb1de1373c161684c7fecf9a0ad9184b7688135ba7",
+        "ab39134e23c9d062e9fc1f5760c78058699cf3fcfcc78a616f1ea9b81d0f29a1",
+        "3c938f5b9c2599e6fb1763c9323e0d889e2e08e135fc6a22c4b59cf5a7a1b966",
+    ),
+    "p=131": (
+        "8004aa0c1765a4022fdc252a4f903995d048e860ea93a610fa788f50b0e414fe",
+        "f510e5ebf66e87a5659a8e076ef8462f9ee76ebfe222caba8f5bd632767561d0",
+        "6e8f7a4272661da490d2057fea387c0abf6134c562e2b125aabd027cfa454062",
+        "114d03afbb044f413be552912346f4afccf12d9f96c29ab48ad460cc3702038b",
+        "e1a293b227a7b705538a91df18a0a0b471421294ff57e273c76bfc5000166f5e",
+        "792789b3ac822b4a0a93ef4f476212da764ed224e4106b4eed292e9e172b54c2",
+    ),
+    "p=257": (
+        "3a70a15d6b84224fef4e417303f77caca6f7768f6e940a23452d9f613b31d363",
+        "6c89aa9cb484bf023c31f838fbb14ee9b5542c70a386523b77867f56a870937a",
+        "1130caf84aa65255177a45d0cfa4046d370d527342b3fd3e6eb223f2e6cc8487",
+        "bbf9b3351a094518e906c326e1d6db3c787d2220b6075b345eff916ec37ebf08",
+        "a6f3837ad30201c9f8b3300051bf23df61003291d457c5cc5f0b5ea9405d7ec4",
+        "5c6cde422553ef90ae8a0ed27cb4b92bc8724d9974cc7412644466834f548c1d",
     ),
 }
 

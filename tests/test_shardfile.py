@@ -78,8 +78,14 @@ class TestShardFile:
         path = tmp_path / shard_filename(3)
         write_shard(path, self.meta(), [1, 2, 3, 4])
         meta, symbols = read_shard(path)
-        assert symbols == [1, 2, 3, 4]
+        assert symbols == bytes([1, 2, 3, 4])  # width 1: the payload bytes themselves
         assert meta == self.meta()
+
+    def test_bytes_payload_writes_the_same_file(self, tmp_path):
+        want = write_shard(tmp_path / "list.shard", self.meta(), [1, 2, 3, 4])
+        for payload in (bytes([1, 2, 3, 4]), bytearray([1, 2, 3, 4])):
+            assert write_shard(tmp_path / "b.shard", self.meta(), payload) == want
+            assert (tmp_path / "b.shard").read_bytes() == (tmp_path / "list.shard").read_bytes()
 
     def test_binary_field_round_trip(self, tmp_path):
         params = CodeParams.mscr(n=6, k=3, d=3, t=2, q=16)
@@ -94,7 +100,7 @@ class TestShardFile:
         write_shard(path, meta, [15, 8])
         got, symbols = read_shard(path)
         assert got.field_spec == FieldSpec.binary(4)
-        assert symbols == [15, 8]
+        assert symbols == bytes([15, 8])
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.shard", tmp_path / "b.shard"
@@ -169,7 +175,7 @@ class TestShardFile:
         path = tmp_path / "x.shard"
         digest = write_shard(path, self.meta(), [1, 2, 3, 4])
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert read_shard(path, sha256=digest)[1] == [1, 2, 3, 4]
+        assert read_shard(path, sha256=digest)[1] == bytes([1, 2, 3, 4])
         with pytest.raises(CorruptShard, match="x.shard"):
             read_shard(path, sha256="0" * 64)
         other = tmp_path / "y.shard"
