@@ -304,6 +304,9 @@ def cmd_repair(args, clock) -> ReportDoc:
     directory = Path(args.shard_dir)
     digests = manifest_digests(directory)
     helpers = _parse_ids(args.helpers, "--helpers")
+    overlap = sorted(set(helpers or ()) & set(group))
+    if overlap:
+        raise InvalidConfig(f"--helpers: node {overlap[0]} is also in --group")
     with clock.layer("shard_read"):
         if helpers is None:
             # the lowest d present nodes outside the group; d is in the first one's header
@@ -498,6 +501,8 @@ def cmd_verify(args, clock) -> ReportDoc:
     for name, chk in lemmas.checks.items():
         if not chk.passed:
             report.fail(f"{name}: {chk.witness}")
+    # row sets whose rank was asked for, and those eliminated, over every call
+    ranks = {"lookups": lemmas.rank_lookups, "eliminations": lemmas.rank_eliminations}
 
     if code.variant == "stable":
         verif = {}
@@ -505,10 +510,13 @@ def cmd_verify(args, clock) -> ReportDoc:
             for l1 in range(0, p.k - l2):
                 res = specific_verifications(code, l1, l2)
                 verif[f"l1={l1},l2={l2}"] = res.summary()
+                ranks["lookups"] += res.rank_lookups
+                ranks["eliminations"] += res.rank_eliminations
                 for name, chk in res.checks.items():
                     if not chk.passed:
                         report.fail(f"verification {name} at (l1={l1},l2={l2}): {chk.witness}")
         report.results["placement_verifications"] = verif
+    report.results["lemma_ranks"] = ranks
 
     # entropy oracle cross-check on seeded random observation sets
     rng = random.Random(config["seed"])

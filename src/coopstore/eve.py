@@ -15,6 +15,14 @@ A rank depends only on the rows, never on their names, so the analysis
 (lemma suite, capacity sweep, measured capacity, secrecy checks) ranks
 plain rows through entropy.rank_rows.  Labels are formatted only for the
 labelled reference view, leakage_observations, and for leakage_report.
+
+lemma_suite and specific_verifications each open a per-call analysis
+context (_AnalysisContext) and drop it when they return.  It builds each
+functional row once, keyed on (kind, helper, failed, group), never on
+(helper, failed) alone: the suite must not assume the stability it checks.
+It memoises each rank on the row set, as a bitmask over small row indices,
+so a row set the identities ask for many times is eliminated once.  The
+capacity sweep and the secrecy checks do not use it.
 """
 
 from __future__ import annotations
@@ -208,6 +216,8 @@ class LemmaCheck:
 @dataclass
 class LemmaResults:
     checks: dict = dc_field(default_factory=dict)
+    rank_lookups: int = 0  # row sets whose rank the call asked for
+    rank_eliminations: int = 0  # of those, the ones eliminated
 
     def get(self, name) -> LemmaCheck:
         return self.checks.setdefault(name, LemmaCheck(name))
@@ -237,9 +247,95 @@ def _rank(code, rows):
     return rank_rows(code.field, code.params.B, rows)
 
 
-def _rank_given(code, rows, given):
-    """H(rows | given) = rank(rows stacked on given) - rank(given)."""
-    return _rank(code, rows + given) - _rank(code, given)
+class _AnalysisContext:
+    """The rows and ranks of one lemma_suite or specific_verifications call.
+
+    It is created when the call starts and dropped when it returns; nothing
+    outlives the call.  It answers the functional protocol the rank
+    identities use, so _ctx_repair_rows and the other row builders take it
+    in place of the code:
+
+    - Each row is built once, in a dict keyed on everything it may depend
+      on: (kind, helper, failed, group).  A contextual row is never keyed on
+      (helper, failed) alone, which would assume the stability the suite
+      checks; CodeB's rows depend on the group.  Nominal rows are defined
+      per (helper, failed) (the least repair group holding the failed node)
+      and carry group None.  Storage rows are kept per node the same way.
+    - Each rank is memoised on its row set, keyed by a bitmask: every
+      distinct row gets a small index, and a set is the OR of 1 << index
+      (a frozenset of rows per key held 3.5 MB more at n=8 than these
+      ints).  H(X | Y) goes through the same memo, so a row set is
+      eliminated once, by entropy.rank_rows, however often it is asked for.
+
+    lookups counts the row sets asked for, eliminations those ranked.
+    """
+
+    def __init__(self, code):
+        self.code = code
+        self.params = code.params
+        self.field = code.field
+        self._rows = {}
+        self._bits = {}
+        self._ranks = {0: 0}  # the empty row set: rank 0, no elimination
+        self.lookups = 0
+        self.eliminations = 0
+
+    def _row(self, key, build, *args):
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = build(*args)
+        return row
+
+    def repair_functional(self, helper, failed, group):
+        # the hot path of every lemma, so the lookup is written out
+        key = ("S", helper, failed, group)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self.code.repair_functional(helper, failed, group)
+        return row
+
+    def exchange_functional(self, sender, receiver, group):
+        key = ("Z", sender, receiver, group)
+        return self._row(key, self.code.exchange_functional, sender, receiver, group)
+
+    def nominal_repair_row(self, helper, failed):
+        return self._row(("S0", helper, failed, None), self.code.nominal_repair_row, helper, failed)
+
+    def storage_rows(self, node):
+        return self._row(("W", node, None, None), self.code.storage_rows, node)
+
+    def _mask(self, rows):
+        bits = self._bits
+        mask = 0
+        for row in rows:
+            bit = bits.get(row)
+            if bit is None:
+                bit = bits[row] = 1 << len(bits)
+            mask |= bit
+        return mask
+
+    def _rank_of(self, mask, rows):
+        self.lookups += 1
+        r = self._ranks.get(mask)
+        if r is None:
+            self.eliminations += 1
+            r = self._ranks[mask] = rank_rows(self.field, self.params.B, rows)
+        return r
+
+    def rank(self, rows):
+        """H(rows) in symbols."""
+        return self._rank_of(self._mask(rows), rows)
+
+    def rank_given(self, rows, given):
+        """H(rows | given) = rank(rows stacked on given) - rank(given)."""
+        g = self._mask(given)
+        return self._rank_of(self._mask(rows) | g, rows + given) - self._rank_of(g, given)
+
+    def finish(self, res):
+        """Copy the counters into the call's results and return them."""
+        res.rank_lookups = self.lookups
+        res.rank_eliminations = self.eliminations
+        return res
 
 
 def _ctx_repair_rows(code, senders, targets, group):
@@ -293,7 +389,7 @@ def _subset_chains(nodes, sizes, rng=None, samples=200):
         yield tuple(out)
 
 
-EXHAUSTIVE_NODE_LIMIT = 9
+EXHAUSTIVE_NODE_LIMIT = 10
 SAMPLE_DRAWS = 200
 
 
@@ -311,13 +407,15 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     helper_uniformity: per-helper entropy toward a set F is |F|*beta,
         identically across helpers.
 
-    Subset enumeration is exhaustive for n <= 9 and seeded-random (200
-    draws per lemma) beyond.
+    Subset enumeration is exhaustive for n <= 10 (EXHAUSTIVE_NODE_LIMIT)
+    and seeded-random (200 draws per lemma) beyond.  Rows and ranks come
+    from one _AnalysisContext for the whole call.
     """
     import random as _random
 
     p = code.params
     res = LemmaResults()
+    ctx = _AnalysisContext(code)
     nodes = list(range(1, p.n + 1))
     rng = None if p.n <= EXHAUSTIVE_NODE_LIMIT else _random.Random(seed)
 
@@ -327,13 +425,13 @@ def lemma_suite(code, seed=0) -> LemmaResults:
         sizes = (p.t, p.k - p.t, p.d - p.k + p.t)
         for c_set, a_set, b_set in _subset_chains(nodes, sizes, rng, SAMPLE_DRAWS):
             chk.checked += 1
-            ab = tuple(a_set) + tuple(b_set)  # |A| + |B| = d: a valid helper set
-            if _rank(code, _ctx_repair_rows(code, ab, c_set, c_set)) != p.d * p.t * p.beta:
+            # S_A^C and S_B^C make up S_{A u B}^C; |A| + |B| = d: a valid helper set
+            s_a = _ctx_repair_rows(ctx, a_set, c_set, c_set)
+            s_b = _ctx_repair_rows(ctx, b_set, c_set, c_set)
+            if ctx.rank(s_a + s_b) != p.d * p.t * p.beta:
                 chk.fail(("H(S_{A u B}^C) != dt*beta", c_set, a_set, b_set))
                 continue
-            given = _storage(code, c_set) + _ctx_repair_rows(code, a_set, c_set, c_set)
-            b_rows = _ctx_repair_rows(code, b_set, c_set, c_set)
-            if _rank_given(code, b_rows, given) != 0:
+            if ctx.rank_given(s_b, _storage(ctx, c_set) + s_a) != 0:
                 chk.fail(("H(S_B^C|W_C,S_A^C) != 0", c_set, a_set, b_set))
 
     # --- member volume ------------------------------------------------------
@@ -343,20 +441,16 @@ def lemma_suite(code, seed=0) -> LemmaResults:
         i = i_set[0]
         chk.checked += 1
         group = tuple(sorted((i,) + c_prime))
-        helpers = tuple(a_prime) + tuple(b_prime)  # |A'| + |B'| = d
-        joint = _ctx_repair_rows(code, helpers, [i], group) + _ctx_exchange_rows(
-            code, c_prime, i, group
-        )
-        if _rank(code, joint) != (p.d + p.t - 1) * p.beta:
+        # S_{A'}^i and S_{B'}^i make up S_{A' u B'}^i; |A'| + |B'| = d
+        s_a = _ctx_repair_rows(ctx, a_prime, [i], group)
+        s_b = _ctx_repair_rows(ctx, b_prime, [i], group)
+        z = _ctx_exchange_rows(ctx, c_prime, i, group)
+        if ctx.rank(s_a + s_b + z) != (p.d + p.t - 1) * p.beta:
             chk.fail(
                 ("H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta", i, c_prime, a_prime, b_prime)
             )
             continue
-        given = _storage(code, [i]) + _ctx_repair_rows(code, a_prime, [i], group)
-        target = _ctx_repair_rows(code, b_prime, [i], group) + _ctx_exchange_rows(
-            code, c_prime, i, group
-        )
-        if _rank_given(code, target, given) != 0:
+        if ctx.rank_given(s_b + z, _storage(ctx, [i]) + s_a) != 0:
             chk.fail(
                 ("H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0", i, c_prime, a_prime, b_prime)
             )
@@ -368,19 +462,19 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
             tilde = [row for f in f_set for row in spans[f]]
-            span_ref = _storage(code, f_set) + _nominal_repair_rows(code, nodes, f_set)
+            span_ref = _storage(ctx, f_set) + _nominal_repair_rows(ctx, nodes, f_set)
             chk.checked += 1
-            if not (_rank(code, tilde) == _rank(code, span_ref) == _rank(code, tilde + span_ref)):
+            if not (ctx.rank(tilde) == ctx.rank(span_ref) == ctx.rank(tilde + span_ref)):
                 chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
                 continue
             rest = [x for x in nodes if x not in f_set]
             for l1 in range(0, p.k - l2):
                 for e_set in itertools.combinations(rest, l1):
                     pool = [x for x in rest if x not in e_set]
-                    lhs = _rank_given(code, tilde, _storage(code, e_set + f_set))
+                    lhs = ctx.rank_given(tilde, _storage(ctx, e_set + f_set))
                     for g_set in itertools.combinations(pool, p.k - l1 - l2):
                         chk.checked += 1
-                        rhs = _rank(code, _nominal_repair_rows(code, g_set, f_set))
+                        rhs = ctx.rank(_nominal_repair_rows(ctx, g_set, f_set))
                         if lhs != rhs:
                             chk.fail(
                                 ("H(tilde S^F|W_E,W_F) != H(S_G^F)", f_set, e_set, g_set)
@@ -393,7 +487,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
             outside = [x for x in nodes if x not in f_set]
             entropies = {}
             for i in outside:
-                entropies[i] = _rank(code, _nominal_repair_rows(code, [i], f_set))
+                entropies[i] = ctx.rank(_nominal_repair_rows(ctx, [i], f_set))
             chk.checked += 1
             if len(set(entropies.values())) != 1:
                 chk.fail(("H(S_i^F) differs across helpers", f_set, entropies))
@@ -404,7 +498,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
                 if got != expect:
                     chk.fail(("H(S_i^F) != |F|beta", f_set, got, expect))
 
-    return res
+    return ctx.finish(res)
 
 
 # ---------------------------------------------------------------------------
@@ -499,51 +593,52 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     if l1 + l2 > p.k - 1 or l2 < 1:
         raise InvalidL("need l2 >= 1 and l1 + l2 <= k - 1 for the canonical check")
     res = LemmaResults()
+    ctx = _AnalysisContext(code)
     e_set = tuple(range(1, l1 + 1))
     f_set = tuple(range(l1 + 1, l1 + l2 + 1))
     nodes = list(range(1, p.n + 1))
     spans = {f: download_span(code, f) for f in f_set}
 
     tilde = [row for f in f_set for row in spans[f]]
-    w_f = _storage(code, f_set)
-    s_f = _nominal_repair_rows(code, nodes, f_set)
+    w_f = _storage(ctx, f_set)
+    s_f = _nominal_repair_rows(ctx, nodes, f_set)
 
     # downloads span
     chk = res.get("downloads_span")
     chk.checked += 1
     ref = w_f + s_f
-    if not (_rank(code, tilde) == _rank(code, ref) == _rank(code, tilde + ref)):
+    if not (ctx.rank(tilde) == ctx.rank(ref) == ctx.rank(tilde + ref)):
         chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
     z_f = [code.nominal_exchange_row(j, i) for i in f_set for j in nodes if j != i]
     chk.checked += 1
-    if _rank_given(code, z_f, w_f) != 0 or _rank_given(code, w_f, z_f) != 0:
+    if ctx.rank_given(z_f, w_f) != 0 or ctx.rank_given(w_f, z_f) != 0:
         chk.fail(("span(Z^F) != span(W_F)", f_set))
 
     # leak decomposition
     chk = res.get("leak_decomposition")
     chk.checked += 1
-    w_ef = _storage(code, e_set + f_set)
+    w_ef = _storage(ctx, e_set + f_set)
     mid = [x for x in range(1, p.k + 1) if x not in e_set + f_set]
-    s_mid = _nominal_repair_rows(code, mid, f_set)
+    s_mid = _nominal_repair_rows(ctx, mid, f_set)
     tail = [x for x in nodes if x > p.k and x not in f_set]
-    s_tail = _nominal_repair_rows(code, tail, f_set)
-    lhs = _rank(code, w_ef + s_f)
-    rhs = _rank(code, w_ef) + _rank(code, s_mid)
+    s_tail = _nominal_repair_rows(ctx, tail, f_set)
+    lhs = ctx.rank(w_ef + s_f)
+    rhs = ctx.rank(w_ef) + ctx.rank(s_mid)
     if lhs != rhs:
         chk.fail(("H(W_{EuF}, S^F) != H(W_{EuF}) + H(S_mid^F)", lhs, rhs))
     chk.checked += 1
-    if _rank_given(code, s_mid, w_ef) != _rank(code, s_mid):
+    if ctx.rank_given(s_mid, w_ef) != ctx.rank(s_mid):
         chk.fail(("H(S_mid^F|W) != H(S_mid^F)",))
     chk.checked += 1
-    if _rank_given(code, s_tail, w_ef + s_mid) != 0:
+    if ctx.rank_given(s_tail, w_ef + s_mid) != 0:
         chk.fail(("tail repair rows add entropy beyond W and the k-set",))
 
     # leak totals
     chk = res.get("leak_totals")
-    leaked = _rank(code, _storage(code, e_set) + tilde)
+    leaked = ctx.rank(_storage(ctx, e_set) + tilde)
     per_helper = {}
     for g in range(l1 + l2 + 1, p.k + 1):
-        per_helper[g] = _rank(code, _nominal_repair_rows(code, [g], f_set))
+        per_helper[g] = ctx.rank(_nominal_repair_rows(ctx, [g], f_set))
     chk.checked += 1
     if leaked != (l1 + l2) * p.alpha + sum(per_helper.values()):
         chk.fail(("leak total != (l1+l2)alpha + sum H(S_g^F)", leaked, per_helper))
@@ -558,7 +653,7 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
         closed_form = 0
     if capacity != closed_form:
         chk.fail(("capacity != closed form", capacity, closed_form))
-    return res
+    return ctx.finish(res)
 
 
 def leakage_report(code, eve: EveModel, lemma_results=None) -> LeakageReport:

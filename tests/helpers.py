@@ -119,3 +119,30 @@ def secrecy_oracle(scheme, eve):
         "randomness_determined": conditional_entropy(r_obs, s_obs.concat(e_obs)) == 0,
         "mutual_information": mutual_information(s_obs, e_obs),
     }
+
+
+class FromScratchAnalysis:
+    """eve's per-call analysis context without its memos: the reference.
+
+    Every row comes straight from the code and every row set is ranked from
+    scratch, as the lemma suite and the placement verifications did before
+    rows and ranks were memoised per call.  Swapped in for
+    eve._AnalysisContext, it must leave every summary unchanged.
+    """
+
+    def __init__(self, code):
+        self.code = code
+
+    def __getattr__(self, name):
+        return getattr(self.code, name)
+
+    def rank(self, rows):
+        from coopstore.entropy import rank_rows
+
+        return rank_rows(self.code.field, self.code.params.B, rows)
+
+    def rank_given(self, rows, given):
+        return self.rank(rows + given) - self.rank(given)
+
+    def finish(self, res):
+        return res

@@ -8,6 +8,8 @@ import pytest
 
 from coopstore import cli, errors, shardfile
 from coopstore.cli import main
+from coopstore.eve import lemma_suite, specific_verifications
+from coopstore.instances import s1
 
 
 def run(argv):
@@ -84,9 +86,11 @@ class TestRepair:
         assert run(["repair", "--shard-dir", shards, "--group", "1,6", "--helpers", "2,3,4"]) == 0
         assert (shards / "node_001.shard").read_bytes() == original
 
-    def test_overlapping_group_and_helpers(self, tmp_path, sample_file):
+    def test_overlapping_group_and_helpers(self, tmp_path, sample_file, capsys):
+        # a bad node list is a config error (2), like every other one
         shards = encode_dir(tmp_path, sample_file)
-        assert run(["repair", "--shard-dir", shards, "--group", "1,2", "--helpers", "2,3,4"]) == 1
+        assert run(["repair", "--shard-dir", shards, "--group", "1,2", "--helpers", "2,3,4"]) == 2
+        assert "node 2 is also in --group" in capsys.readouterr().err
 
 
 class TestAttack:
@@ -291,6 +295,27 @@ class TestEveryCommandReport:
             "encode", "decode", "repair", "attack", "capacity-sweep", "verify", "secure-verify"
         }
         assert statuses == [0, 0, 0, 0, 0, 0, 1, 0]
+
+    def test_verify_reports_rank_memo_counters(self, tmp_path):
+        # summed over the lemma suite and, for the stable code, every
+        # placement verification; code-b has only the lemma suite
+        counted = {}
+        for variant in ("stable", "code-b"):
+            report = tmp_path / f"{variant}.json"
+            run(["verify", "--variant", variant, "--report", report])
+            counted[variant] = json.loads(report.read_text())["results"]["lemma_ranks"]
+        assert counted == {
+            "stable": {"lookups": 2167, "eliminations": 755},
+            "code-b": {"lookups": 1873, "eliminations": 350},
+        }
+        code = s1()
+        calls = [lemma_suite(code)] + [
+            specific_verifications(code, l1, l2) for l1, l2 in ((0, 1), (1, 1), (0, 2))
+        ]
+        assert counted["stable"] == {
+            "lookups": sum(r.rank_lookups for r in calls),
+            "eliminations": sum(r.rank_eliminations for r in calls),
+        }
 
 
 def test_bad_seed_variable_is_a_config_error(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from coopstore import eve, kernels
 from coopstore.entropy import entropy_symbols, rank_rows
 from coopstore.errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
 from coopstore.eve import (
@@ -25,6 +26,7 @@ from coopstore.field import prime_field
 from coopstore.instances import a1, b1, s1
 from coopstore.legacy import CodeAAdapter
 from coopstore.stable import CodeParams, StableCode
+from helpers import FromScratchAnalysis
 
 S1_TABLE = {(0, 0): 6, (1, 0): 4, (2, 0): 2, (0, 1): 2, (1, 1): 1, (0, 2): 0}
 
@@ -36,6 +38,40 @@ def n8():
 
 def code_a():
     return CodeAAdapter(a1())
+
+
+def n9():
+    """n=9, k=d=4, t=3 over GF(11): the largest instance CI verifies before n=10."""
+    return StableCode.create(CodeParams.mscr(n=9, k=4, d=4, t=3, q=11), prime_field(11))
+
+
+def t_over_k():
+    """The t > k, d = k regime: n=5, k=d=2, t=3 over GF(11)."""
+    return StableCode.create(CodeParams.mscr(n=5, k=2, d=2, t=3, q=11), prime_field(11))
+
+
+def count_ranks(monkeypatch):
+    """A list whose first entry counts kernels.rank calls from now on."""
+    calls = [0]
+    real = kernels.rank
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "rank", counted)
+    return calls
+
+
+def all_summaries(code):
+    """The lemma suite's summary and, for a stable code, every placement's."""
+    out = {"lemmas": lemma_suite(code).summary()}
+    if code.variant == "stable":
+        k = code.params.k
+        for l2 in range(1, k):
+            for l1 in range(k - l2):
+                out[(l1, l2)] = specific_verifications(code, l1, l2).summary()
+    return out
 
 
 class TestLeakageObservations:
@@ -297,11 +333,50 @@ class TestLemmaSuite:
 
     def test_helper_uniformity_regime_t_greater_than_k(self):
         # the t >= k, d = k regime on a non-default instance
-        params = CodeParams.mscr(n=5, k=2, d=2, t=3, q=11)
-        code = StableCode.create(params, prime_field(11))
+        code = t_over_k()
         res = lemma_suite(code)
         assert res.all_passed, res.summary()
         assert "group_volume" not in res.checks or res.checks["group_volume"].checked == 0
+
+
+class TestAnalysisContext:
+    """Each row built and each row set eliminated once per analysis call."""
+
+    @pytest.mark.parametrize(
+        "make, distinct, from_scratch",
+        [(s1, 726, 2115), (b1, 350, 1873), (n8, 5254, 22888)],
+        ids=["s1", "b1", "n8"],
+    )
+    def test_each_row_set_eliminated_once(self, make, distinct, from_scratch, monkeypatch):
+        code = make()
+        calls = count_ranks(monkeypatch)
+        res = lemma_suite(code)
+        assert calls[0] == res.rank_eliminations == distinct
+        assert res.rank_lookups > distinct
+        # the reference ranks every row set it is asked for
+        monkeypatch.setattr(eve, "_AnalysisContext", FromScratchAnalysis)
+        calls[0] = 0
+        lemma_suite(code)
+        assert calls[0] == from_scratch
+
+    @pytest.mark.parametrize(
+        "make", [s1, b1, n8, t_over_k], ids=["s1", "b1", "n8", "t-over-k"]
+    )
+    def test_summaries_equal_from_scratch_reference(self, make, monkeypatch):
+        code = make()
+        memoised = all_summaries(code)
+        monkeypatch.setattr(eve, "_AnalysisContext", FromScratchAnalysis)
+        assert all_summaries(code) == memoised
+
+    def test_n9_exhaustive_counts(self):
+        res = lemma_suite(n9())
+        assert res.all_passed, res.summary()
+        assert {name: chk.checked for name, chk in res.checks.items()} == {
+            "group_volume": 5040,
+            "member_volume": 15120,
+            "traversal_span": 6429,
+            "helper_uniformity": 129,
+        }
 
 
 class TestSpecificVerifications:
