@@ -2,9 +2,12 @@
 
 Elements are canonical ints: residues for prime fields, polynomial bit
 masks for GF(2^m), and base-order positional digit packs for extension
-towers.  Field objects carry the arithmetic; 0 and 1 are the identities in
-every representation.  All values are immutable and field objects are safe
-to share between threads.
+towers.  A tower's base is GF(2^m), so its digit pack is the concatenation
+of m-bit digits: towers add by XOR and multiply, scale, invert and apply
+the Frobenius through small tables built when the field is constructed
+(see ExtensionField).  Field objects carry the arithmetic; 0 and 1 are the
+identities in every representation.  All values are immutable and field
+objects are safe to share between threads.
 
 Published reduction polynomials for GF(2^m), m = 1..24 (bit mask includes
 the leading term; e.g. x^4 + x + 1 -> 0b10011):
@@ -358,11 +361,28 @@ class BinaryField(Field):
 
 
 class ExtensionField(Field):
-    """Degree-r extension of a binary base field, elements as digit packs.
+    """Degree-r extension of a binary base field GF(2^m), elements as digit packs.
 
-    An element sum(c_i * y^i) is stored as the int sum(c_i * base.order^i);
-    the base field embeds as the constant digit, so base-field ints keep
-    their values.  Used for the rank-metric precoder's field tower.
+    An element sum(c_i * y^i) is stored as the int sum(c_i * 2^(m*i)): the
+    concatenation of its r m-bit base digits, so base-field ints keep their
+    values as the constant digit.  On that view the arithmetic is tables:
+
+    - add is XOR of the ints;
+    - scaling by a base constant c runs the int's bytes through c's product
+      table with bytes.translate, one table per constant (the region
+      multiply of Plank, Greenan and Miller, FAST 2013).  This needs whole
+      digits in every byte, so the base must be GF(2), GF(4), GF(16) or
+      GF(256);
+    - multiply is Horner over the digits of b: shift the accumulator up one
+      digit, fold the digit that leaves the top back in through a 2^m-entry
+      table of t * y^r mod f, and XOR in b_j * a from the product tables;
+    - the Frobenius a -> a^(2^m) is GF(2)-linear, so it is one table per
+      byte of the int, built from the images of the bit basis;
+    - inverse goes through the norm (Itoh and Tsujii, Inf. Comput. 1988):
+      with P = a^q * a^(q^2) * ... * a^(q^(r-1)), the product a * P is the
+      norm N(a), a base element, and a^-1 = N(a)^-1 * P.
+
+    Used for the rank-metric precoder's field tower.
     """
 
     kind = "tower"
@@ -370,6 +390,10 @@ class ExtensionField(Field):
     def __init__(self, base: Field, degree: int, reduction: tuple[int, ...]):
         if base.kind != "binary":
             raise FieldKindUnsupported("extension towers are built over GF(2^m) bases only")
+        if 8 % base.m:
+            raise FieldKindUnsupported(
+                f"tower digits must tile a byte: base GF(2^{base.m}) needs m in 1, 2, 4, 8"
+            )
         if degree < 2:
             raise FieldKindUnsupported("tower degree must be at least 2")
         if len(reduction) != degree + 1 or reduction[degree] != 1:
@@ -380,17 +404,58 @@ class ExtensionField(Field):
         self.order = base.order**degree
         self.char = base.char
         self.spec = ("tower", base.spec, degree, self.reduction)
+        m = base.m
+        self._m = m
+        self._digit = base.order - 1
+        self._top = degree * m
+        self._mask = self.order - 1
+        self._nbytes = (self._top + 7) // 8
+        self._shifts = tuple(range(self._top - m, -1, -m))
+        self._scale = self._scale_tables()
+        # t * y^r = t * (reduction without its leading term), characteristic 2
+        low = self.from_coords(self.reduction[:degree])
+        self._fold = [self.scale(t, low) for t in range(base.order)]
         if not self._reduction_irreducible():
             raise ReduciblePolynomial("tower reduction polynomial is reducible over the base")
+        self._frob = self._frobenius_tables()
+
+    def _scale_tables(self) -> list[bytes]:
+        """Per base constant c, the 256-byte table of c times each byte's digits."""
+        base, m = self.base, self._m
+        tables = []
+        for c in range(base.order):
+            prods = [base.mul(c, d) for d in range(base.order)]
+            row = [0]
+            for k in range(8 // m):
+                row = [v | (p << (k * m)) for p in prods for v in row]
+            tables.append(bytes(row))
+        return tables
+
+    def _frobenius_tables(self) -> list[list[int]]:
+        """One 256-entry table per byte: the XOR of the images of its set bits.
+
+        x^i * y^j maps to x^i * Y^j with Y = y^q, since the Frobenius fixes
+        the base and is multiplicative.
+        """
+        r, m = self.degree, self._m
+        y_q = self.pow(1 << m, self.base.order)
+        images, y_j = [], 1
+        for _ in range(r):
+            images.extend(self.scale(1 << i, y_j) for i in range(m))
+            y_j = self.mul(y_j, y_q)
+        images.extend([0] * (8 * self._nbytes - len(images)))
+        tables = []
+        for k in range(self._nbytes):
+            table = [0]
+            for img in images[8 * k : 8 * k + 8]:
+                table += [v ^ img for v in table]
+            tables.append(table)
+        return tables
 
     # --- digit packing ---
     def coords(self, a: int) -> tuple[int, ...]:
-        q = self.base.order
-        out = []
-        for _ in range(self.degree):
-            a, c = divmod(a, q)
-            out.append(c)
-        return tuple(out)
+        m, digit = self._m, self._digit
+        return tuple((a >> (i * m)) & digit for i in range(self.degree))
 
     def from_coords(self, cs) -> int:
         q = self.base.order
@@ -403,21 +468,13 @@ class ExtensionField(Field):
         return base_elem
 
     def scale(self, base_elem: int, a: int) -> int:
-        """Multiply by an embedded base element, digit-wise."""
-        mul = self.base.mul
-        return self.from_coords(mul(base_elem, c) for c in self.coords(a))
+        """Multiply by an embedded base element: one table lookup per byte."""
+        table = self._scale[base_elem]
+        return int.from_bytes(a.to_bytes(self._nbytes, "little").translate(table), "little")
 
     # --- arithmetic ---
     def add(self, a, b):
-        q = self.base.order
-        out = 0
-        shift = 1
-        for _ in range(self.degree):
-            out += ((a % q) ^ (b % q)) * shift
-            a //= q
-            b //= q
-            shift *= q
-        return out
+        return a ^ b
 
     sub = add
 
@@ -425,28 +482,29 @@ class ExtensionField(Field):
         return a
 
     def mul(self, a, b):
-        ca, cb = self.coords(a), self.coords(b)
-        r = self.degree
-        bm = self.base.mul
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    if bj:
-                        prod[i + j] ^= bm(ai, bj)
-        for i in range(len(prod) - 1, r - 1, -1):
-            c = prod[i]
+        times_a = a.to_bytes(self._nbytes, "little").translate
+        from_bytes = int.from_bytes
+        m, top, mask, digit = self._m, self._top, self._mask, self._digit
+        fold, tables = self._fold, self._scale
+        acc = 0
+        for s in self._shifts:
+            acc <<= m
+            acc = (acc & mask) ^ fold[acc >> top]
+            c = (b >> s) & digit
             if c:
-                prod[i] = 0
-                for j in range(r):
-                    if self.reduction[j]:
-                        prod[i - r + j] ^= bm(c, self.reduction[j])
-        return self.from_coords(prod[:r])
+                acc ^= from_bytes(times_a(tables[c]), "little")
+        return acc
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
+        frobenius, mul = self.frobenius, self.mul
+        conj = prod = frobenius(a)
+        for _ in range(self.degree - 2):
+            conj = frobenius(conj)
+            prod = mul(prod, conj)
+        # a * prod is the norm of a, which lies in the base field
+        return self.scale(self.base.inv(mul(a, prod)), prod)
 
     def element(self, v):
         if not 0 <= v < self.order:
@@ -455,7 +513,10 @@ class ExtensionField(Field):
 
     def frobenius(self, a: int) -> int:
         """a^(base order): the base-field-fixing automorphism."""
-        return self.pow(a, self.base.order)
+        out = 0
+        for table, byte in zip(self._frob, a.to_bytes(self._nbytes, "little")):
+            out ^= table[byte]
+        return out
 
     def _reduction_irreducible(self) -> bool:
         # Distinct-degree test: y^(q^degree) == y mod f and

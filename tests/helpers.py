@@ -39,17 +39,91 @@ def symbols_to_bytes_oracle(symbols, q, nbytes):
     return acc.to_bytes(nbytes, "little")
 
 
+class TowerOracle:
+    """Digit-by-digit tower arithmetic: the reference for field.ExtensionField.
+
+    It reads only the tower's parameters.  Elements are split into base
+    digits with divmod; add XORs digit by digit, mul is the schoolbook
+    product with the reduction folded in from the top digit down, scale
+    multiplies every digit, and inv and frobenius are square-and-multiply
+    powers.
+    """
+
+    def __init__(self, ext):
+        self.base = ext.base
+        self.degree = ext.degree
+        self.reduction = ext.reduction
+        self.order = ext.order
+
+    def coords(self, a):
+        q = self.base.order
+        out = []
+        for _ in range(self.degree):
+            a, c = divmod(a, q)
+            out.append(c)
+        return tuple(out)
+
+    def from_coords(self, cs):
+        q = self.base.order
+        a = 0
+        for c in reversed(list(cs)):
+            a = a * q + c
+        return a
+
+    def add(self, a, b):
+        return self.from_coords(x ^ y for x, y in zip(self.coords(a), self.coords(b)))
+
+    def scale(self, base_elem, a):
+        mul = self.base.mul
+        return self.from_coords(mul(base_elem, c) for c in self.coords(a))
+
+    def mul(self, a, b):
+        ca, cb = self.coords(a), self.coords(b)
+        r = self.degree
+        bm = self.base.mul
+        prod = [0] * (2 * r - 1)
+        for i, ai in enumerate(ca):
+            for j, bj in enumerate(cb):
+                prod[i + j] ^= bm(ai, bj)
+        for i in range(len(prod) - 1, r - 1, -1):
+            c, prod[i] = prod[i], 0
+            for j in range(r):
+                prod[i - r + j] ^= bm(c, self.reduction[j])
+        return self.from_coords(prod[:r])
+
+    def pow(self, a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return r
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.order - 2)
+
+    def frobenius(self, a):
+        return self.pow(a, self.base.order)
+
+
 def _coordinate_rows_oracle(scheme, cell_rows):
     """Expand cell-functionals (over F_q) to rows over the u-coordinates.
 
     A cell row lam observes sum_j lam_j c_j with c = u @ Gab, which equals
     u . (Gab @ lam^T).  Splitting each extension symbol u_i into B base
     coordinates turns one observed symbol into B base-field rows of length
-    B * B.
+    B * B.  The Moore generator and every product are recomputed with
+    TowerOracle, so nothing here runs the tower arithmetic under test.
     """
-    ext = scheme.ext
+    ext = TowerOracle(scheme.ext)
     b = scheme.B
     basis = [ext.from_coords([1 if s == i else 0 for s in range(b)]) for i in range(b)]
+    gab = [basis]
+    for _ in range(b - 1):
+        gab.append([ext.frobenius(v) for v in gab[-1]])
     out = []
     for lam in cell_rows:
         w = [0] * b
@@ -57,7 +131,7 @@ def _coordinate_rows_oracle(scheme, cell_rows):
             acc = 0
             for j, coef in enumerate(lam):
                 if coef:
-                    acc = ext.add(acc, ext.scale(coef, scheme.gabidulin.at(i, j)))
+                    acc = ext.add(acc, ext.scale(coef, gab[i][j]))
             w[i] = acc
         # sigma = sum_i u_i w_i; coordinate t of sigma is linear in u_{i,s}
         cols = {}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import TowerOracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,3 +169,103 @@ class TestTowerField:
     def test_prime_base_rejected(self):
         with pytest.raises(FieldKindUnsupported):
             ExtensionField(prime_field(11), 2, (1, 1, 1))
+
+    def test_base_without_whole_digits_per_byte_rejected(self):
+        # GF(2^9) digits are wider than a byte; GF(2^3) digits straddle bytes
+        with pytest.raises(FieldKindUnsupported):
+            ExtensionField(binary_field(9), 2, (1, 1, 1))
+        with pytest.raises(FieldKindUnsupported):
+            ExtensionField(binary_field(3), 2, (1, 1, 1))
+
+
+class TestTowerAgainstOracle:
+    """The table arithmetic of ExtensionField against the digit-by-digit oracle."""
+
+    @pytest.fixture(scope="class")
+    def tower(self):
+        return ExtensionField(binary_field(4), 6, TestTowerField.REDUCTION)
+
+    @pytest.fixture(scope="class")
+    def oracle(self, tower):
+        return TowerOracle(tower)
+
+    def test_random_pairs(self, tower, oracle):
+        rng = random.Random(0x70E4)
+        for _ in range(20_000):
+            a, b = rng.randrange(tower.order), rng.randrange(tower.order)
+            assert tower.mul(a, b) == oracle.mul(a, b), (a, b)
+            assert tower.add(a, b) == oracle.add(a, b), (a, b)
+
+    def test_structured_products(self, tower, oracle):
+        # every single-digit element c * y^i, and elements whose digits are all equal
+        q, r = tower.base.order, tower.degree
+        monomials = [oracle.from_coords([c if j == i else 0 for j in range(r)])
+                     for i in range(r) for c in range(q)]
+        dense = [oracle.from_coords([c] * r) for c in range(q)] + [tower.order - 1]
+        elems = monomials + dense
+        for a in elems:
+            for b in elems:
+                assert tower.mul(a, b) == oracle.mul(a, b), (a, b)
+
+    def test_every_base_constant_scales(self, tower, oracle):
+        rng = random.Random(0x5CA1E)
+        sample = [0, 1, tower.order - 1] + [rng.randrange(tower.order) for _ in range(200)]
+        for c in range(tower.base.order):
+            for a in sample:
+                assert tower.scale(c, a) == oracle.scale(c, a), (c, a)
+                assert tower.mul(c, a) == tower.mul(a, c) == oracle.mul(c, a), (c, a)
+
+    def test_inverses(self, tower, oracle):
+        rng = random.Random(0x1A7)
+        for a in [1, tower.order - 1] + [rng.randrange(1, tower.order) for _ in range(500)]:
+            inv = tower.inv(a)
+            assert inv == oracle.inv(a), a
+            assert tower.mul(a, inv) == 1
+
+    def test_frobenius(self, tower, oracle):
+        rng = random.Random(0xF20B)
+        for a in [0, 1, tower.order - 1] + [rng.randrange(tower.order) for _ in range(500)]:
+            assert tower.frobenius(a) == oracle.frobenius(a), a
+            img = a
+            for _ in range(tower.degree):
+                img = tower.frobenius(img)
+            assert img == a
+
+    def test_inverse_of_zero(self, tower):
+        with pytest.raises(ZeroDivisionError):
+            tower.inv(0)
+
+
+def _gf256_trace_one():
+    f = binary_field(8)
+    for c in range(1, 256):
+        t, x = 0, c
+        for _ in range(8):
+            t ^= x
+            x = f.mul(x, x)
+        if t == 1:
+            return c
+    raise AssertionError("GF(256) has elements of trace 1")
+
+
+@pytest.mark.parametrize(
+    "m,reduction",
+    [
+        (1, (1, 1, 0, 1)),  # y^3 + y + 1 over GF(2)
+        (2, (2, 1, 1)),  # y^2 + y + x over GF(4): Tr(x) = 1
+        (8, (_gf256_trace_one(), 1, 1)),  # y^2 + y + c, Tr(c) = 1, over GF(256)
+    ],
+    ids=["gf2^3", "gf4^2", "gf256^2"],
+)
+def test_other_byte_tiling_towers_match_oracle(m, reduction):
+    tower = ExtensionField(binary_field(m), len(reduction) - 1, reduction)
+    oracle = TowerOracle(tower)
+    rng = random.Random(m)
+    for _ in range(300):
+        a, b = rng.randrange(tower.order), rng.randrange(tower.order)
+        c = rng.randrange(tower.base.order)
+        assert tower.mul(a, b) == oracle.mul(a, b)
+        assert tower.scale(c, a) == oracle.scale(c, a)
+        assert tower.frobenius(a) == oracle.frobenius(a)
+        if a:
+            assert tower.inv(a) == oracle.inv(a)

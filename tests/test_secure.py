@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -179,3 +180,47 @@ class TestAgainstStackedOracle:
         padded = dataclasses.replace(base, secret_len=0, random_len=base.B)
         checks = self.assert_matches_oracle(padded)
         assert all(c.passed and c.coverable and not c.randomness_determined for c in checks)
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of repr() of the values below, computed before the tower arithmetic
+# was rewritten as tables (digit-by-digit add, schoolbook mul, power inverse).
+PINNED_SWEEPS = {
+    # (l1, l2): (placements, digest of [(E, F, observed_rank, mutual_information)])
+    (1, 1): (30, "4383dc1740c5460d7c418601ba0072663bcbe18616c149b78fe3967c42a53dc0"),
+    (0, 1): (6, "2aa63f5f1d1b4c838f6fa96f088826ff1ed821130ef142d0e6d2c0c8a6c4bbb8"),
+    (2, 0): (15, "33db652c04af1cb42c673116517474acd257b24c69cec3bad7931c3092dd8d14"),
+}
+# the (1, 1) scheme with one secret symbol more than its capacity
+PINNED_TAMPERED = "a6e6c8757ac7298caaf18dde59b2bd09c6090f26734b62006535091d8fb938bf"
+# [(node_id, symbols)] of encode_secure at (1, 1), secret and randomness drawn
+# from random.Random(0x5EC2E7) in that order
+PINNED_SHARDS = "fc3eff880a06fff3fe23756b677ae57509afbc8deb2e71332960f45c11cea86a"
+
+
+class TestPinnedOutputs:
+    @staticmethod
+    def summary(checks):
+        return [(c.eve.E, c.eve.F, c.observed_rank, c.mutual_information) for c in checks]
+
+    @pytest.mark.parametrize("l1,l2", sorted(PINNED_SWEEPS))
+    def test_sweep(self, l1, l2):
+        rows = self.summary(verify_secrecy_sweep(scheme_create(s1_binary(), l1, l2)))
+        assert (len(rows), _digest(rows)) == PINNED_SWEEPS[(l1, l2)]
+
+    def test_tampered_sweep(self, scheme):
+        tampered = dataclasses.replace(
+            scheme, secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
+        )
+        assert _digest(self.summary(verify_secrecy_sweep(tampered))) == PINNED_TAMPERED
+
+    def test_encode_secure_shards(self, scheme, rng):
+        secret = random_symbols(scheme, rng, scheme.secret_len)
+        randomness = random_symbols(scheme, rng, scheme.random_len)
+        shards = encode_secure(scheme, secret, randomness)
+        assert _digest([(s.node_id, s.symbols) for s in shards]) == PINNED_SHARDS
+        for ids in itertools.combinations(range(len(shards)), 3):
+            assert decode_secret(scheme, [shards[i] for i in ids]) == secret
