@@ -39,7 +39,7 @@ from .legacy import (
     code_b_attack,
     code_b_repair_data,
 )
-from .matrix import Mat, mat_invert, mat_rank, moore_matrix, systematic_superregular, vandermonde
+from .matrix import Mat, moore_matrix, systematic_superregular, vandermonde
 from .secure import (
     SecureScheme,
     decode_secret,
@@ -88,8 +88,6 @@ __all__ = [
     "field_create",
     "leakage_observations",
     "lemma_suite",
-    "mat_invert",
-    "mat_rank",
     "measured_secrecy_capacity",
     "moore_matrix",
     "mutual_information",

@@ -40,6 +40,7 @@ from .shardfile import (
     read_shard,
     read_shard_meta,
     shard_filename,
+    write_atomic,
     write_manifest,
     write_shard,
 )
@@ -288,7 +289,7 @@ def cmd_decode(args, clock) -> ReportDoc:
         symbols = code.reconstruct_batch(payloads)
     with clock.layer("striping"):
         blob = unpack_payload(symbols, p.q)
-    Path(args.output).write_bytes(blob)
+    write_atomic(args.output, blob)
     report = ReportDoc(command="decode", config=_echo_meta(meta))
     report.results = _datapath_results(
         code, meta.generations, output_bytes=len(blob), shards=sorted(payloads)
@@ -392,7 +393,6 @@ def _check_ids(option, ids, n, least, most):
 def cmd_attack(args, clock) -> ReportDoc:
     config = _load_config(args)
     rng = random.Random(config["seed"])
-    report = ReportDoc(command="attack", config=config)
     variant = config.get("variant")
     if variant == "code-a":
         field = _field_from_config(config)
@@ -402,45 +402,36 @@ def cmd_attack(args, clock) -> ReportDoc:
         a = tuple(rng.randrange(field.order) for _ in range(params.alpha))
         b = tuple(rng.randrange(field.order) for _ in range(params.alpha))
         result = code_a_attack(params, a, b)
-        exact = result.recovered_a == a and result.recovered_b == b
-        report.results = {
-            "variant": "code-a",
-            "recovered": "EXACT" if exact else "MISMATCH",
-            "leaked_symbols": result.leaked_entropy,
-            "message_symbols": params.B,
-            "leaked_rows": list(result.observations.labels),
-        }
-        if not exact:
-            report.fail("code-a attack did not recover the message")
-        if result.leaked_entropy != params.B:
-            report.fail("code-a leak is not total")
-        print(
-            f"code-a attack: recovered {report.results['recovered']}, "
-            f"leaked {result.leaked_entropy}/{params.B} symbols"
-        )
+        exact = (result.recovered_a, result.recovered_b) == (a, b)
+        message, extra, how = params.B, {}, ""
     elif variant == "code-b":
         code = _make_code({**config, "variant": "code-b"})
         p = code.params
         data = Mat(code.field, p.t, p.k, [rng.randrange(p.q) for _ in range(p.B)])
         result = code_b_attack(code, data)
         exact = result.recovered == data
-        report.results = {
-            "variant": "code-b",
-            "recovered": "EXACT" if exact else "MISMATCH",
-            "leaked_symbols": result.leaked_entropy,
-            "message_symbols": p.B,
-            "groups": [list(g) for g in result.groups],
-            "helpers": list(result.helpers),
-            "leaked_rows": list(result.observations.labels),
-        }
-        if not exact:
-            report.fail("code-b attack did not recover the message")
-        print(
-            f"code-b attack: recovered {report.results['recovered']}, "
-            f"leaked {result.leaked_entropy}/{p.B} symbols via sliding groups"
-        )
+        message, how = p.B, " via sliding groups"
+        extra = {"groups": [list(g) for g in result.groups], "helpers": list(result.helpers)}
     else:
         raise InvalidConfig("attack needs --variant code-a or code-b")
+    report = ReportDoc(command="attack", config=config)
+    report.results = {
+        "variant": variant,
+        "recovered": "EXACT" if exact else "MISMATCH",
+        "leaked_symbols": result.leaked_entropy,
+        "message_symbols": message,
+        "leaked_rows": list(result.observations.labels),
+        **extra,
+    }
+    # both attacks must recover the message and account for all of it as leaked
+    if not exact:
+        report.fail(f"{variant} attack did not recover the message")
+    if result.leaked_entropy != message:
+        report.fail(f"{variant} leak is not total")
+    print(
+        f"{variant} attack: recovered {report.results['recovered']}, "
+        f"leaked {result.leaked_entropy}/{message} symbols{how}"
+    )
     return report
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import DimensionMismatch, InstanceTooLarge
+from .matrix import dot
 
 BRUTE_FORCE_LIMIT = 1 << 20
 
@@ -130,21 +131,13 @@ def brute_force_entropy(obs: ObservationSet) -> Fraction:
                     break
                 msg[pos] = 0
                 pos += 1
-        out = tuple(_apply_row(f, r, msg) for r in rows)
+        out = tuple(dot(f, r, msg) for r in rows)
         counts[out] = counts.get(out, 0) + 1
     h = Fraction(0)
     for c in counts.values():
         e = _exact_log(c, q)
         h += Fraction(c, total) * (b - e)
     return h
-
-
-def _apply_row(f, row, msg):
-    acc = 0
-    for coef, v in zip(row, msg):
-        if coef and v:
-            acc = f.add(acc, f.mul(coef, v))
-    return acc
 
 
 def _exact_log(c: int, q: int) -> int:

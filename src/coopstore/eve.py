@@ -14,7 +14,7 @@ and the per-helper entropy counts that produce the closed-form capacity.
 A rank depends only on the rows, never on their names, so the analysis
 (lemma suite, capacity sweep, measured capacity, secrecy checks) ranks
 plain rows through entropy.rank_rows.  Labels are formatted only for the
-labelled reference view, leakage_observations, and for leakage_report.
+labelled reference view, leakage_observations.
 
 lemma_suite and specific_verifications each open a per-call analysis
 context (_AnalysisContext) and drop it when they return.  It builds each
@@ -31,7 +31,8 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .entropy import ObservationSet, entropy_symbols, observations, rank_rows
+# entropy_symbols is unused here, but perfbench's tracer rebinds it in eve by name
+from .entropy import ObservationSet, entropy_symbols, observations, rank_rows  # noqa: F401
 from .errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
 from .stable import eavesdroppable_nodes
 
@@ -73,16 +74,6 @@ class EveModel:
     @property
     def l2(self):
         return len(self.F)
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    observations: ObservationSet
-    leaked_symbols: int
-    measured_capacity: int
-    predicted_capacity: object  # int or NOT_COVERED
-    eve: EveModel
-    lemma_results: object = None
 
 
 def validate_eve(code, eve: EveModel):
@@ -144,15 +135,9 @@ def observed_rows(code, eve: EveModel, spans):
     return list(dict.fromkeys(rows))
 
 
-def _leaked_symbols(code, eve: EveModel, spans) -> int:
-    return _rank(code, observed_rows(code, eve, spans))
-
-
 def measured_secrecy_capacity(code, eve: EveModel) -> int:
     """B minus the rank of everything the adversary observed."""
-    validate_eve(code, eve)
-    spans = {f: download_span(code, f) for f in eve.F}
-    return code.params.B - _leaked_symbols(code, eve, spans)
+    return capacity_cell(code, eve).measured
 
 
 def predicted_secrecy_capacity(params, l1: int, l2: int):
@@ -552,7 +537,7 @@ def capacity_cell(code, eve: EveModel, spans=None) -> CapacityCell:
         l2=eve.l2,
         E=eve.E,
         F=eve.F,
-        measured=p.B - _leaked_symbols(code, eve, spans),
+        measured=p.B - _rank(code, observed_rows(code, eve, spans)),
         predicted=predicted,
     )
 
@@ -655,15 +640,3 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
         chk.fail(("capacity != closed form", capacity, closed_form))
     return ctx.finish(res)
 
-
-def leakage_report(code, eve: EveModel, lemma_results=None) -> LeakageReport:
-    obs = leakage_observations(code, eve)
-    leaked = entropy_symbols(obs)
-    return LeakageReport(
-        observations=obs,
-        leaked_symbols=leaked,
-        measured_capacity=code.params.B - leaked,
-        predicted_capacity=predicted_secrecy_capacity(code.params, eve.l1, eve.l2),
-        eve=eve,
-        lemma_results=lemma_results,
-    )

@@ -279,11 +279,12 @@ class BinaryField(Field):
         self.char = 2
         self.spec = FieldSpec(kind="binary", m=m, poly=poly)
         # log/exp tables are worthwhile up to m=16 (512 KiB); beyond that
-        # multiply directly.
+        # multiply directly.  The tables are powers of the generator, which
+        # find_generator finds with the direct multiply.
         self._exp = self._log = None
-        if m <= 16:
-            self._build_tables()
         self.generator = self.find_generator()
+        if m <= 16:
+            self._build_tables(self.generator)
 
     def _mul_raw(self, a: int, b: int) -> int:
         r = 0
@@ -297,27 +298,8 @@ class BinaryField(Field):
             b >>= 1
         return r
 
-    def _build_tables(self):
-        # x (mask 2) need not be primitive for a non-default polynomial, so
-        # look for a table base among small elements.
+    def _build_tables(self, base: int):
         n = self.order - 1
-        base = None
-        for cand in (2, 3) + tuple(range(4, min(self.order, 64))):
-            if cand >= self.order:
-                break
-            o, x = 1, cand
-            ok = True
-            while x != 1:
-                x = self._mul_raw(x, cand)
-                o += 1
-                if o > n:
-                    ok = False
-                    break
-            if ok and o == n:
-                base = cand
-                break
-        if base is None:
-            return
         exp = [1] * (2 * n)
         log = [0] * self.order
         x = 1

@@ -36,8 +36,9 @@ from .errors import (
     SingularLeakageMatrix,
 )
 from .eve import EveModel, leakage_observations
-from .matrix import Mat, dot
-from .stable import CodeParams, ShardVector, StableCode, StableDeployment, repair_context
+from .matrix import Mat, dot, lincomb
+from .stable import CodeParams, ShardVector, StableDeployment, repair_context
+from .stable import _interleave, _stream_size
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +173,10 @@ def code_a_leakage_matrix(params: CodeAParams, j: int) -> Mat:
 
 
 def code_a_inverse_leakage_matrix(params: CodeAParams, j: int) -> Mat:
-    """Columns [z, D_1^{-1} z, ...(skip j)..., D_d^{-1} z]."""
+    """Columns [z, D_1^{-1} z, ...(skip j)..., D_d^{-1} z].
+
+    The paper's construction; kept here for the reason CodeB gives.
+    """
     f = params.field
     alpha = params.alpha
     cols = [(1,) * alpha]
@@ -297,10 +301,13 @@ class CodeAAdapter:
 
 
 class CodeB(StableDeployment):
-    """Serial-order repair over the stable code's deployment (no G')."""
+    """Serial-order repair over the stable code's deployment (no G').
+
+    repair and code_b_repair_data are the paper's constructions: only tests
+    call them, but moved there they would leave tests checking test code.
+    """
 
     variant = "code-b"
-    encode = StableCode.encode
 
     def packet_index(self, node: int, group) -> int:
         """Which stored packet helpers send to `node` under `group` (0-based)."""
@@ -309,23 +316,26 @@ class CodeB(StableDeployment):
             raise InvalidContext(f"{node} not in repair group {group}")
         return group.index(node)
 
-    def repair(self, ctx_group, helpers, shards):
-        """Original two-phase repair; regenerates the group exactly."""
-        p = self.params
-        group = tuple(sorted(ctx_group))
-        helpers = tuple(sorted(helpers))
-        gsub = self.G.submatrix(range(p.k), [h - 1 for h in helpers])
-        gsub_t_inv = gsub.transpose().inverse()
-        solved = {}
-        for fj in group:
-            idx = self.packet_index(fj, group)
-            received = tuple(shards[lam].symbols[idx] for lam in helpers)
-            solved[fj] = gsub_t_inv.mul_vec(received)  # = m_idx
-        out = []
-        for fj in group:
-            gj = self._g_cols[fj - 1]
-            out.append(ShardVector(fj, tuple(dot(self.field, solved[fi], gj) for fi in group)))
-        return out
+    def repair(self, group, helpers, payloads):
+        """Original two-phase repair, on packet streams.
+
+        payloads maps node_id -> payload for the helpers; returns the same
+        for the regenerated group.
+        """
+        p, f = self.params, self.field
+        ctx = repair_context(self, group, helpers)
+        _stream_size(payloads, ctx.helpers, p.t)
+        gsub = self.G.submatrix(range(p.k), [h - 1 for h in ctx.helpers])
+        inv = gsub.transpose().inverse()
+        rows = []  # rows[i]: the k streams of row i of M, solved by group member i
+        for fj in ctx.group:
+            idx = self.packet_index(fj, ctx.group)
+            received = [payloads[lam][idx :: p.t] for lam in ctx.helpers]
+            rows.append([lincomb(f, inv.row(r), received) for r in range(p.k)])
+        return {
+            fj: _interleave([lincomb(f, self._g_cols[fj - 1], row) for row in rows])
+            for fj in ctx.group
+        }
 
     # --- transfer primitives: the packet sent follows the group's serial order ---
 
@@ -345,14 +355,14 @@ def code_b_repair_data(code: CodeB, data: Mat, group, helpers):
     """
     ctx = repair_context(code, group, helpers)
     group, helpers = ctx.group, ctx.helpers
-    shards = {s.node_id: s for s in code.encode(data)}
+    payloads = code.encode_batch(data.data)
     symbols = {}
     rows = []
     for fj in group:
         idx = code.packet_index(fj, group)
         for lam in helpers:
             label, row = code.repair_row_ctx(lam, fj, group, helpers)
-            symbols[(lam, fj)] = shards[lam].symbols[idx]
+            symbols[(lam, fj)] = payloads[lam][idx]
             rows.append((label, row))
     return symbols, observations(code.field, code.params.B, rows)
 
@@ -377,7 +387,7 @@ def code_b_attack(code: CodeB, data: Mat) -> CodeBAttackResult:
     if p.n < 2 * p.t + p.k - 1:
         raise ParameterTooSmall(f"need n >= 2t + k - 1 = {2 * p.t + p.k - 1}, got {p.n}")
     helpers = tuple(range(2 * p.t, 2 * p.t + p.k))
-    shards = {s.node_id: s for s in code.encode(data)}
+    payloads = code.encode_batch(data.data)
     target = p.t
     rows = []
     symbols = {}
@@ -389,7 +399,7 @@ def code_b_attack(code: CodeB, data: Mat) -> CodeBAttackResult:
         for lam in helpers:
             label, row = code.repair_row_ctx(lam, target, group, helpers)
             rows.append((label, row))
-            symbols[(idx, lam)] = shards[lam].symbols[idx]
+            symbols[(idx, lam)] = payloads[lam][idx]
     obs = observations(code.field, p.B, rows)
 
     # packets x helpers table = M @ G[:, helpers]; invert the k x k section

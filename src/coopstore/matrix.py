@@ -182,11 +182,11 @@ class Mat:
 
 def dot(field, u, v):
     """Inner product sum_i u_i * v_i over the field."""
-    add, mul = field.add, field.mul
+    # add/mul looked up per nonzero pair: faster on brute_force_entropy's sparse rows
     acc = 0
     for x, y in zip(u, v):
         if x and y:
-            acc = add(acc, mul(x, y))
+            acc = field.add(acc, field.mul(x, y))
     return acc
 
 
@@ -282,14 +282,6 @@ def _product_table(field, c):
 @lru_cache(maxsize=None)
 def _mod_table(p):
     return bytes(x % p for x in range(256))
-
-
-def mat_rank(m: Mat) -> int:
-    return m.rank()
-
-
-def mat_invert(m: Mat) -> Mat:
-    return m.inverse()
 
 
 def vandermonde(field, points, k: int) -> Mat:

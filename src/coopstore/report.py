@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from .shardfile import write_atomic
 
 REPORT_VERSION = 1
 
@@ -36,7 +37,8 @@ class ReportDoc:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        write_atomic(path, text.encode())
 
 
 def capacity_rows(cells):
@@ -58,14 +60,16 @@ def capacity_rows(cells):
 
 def write_capacity_csv(path, cells) -> None:
     import csv
+    import io
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["l1", "l2", "E", "F", "measured", "predicted", "match"]
-        )
-        writer.writeheader()
-        for row in capacity_rows(cells):
-            writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.DictWriter(
+        buf, fieldnames=["l1", "l2", "E", "F", "measured", "predicted", "match"]
+    )
+    writer.writeheader()
+    for row in capacity_rows(cells):
+        writer.writerow(row)
+    write_atomic(path, buf.getvalue().encode())
 
 
 def text_table(headers, rows) -> str:

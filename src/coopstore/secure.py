@@ -10,6 +10,9 @@ an exact rank fact checked per instance, by two eliminations over the
 extension field: the observed functionals must have no component outside
 the randomness positions (zero mutual information with the secret).
 
+The B cells are one generation of the data matrix, stored and recovered
+through the tower code's encode_batch / reconstruct_batch, like files.
+
 The tower F_{(2^4)^6} is fixed by the published reduction polynomial
 y^6 + y^3 + (x^3 + 1) over GF(16), with GF(16) = GF(2)[x]/(x^4 + x + 1).
 """
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 from .entropy import entropy_symbols, observations
 from .errors import (
+    DuplicateNode,
     FieldKindUnsupported,
     LengthMismatch,
     NotCoveredRegime,
@@ -35,7 +39,7 @@ from .eve import (
 )
 from .field import ExtensionField
 from .matrix import Mat, moore_matrix
-from .stable import CodeParams, StableCode
+from .stable import CodeParams, ShardVector, StableCode
 
 # (base order, extension degree) -> reduction polynomial, low degree first
 PUBLISHED_TOWERS = {
@@ -104,27 +108,20 @@ def precode(scheme: SecureScheme, secret, randomness):
     return u.mul(scheme.gabidulin).row(0)
 
 
-def cells_to_data(scheme: SecureScheme, cells) -> Mat:
-    """Lay the B cells out as the t x k data matrix (row-major)."""
-    p = scheme.code.params
-    return Mat(scheme.ext, p.t, p.k, cells)
-
-
 def encode_secure(scheme: SecureScheme, secret, randomness):
-    """Full pipeline: mix, shape, and encode into n extension-symbol shards."""
+    """Full pipeline: mix, then encode the cells into n extension-symbol shards."""
     cells = precode(scheme, secret, randomness)
-    return scheme.code_ext.encode(cells_to_data(scheme, cells))
+    payloads = scheme.code_ext.encode_batch(cells)
+    return [ShardVector(node, payload) for node, payload in payloads.items()]
 
 
 def decode_secret(scheme: SecureScheme, shards):
     """Reconstruct from any k shards and unmix; the randomness is discarded."""
-    data = scheme.code_ext.reconstruct(shards)
-    cells = tuple(data.data)
-    u = (
-        scheme.gabidulin.transpose()
-        .solve(Mat(scheme.ext, scheme.B, 1, cells))
-        .col(0)
-    )
+    ids = sorted(s.node_id for s in shards)
+    if len(set(ids)) != len(ids):
+        raise DuplicateNode(f"duplicate node ids in {ids}")
+    cells = scheme.code_ext.reconstruct_batch({s.node_id: s.symbols for s in shards})
+    u = scheme.gabidulin.transpose().solve(Mat(scheme.ext, scheme.B, 1, cells)).col(0)
     return u[: scheme.secret_len]
 
 

@@ -111,17 +111,17 @@ def write_shard(path, meta: ShardMeta, symbols, sha256=None) -> str:
     if sha256 is not None and digest != sha256:
         raise CorruptShard(f"{path}: regenerated shard does not match its manifest.json sha256")
     try:
-        _write_atomic(path, head, payload)
+        write_atomic(path, head, payload)
     except OSError as exc:
         raise IoError(str(exc)) from exc
     return digest
 
 
-def _write_atomic(path, *chunks) -> None:
+def write_atomic(path, *chunks) -> None:
     """Write the chunks to a temporary file beside path, then rename it over path.
 
     An interrupted write leaves the previous file intact and no temporary
-    file behind.
+    file behind.  Every file the package writes goes through here.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -255,7 +255,7 @@ def write_manifest(directory, config: dict, nodes, digests=None) -> None:
     if digests is not None:
         doc["version"] = MANIFEST_VERSION
         doc["sha256"] = {str(n): digests[n] for n in nodes}
-    _write_atomic(Path(directory, "manifest.json"), json.dumps(doc, indent=2, sort_keys=True).encode())
+    write_atomic(Path(directory, "manifest.json"), json.dumps(doc, indent=2, sort_keys=True).encode())
 
 
 def read_manifest(directory) -> dict:

@@ -14,10 +14,10 @@ column submatrix invertible):
            and recovers its original column exactly.
 
 The data path runs on whole files through the batch operations
-(encode_batch, reconstruct_batch, RepairPlan): one matrix.lincomb per
-packet stream, over every generation at once, with each inverse computed
-once.  The per-generation encode / reconstruct / cooperative_repair are
-the reference they are tested against.
+(StableDeployment.encode_batch and reconstruct_batch, which Code B and the
+secure store use too, and RepairPlan): one matrix.lincomb per packet
+stream, over every generation at once, with each inverse computed once.
+StableCode's per-generation methods are reference only (see StableCode).
 
 Every transferred symbol is also exposed as a linear functional of vec(M)
 (row-major, length B = k*t) so leakage can be measured as rank.  Code
@@ -83,7 +83,7 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class ShardVector:
-    """One node's stored symbols for a single generation."""
+    """One node's stored symbols for one generation: the reference methods' shard."""
 
     node_id: int
     symbols: tuple
@@ -137,6 +137,7 @@ class StableDeployment:
     repair_functional(helper, failed, group) and
     exchange_functional(sender, receiver, group); whether they depend on the
     group is the whole difference between a stable and an unstable code.
+    The batch operations need only G, so every code here shares them.
     """
 
     def __init__(self, params: CodeParams, field, G: Mat):
@@ -221,6 +222,44 @@ class StableDeployment:
             row[packet_idx * p.k + c] = g[c]
         return tuple(row)
 
+    # ---- batched data path -----------------------------------------------------
+    # A node payload holds gens * t symbols, generation-major, so payload[i::t]
+    # is its packet-i stream (one symbol per generation).  In the message
+    # symbol stream, entry (i, c) of every generation's data matrix is the
+    # stream symbols[i*k + c :: B].  Streams are bytes when q <= 256 and int
+    # lists otherwise; every payload and stream built here has its input's
+    # type (see matrix.lincomb), and an int tuple gives lists.
+
+    def encode_batch(self, symbols):
+        """node -> payload for a message stream of whole generations."""
+        p = self.params
+        if len(symbols) % p.B:
+            raise DimensionMismatch(f"symbol count {len(symbols)} is not a multiple of B={p.B}")
+        rows = [[symbols[i * p.k + c :: p.B] for c in range(p.k)] for i in range(p.t)]
+        return {
+            j + 1: _interleave([lincomb(self.field, g, row) for row in rows])
+            for j, g in enumerate(self._g_cols)
+        }
+
+    def reconstruct_batch(self, payloads):
+        """The message stream from the payloads (node -> payload) of k nodes.
+
+        Like reconstruct, it uses the k lowest node ids it is given.
+        """
+        p = self.params
+        if len(payloads) < p.k:
+            raise TooFewShards(f"need {p.k} shards, got {len(payloads)}")
+        nodes = sorted(payloads)[: p.k]
+        size = _stream_size(payloads, nodes, p.t)
+        # stored packet i of the k nodes = M_i @ gsub, so M_i = stored @ gsub^-1
+        inv = self.G.submatrix(range(p.k), [j - 1 for j in nodes]).inverse()
+        out = _blank(payloads[nodes[0]], size * p.B)
+        for i in range(p.t):
+            packets = [payloads[j][i :: p.t] for j in nodes]
+            for c in range(p.k):
+                out[i * p.k + c :: p.B] = lincomb(self.field, inv.col(c), packets)
+        return out
+
     def _least_group(self, *members):
         """Lexicographically least repair group containing the members."""
         p = self.params
@@ -229,7 +268,12 @@ class StableDeployment:
 
 
 class StableCode(StableDeployment):
-    """Instantiated code: the shared deployment plus the repair generator G'."""
+    """Instantiated code: the shared deployment plus the repair generator G'.
+
+    Its per-generation encode, reconstruct, repair_symbol and
+    cooperative_repair are reference only: the differential tests compare
+    the batched path with them, and the benchmark traces them by name.
+    """
 
     variant = "stable"
 
@@ -241,7 +285,7 @@ class StableCode(StableDeployment):
     # ---- encode / reconstruct -------------------------------------------
 
     def encode(self, data: Mat):
-        """n shards; shard j holds column j of data @ G."""
+        """n shards; shard j holds column j of data @ G.  Reference only."""
         p = self.params
         if (data.nrows, data.ncols) != (p.t, p.k):
             raise DimensionMismatch(f"data matrix must be {p.t}x{p.k}")
@@ -251,7 +295,7 @@ class StableCode(StableDeployment):
         return [ShardVector(j + 1, coded.col(j)) for j in range(p.n)]
 
     def reconstruct(self, shards) -> Mat:
-        """Recover the t x k data matrix from any k shards."""
+        """Recover the t x k data matrix from any k shards.  Reference only."""
         p = self.params
         shards = sorted(shards, key=lambda s: s.node_id)
         ids = [s.node_id for s in shards]
@@ -341,44 +385,6 @@ class StableCode(StableDeployment):
                 else:
                     w.append(inbox[fj][fi])
             out.append(ShardVector(fj, gp_sub_t_inv.mul_vec(tuple(w))))
-        return out
-
-    # ---- batched data path -----------------------------------------------------
-    # A node payload holds gens * t symbols, generation-major, so payload[i::t]
-    # is its packet-i stream (one symbol per generation).  In the message
-    # symbol stream, entry (i, c) of every generation's data matrix is the
-    # stream symbols[i*k + c :: B].  Streams are bytes when q <= 256 and int
-    # lists otherwise; every payload and stream built here has its input's
-    # type (see matrix.lincomb).
-
-    def encode_batch(self, symbols):
-        """node -> payload for a message stream of whole generations."""
-        p = self.params
-        if len(symbols) % p.B:
-            raise DimensionMismatch(f"symbol count {len(symbols)} is not a multiple of B={p.B}")
-        rows = [[symbols[i * p.k + c :: p.B] for c in range(p.k)] for i in range(p.t)]
-        return {
-            j + 1: _interleave([lincomb(self.field, g, row) for row in rows])
-            for j, g in enumerate(self._g_cols)
-        }
-
-    def reconstruct_batch(self, payloads):
-        """The message stream from the payloads (node -> payload) of k nodes.
-
-        Like reconstruct, it uses the k lowest node ids it is given.
-        """
-        p = self.params
-        if len(payloads) < p.k:
-            raise TooFewShards(f"need {p.k} shards, got {len(payloads)}")
-        nodes = sorted(payloads)[: p.k]
-        size = _stream_size(payloads, nodes, p.t)
-        # stored packet i of the k nodes = M_i @ gsub, so M_i = stored @ gsub^-1
-        inv = self.G.submatrix(range(p.k), [j - 1 for j in nodes]).inverse()
-        out = _blank(payloads[nodes[0]], size * p.B)
-        for i in range(p.t):
-            packets = [payloads[j][i :: p.t] for j in nodes]
-            for c in range(p.k):
-                out[i * p.k + c :: p.B] = lincomb(self.field, inv.col(c), packets)
         return out
 
     # ---- internals -------------------------------------------------------------

@@ -171,7 +171,10 @@ def unpack_payload(symbols, q: int) -> bytes:
 
 
 def stripe_symbols(symbols, block: int) -> list[list[int]]:
-    """Split into generations of exactly block symbols (zero-fill the tail)."""
+    """Split into generations of exactly block symbols (zero-fill the tail).
+
+    Reference only: the differential tests' oracle, traced by the benchmark.
+    """
     out = []
     for start in range(0, len(symbols), block):
         gen = list(symbols[start : start + block])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -109,6 +110,17 @@ class TestAttack:
         doc = json.loads(report.read_text())
         assert doc["results"]["recovered"] == "EXACT"
         assert doc["results"]["helpers"] == [4, 5, 6]
+
+    def test_code_b_partial_leak_fails(self, monkeypatch):
+        # recovery alone does not pass: the leak must also be total
+        real = cli.code_b_attack
+
+        def partial(code, data):
+            result = real(code, data)
+            return dataclasses.replace(result, leaked_entropy=code.params.B - 1)
+
+        monkeypatch.setattr(cli, "code_b_attack", partial)
+        assert run(["attack", "--variant", "code-b"]) == 1
 
     def test_inadmissible_omega_is_config_error(self):
         assert run(["attack", "--variant", "code-a", "--field", "p=13", "--omega", "2"]) == 2
@@ -394,6 +406,30 @@ class TestAtomicWrites:
         assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
         after = {p.name: p.read_bytes() for p in shards.iterdir()}
         assert after == before  # same files, same bytes, no temporary left behind
+
+
+    @staticmethod
+    def refuse_rename(src, dst):
+        raise OSError("rename failed")
+
+    def test_interrupted_decode_keeps_old_output(self, tmp_path, sample_file, monkeypatch):
+        shards = encode_dir(tmp_path, sample_file)
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"previous output")
+        monkeypatch.setattr(shardfile.os, "replace", self.refuse_rename)
+        assert run(["decode", "--shard-dir", shards, "--output", out]) == 2
+        assert out.read_bytes() == b"previous output"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("extra", [[], ["--csv", "table.csv"]])
+    def test_interrupted_report_write_keeps_old_files(self, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        for name in ("r.json", "table.csv"):
+            (tmp_path / name).write_text("previous")
+        monkeypatch.setattr(shardfile.os, "replace", self.refuse_rename)
+        assert run(["capacity-sweep", "--report", "r.json", *extra]) == 2
+        assert [(tmp_path / n).read_text() for n in ("r.json", "table.csv")] == ["previous"] * 2
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestEncodeReport:

@@ -14,7 +14,6 @@ from coopstore.eve import (
     capacity_table,
     download_span,
     leakage_observations,
-    leakage_report,
     lemma_suite,
     measured_secrecy_capacity,
     observed_rows,
@@ -448,10 +447,12 @@ class TestStorageRecoverability:
             assert rank_rows(code.field, 6, w_i + s_i) - rank_rows(code.field, 6, s_i) == 1
 
 
-def test_leakage_report_shape():
+def test_leakage_observations_shape():
     code = s1()
-    rep = leakage_report(code, EveModel(F=(1,)))
-    assert rep.leaked_symbols == 4
-    assert rep.measured_capacity == 2 == rep.predicted_capacity
-    assert rep.measured_capacity == code.params.B - rep.leaked_symbols
-    assert len(rep.observations) == 80
+    eve = EveModel(F=(1,))
+    obs = leakage_observations(code, eve)
+    leaked = entropy_symbols(obs)
+    assert leaked == 4
+    assert measured_secrecy_capacity(code, eve) == 2 == predicted_secrecy_capacity(code.params, 0, 1)
+    assert measured_secrecy_capacity(code, eve) == code.params.B - leaked
+    assert len(obs) == 80

@@ -26,7 +26,7 @@ from coopstore.legacy import (
     code_b_repair_data,
 )
 from coopstore.matrix import Mat
-from coopstore.stable import CodeParams
+from coopstore.stable import CodeParams, StableCode
 
 GF11 = prime_field(11)
 GF13 = prime_field(13)
@@ -211,7 +211,8 @@ class TestCodeBRepair:
         code = b1()
         data = Mat(GF11, 2, 3, [rng.randrange(11) for _ in range(6)])
         symbols, obs = code_b_repair_data(code, data, (1, 2), (4, 5, 6))
-        shards = {s.node_id: s for s in code.encode(data)}
+        # the per-generation reference encode over the same deployment
+        shards = {s.node_id: s for s in StableCode.create(code.params, code.field).encode(data)}
         for lam in (4, 5, 6):
             assert symbols[(lam, 1)] == shards[lam].symbols[0]  # first packet
             assert symbols[(lam, 2)] == shards[lam].symbols[1]
@@ -228,14 +229,16 @@ class TestCodeBRepair:
         assert set(symbols.values()) == {0}
 
     def test_repair_regenerates_exactly_everywhere(self, rng):
+        # 7 generations, as bytes (the table lincomb) and as an int list
         code = b1()
-        data = Mat(GF11, 2, 3, [rng.randrange(11) for _ in range(6)])
-        shards = {s.node_id: s for s in code.encode(data)}
-        for group in itertools.combinations(range(1, 7), 2):
-            pool = [i for i in range(1, 7) if i not in group]
-            for helpers in itertools.combinations(pool, 3):
-                for regen in code.repair(group, helpers, shards):
-                    assert regen == shards[regen.node_id]
+        symbols = [rng.randrange(11) for _ in range(7 * 6)]
+        for stream in (bytes(symbols), symbols):
+            payloads = code.encode_batch(stream)
+            for group in itertools.combinations(range(1, 7), 2):
+                pool = [i for i in range(1, 7) if i not in group]
+                for helpers in itertools.combinations(pool, 3):
+                    regen = code.repair(group, helpers, {h: payloads[h] for h in helpers})
+                    assert regen == {g: payloads[g] for g in group}
 
 
 class TestCodeBAttack:

@@ -6,7 +6,7 @@ import random
 import pytest
 from helpers import secrecy_oracle
 
-from coopstore.errors import InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
+from coopstore.errors import DuplicateNode, InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
 from coopstore.eve import EveModel
 from coopstore.instances import s1, s1_binary
 from coopstore.secure import (
@@ -102,6 +102,13 @@ class TestPrecode:
         s1_ = decode_secret(scheme, encode_secure(scheme, secret, r1)[:3])
         s2_ = decode_secret(scheme, encode_secure(scheme, secret, r2)[:3])
         assert s1_ == s2_ == secret
+
+    def test_repeated_shard_rejected(self, scheme, rng):
+        # reconstruct_batch takes node -> payload, where a repeat would vanish
+        secret, randomness = random_symbols(scheme, rng, 1), random_symbols(scheme, rng, 5)
+        shards = encode_secure(scheme, secret, randomness)
+        with pytest.raises(DuplicateNode):
+            decode_secret(scheme, [shards[0], shards[0], shards[1], shards[2]])
 
     def test_round_trip_every_k_subset(self, scheme, rng):
         secret = random_symbols(scheme, rng, 1)
