@@ -1,13 +1,32 @@
-"""Elimination kernels: rank and square-system solving.
+"""Elimination kernels: rank, echelon bases and square-system solving.
 
-Exact Gaussian elimination with first-nonzero pivoting on flat row-major
-matrices, in pure Python.  Works over any field object exposing
+Exact Gaussian elimination in pure Python over any field object exposing
 add/sub/mul/inv on canonical int elements (0 is the additive, 1 the
-multiplicative identity): prime fields, GF(2^m) and towers alike.  rank
-runs prime fields through the same loop with `% p` arithmetic inline.
+multiplicative identity): prime fields, GF(2^m) and towers alike.
+
+echelon(basis, rows, ncols, field) reduces rows into an echelon basis and
+returns the grown basis, so a caller can keep a basis and extend it later
+instead of eliminating the rows it holds again; rank is the length of a
+basis grown from nothing.  On a lane field (GF(p) with p <= 16, GF(2^m)
+with m <= 8) a row is one int with one byte lane per column, column 0
+most significant (pack), and a row operation is whole-row integer
+arithmetic plus one bytes.translate, the per-constant tables of Plank,
+Greenan and Miller (FAST 2013) that matrix.lincomb uses:
+
+- GF(p): row + (p - v) * b, then the mod-p table.  A lane holds at most
+  (p - 1) + (p - 1)^2 <= 255 before the translate, so nothing carries
+  into the next lane.
+- GF(2^m): row XOR (b translated through the product table of v).
+
+The leading column and its value come from bit_length().  On every other
+field echelon reduces tuples of elements, and rank keeps the flat
+row-major loops: _rank_prime with `% p` inline for GF(p), p > 16, and
+_rank_generic, which stays the reference for every field.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def backend_name(field) -> str:
@@ -15,15 +34,114 @@ def backend_name(field) -> str:
     return "pure-python"
 
 
+def lanes(field) -> bool:
+    """Whether echelon and rank run this field on byte-lane rows."""
+    return (field.kind == "prime" and field.order <= 16) or (
+        field.kind == "binary" and field.order <= 256
+    )
+
+
+def pack(field, row):
+    """A row as echelon takes it: an int of byte lanes on a lane field, else a tuple."""
+    return int.from_bytes(bytes(row), "big") if lanes(field) else tuple(row)
+
+
+def echelon(basis, rows, ncols, field):
+    """The echelon basis of basis plus rows, as a tuple of packed rows.
+
+    basis is a tuple that echelon returned (() to start from nothing): rows
+    with leading entry 1, in strictly increasing leading column, so one
+    pass over it reduces a new row.  Each row of rows (see pack) that is
+    independent of the basis so far joins it.  Rows stop being read once
+    the basis has ncols rows.  Neither argument is mutated.
+    """
+    if lanes(field):
+        return _echelon_lanes(basis, rows, ncols, field)
+    return _echelon_generic(basis, rows, ncols, field)
+
+
 def rank(data, nrows, ncols, field):
     """Rank of a row-major matrix given as a flat list of field elements."""
+    if lanes(field):
+        raw = bytes(data)
+        rows = [int.from_bytes(raw[i : i + ncols], "big") for i in range(0, nrows * ncols, ncols)]
+        return len(_echelon_lanes((), rows, ncols, field))
     if field.kind == "prime":
         return _rank_prime(data, nrows, ncols, field.order)
     return _rank_generic(data, nrows, ncols, field)
 
 
+def _echelon_lanes(basis, rows, ncols, field):
+    """echelon on byte-lane ints: GF(p), p <= 16, and GF(2^m), m <= 8."""
+    if len(basis) >= ncols:
+        return basis
+    binary = field.kind == "binary"
+    p = field.order
+    mod = None if binary else mod_table(p)
+    times = product_tables(field)
+    from_bytes = int.from_bytes
+    pivots = [(b.bit_length() - 1, b) for b in basis]  # (leading lane's shift, row)
+    for row in rows:
+        for s, b in pivots:
+            v = (row >> s) & 255
+            if v:
+                if binary:
+                    row ^= from_bytes(b.to_bytes(ncols, "big").translate(times[v]), "big")
+                else:
+                    row = from_bytes((row + (p - v) * b).to_bytes(ncols, "big").translate(mod), "big")
+                if not row:
+                    break
+        else:
+            if not row:
+                continue
+            s = (row.bit_length() - 1) & ~7
+            v = row >> s
+            if v != 1:
+                row = from_bytes(row.to_bytes(ncols, "big").translate(times[field.inv(v)]), "big")
+            pivots.append((s, row))
+            pivots.sort(reverse=True)
+            if len(pivots) == ncols:
+                break
+    return tuple(b for _, b in pivots)
+
+
+def _echelon_generic(basis, rows, ncols, field):
+    """echelon on tuples of field elements: every field without byte lanes."""
+    if len(basis) >= ncols:
+        return basis
+    p = field.order if field.kind == "prime" else 0
+    sub, mul, inv = field.sub, field.mul, field.inv
+    pivots = [(_lead(b), b) for b in basis]
+    for row in rows:
+        for c, b in pivots:
+            f = row[c]
+            if f:
+                if p:
+                    row = [(x - f * y) % p for x, y in zip(row, b)]
+                else:
+                    row = [sub(x, mul(f, y)) if y else x for x, y in zip(row, b)]
+        c = _lead(row)
+        if c == ncols:
+            continue
+        f = inv(row[c])
+        row = tuple(f * x % p for x in row) if p else tuple(mul(f, x) for x in row)
+        pivots.append((c, row))
+        pivots.sort()
+        if len(pivots) == ncols:
+            break
+    return tuple(b for _, b in pivots)
+
+
+def _lead(row):
+    """The first nonzero column of a row, or its length when it is zero."""
+    for c, v in enumerate(row):
+        if v:
+            return c
+    return len(row)
+
+
 def _rank_prime(data, nrows, ncols, p):
-    """The loop of _rank_generic over GF(p), its arithmetic written inline."""
+    """The loop of _rank_generic over GF(p), p > 16, its arithmetic written inline."""
     m = list(data)
     r = 0
     for col in range(ncols):
@@ -128,3 +246,22 @@ def solve(a_data, n, b_data, bcols, field):
     for i in range(n):
         out[i * bcols : (i + 1) * bcols] = m[i * w + n : (i + 1) * w]
     return out
+
+
+@lru_cache(maxsize=None)
+def product_table(field, c):
+    """x -> c * x for every byte x; bytes outside the field map to 0."""
+    mul = field.mul
+    return bytes(mul(c, x) if x < field.order else 0 for x in range(256))
+
+
+@lru_cache(maxsize=None)
+def product_tables(field):
+    """product_table(field, c) for every element c, indexed by c."""
+    return tuple(product_table(field, c) for c in range(field.order))
+
+
+@lru_cache(maxsize=None)
+def mod_table(p):
+    """x -> x mod p for every byte x."""
+    return bytes(x % p for x in range(256))

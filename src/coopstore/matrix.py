@@ -9,8 +9,6 @@ submatrix of which is invertible), and Moore matrices of Frobenius powers.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import kernels
 from .errors import (
     DependentPoints,
@@ -254,34 +252,22 @@ def _lincomb_table(field, terms, length):
         return bytes(length)
     if len(terms) == 1:
         c, s = terms[0]
-        return s.translate(_product_table(field, c))
+        return s.translate(kernels.product_table(field, c))
     if field.kind == "binary":
         acc = 0
         for c, s in terms:
-            acc ^= int.from_bytes(s.translate(_product_table(field, c)), "little")
+            acc ^= int.from_bytes(s.translate(kernels.product_table(field, c)), "little")
         return acc.to_bytes(length, "little")
     top = field.order - 1
-    mod = _mod_table(field.order)
+    mod = kernels.mod_table(field.order)
     acc = bound = 0
     for c, s in terms:
         if bound + top > 255:
             acc = int.from_bytes(acc.to_bytes(length, "little").translate(mod), "little")
             bound = top
-        acc += int.from_bytes(s.translate(_product_table(field, c)), "little")
+        acc += int.from_bytes(s.translate(kernels.product_table(field, c)), "little")
         bound += top
     return acc.to_bytes(length, "little").translate(mod)
-
-
-@lru_cache(maxsize=None)
-def _product_table(field, c):
-    """x -> c * x for every byte x; bytes outside the field map to 0."""
-    mul = field.mul
-    return bytes(mul(c, x) if x < field.order else 0 for x in range(256))
-
-
-@lru_cache(maxsize=None)
-def _mod_table(p):
-    return bytes(x % p for x in range(256))
 
 
 def vandermonde(field, points, k: int) -> Mat:

@@ -31,7 +31,7 @@ from .errors import (
 from .eve import (
     NOT_COVERED,
     EveModel,
-    download_span,
+    download_spans,
     observed_rows,
     placements,
     predicted_secrecy_capacity,
@@ -144,28 +144,35 @@ class SecrecyCheck:
         return self.mutual_information == 0
 
 
-def _observed_vectors(scheme: SecureScheme, cell_rows):
+def _observed_vectors(scheme: SecureScheme, cell_rows, memo):
     """w(lam) = Gab @ lam^T over ext for each observed cell row lam.
 
     A cell row lam observes sum_j lam_j c_j with c = u @ Gab, which equals
-    u . w(lam): one extension symbol, linear in u over ext.
+    u . w(lam): one extension symbol, linear in u over ext.  memo maps each
+    row already expanded to its w(lam), so a sweep expands every distinct
+    row once.
     """
     ext = scheme.ext
     gab = scheme.gabidulin
     out = []
     for lam in cell_rows:
-        w = []
-        for i in range(scheme.B):
-            acc = 0
-            for j, coef in enumerate(lam):
-                if coef:
-                    acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
-            w.append(acc)
-        out.append(tuple(w))
+        w = memo.get(lam)
+        if w is None:
+            w = []
+            for i in range(scheme.B):
+                acc = 0
+                for j, coef in enumerate(lam):
+                    if coef:
+                        acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
+                w.append(acc)
+            w = memo[lam] = tuple(w)
+        out.append(w)
     return out
 
 
-def verify_secrecy(scheme: SecureScheme, eve: EveModel) -> SecrecyCheck:
+def verify_secrecy(
+    scheme: SecureScheme, eve: EveModel, spans=None, vectors=None
+) -> SecrecyCheck:
     """Exact rank verification that the eavesdropper learns nothing.
 
     Eve sees the b base-field coordinates of u . w for every observed
@@ -186,13 +193,20 @@ def verify_secrecy(scheme: SecureScheme, eve: EveModel) -> SecrecyCheck:
     The pass condition is zero mutual information; coverage by the
     randomness (H(observations) <= H(randomness)) and a determined
     randomness are reported as diagnostics.
+
+    spans maps each node of eve.F to its download_span and vectors each
+    expanded cell row to its w(lam); both are built here when not given,
+    and verify_secrecy_sweep shares them across its placements.
     """
     code = scheme.code
     validate_eve(code, eve)
-    spans = {f: download_span(code, f) for f in eve.F}
+    if spans is None:
+        spans = download_spans(code, eve.F)
     ext = scheme.ext
     b = ext.degree
-    ws = _observed_vectors(scheme, observed_rows(code, eve, spans))
+    if vectors is None:
+        vectors = {}
+    ws = _observed_vectors(scheme, observed_rows(code, eve, spans), vectors)
     s = scheme.secret_len
     h_e = b * entropy_symbols(observations(ext, scheme.B, [("w", w) for w in ws]))
     h_e_given_s = b * entropy_symbols(
@@ -210,5 +224,15 @@ def verify_secrecy(scheme: SecureScheme, eve: EveModel) -> SecrecyCheck:
 
 
 def verify_secrecy_sweep(scheme: SecureScheme):
-    """verify_secrecy over every (E, F) placement at the scheme's (l1, l2)."""
-    return [verify_secrecy(scheme, eve) for eve in placements(scheme.code, scheme.l1, scheme.l2)]
+    """verify_secrecy over every (E, F) placement at the scheme's (l1, l2).
+
+    Each F node's download_span is built, and each distinct observed cell
+    row expanded, once per sweep, as capacity_table does for its spans.
+    """
+    code = scheme.code
+    spans = download_spans(code) if scheme.l2 else {}
+    vectors = {}
+    return [
+        verify_secrecy(scheme, eve, spans, vectors)
+        for eve in placements(code, scheme.l1, scheme.l2)
+    ]

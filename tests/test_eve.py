@@ -13,6 +13,7 @@ from coopstore.eve import (
     bandwidth_comparison,
     capacity_table,
     download_span,
+    download_spans,
     leakage_observations,
     lemma_suite,
     measured_secrecy_capacity,
@@ -21,7 +22,7 @@ from coopstore.eve import (
     repair_download_rows,
     specific_verifications,
 )
-from coopstore.field import prime_field
+from coopstore.field import binary_field, prime_field
 from coopstore.instances import a1, b1, s1
 from coopstore.legacy import CodeAAdapter
 from coopstore.stable import CodeParams, StableCode
@@ -33,6 +34,16 @@ S1_TABLE = {(0, 0): 6, (1, 0): 4, (2, 0): 2, (0, 1): 2, (1, 1): 1, (0, 2): 0}
 def n8():
     """n=8, k=d=4, t=2 over GF(11): 525 traversal rows per node, 14 distinct."""
     return StableCode.create(CodeParams.mscr(n=8, k=4, d=4, t=2, q=11), prime_field(11))
+
+
+def n8_gf16():
+    """n8's parameters over binary GF(16): the XOR lanes of the echelon kernel."""
+    return StableCode.create(CodeParams.mscr(n=8, k=4, d=4, t=2, q=16), binary_field(4))
+
+
+def n8_gf17():
+    """n8's parameters over GF(17): above the byte lanes, the tuple-row echelon."""
+    return StableCode.create(CodeParams.mscr(n=8, k=4, d=4, t=2, q=17), prime_field(17))
 
 
 def code_a():
@@ -50,15 +61,22 @@ def t_over_k():
 
 
 def count_ranks(monkeypatch):
-    """A list whose first entry counts kernels.rank calls from now on."""
+    """A list whose first entry counts elimination kernel calls from now on.
+
+    One elimination is one call of kernels.rank (entropy.rank_rows, which
+    the from-scratch reference ranks through) or of kernels.echelon (the
+    analysis context's basis memo).  rank does not call echelon, so no
+    elimination is counted twice.
+    """
     calls = [0]
-    real = kernels.rank
+    for name in ("rank", "echelon"):
+        real = getattr(kernels, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+        def counted(*args, real=real):
+            calls[0] += 1
+            return real(*args)
 
-    monkeypatch.setattr(kernels, "rank", counted)
+        monkeypatch.setattr(kernels, name, counted)
     return calls
 
 
@@ -359,7 +377,9 @@ class TestAnalysisContext:
         assert calls[0] == from_scratch
 
     @pytest.mark.parametrize(
-        "make", [s1, b1, n8, t_over_k], ids=["s1", "b1", "n8", "t-over-k"]
+        "make",
+        [s1, b1, n8, n8_gf16, n8_gf17, t_over_k],
+        ids=["s1", "b1", "n8", "n8-gf16", "n8-gf17", "t-over-k"],
     )
     def test_summaries_equal_from_scratch_reference(self, make, monkeypatch):
         code = make()
@@ -396,6 +416,22 @@ class TestSpecificVerifications:
                     "leak_decomposition": (3, True),
                     "leak_totals": (3, True),
                 }
+
+    @pytest.mark.parametrize("make", [s1, n8], ids=["s1", "n8"])
+    def test_shared_spans_change_nothing(self, make):
+        # verify hands every placement the same download_spans
+        code = make()
+        spans = download_spans(code)
+        k = code.params.k
+        for l2 in range(1, k):
+            for l1 in range(k - l2):
+                alone = specific_verifications(code, l1, l2)
+                shared = specific_verifications(code, l1, l2, spans)
+                assert shared.summary() == alone.summary()
+                assert (shared.rank_lookups, shared.rank_eliminations) == (
+                    alone.rank_lookups,
+                    alone.rank_eliminations,
+                )
 
     def test_invalid_l(self):
         with pytest.raises(InvalidL):

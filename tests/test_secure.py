@@ -8,6 +8,7 @@ from helpers import secrecy_oracle
 
 from coopstore.errors import DuplicateNode, InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
 from coopstore.eve import EveModel
+from coopstore import secure
 from coopstore.instances import s1, s1_binary
 from coopstore.secure import (
     SecureScheme,
@@ -126,6 +127,26 @@ class TestVerifySecrecy:
             assert chk.passed and chk.mutual_information == 0
             assert chk.coverable and chk.randomness_determined
             assert chk.observed_rank == chk.randomness_entropy == 30
+
+    def test_sweep_expands_each_distinct_row_once(self, scheme, monkeypatch):
+        # one memo for the whole sweep, and a fresh verify_secrecy per
+        # placement gives the same check
+        memos, rows = [], set()
+        real = secure._observed_vectors
+
+        def spy(scheme, cell_rows, memo):
+            memos.append(memo)
+            rows.update(cell_rows)
+            return real(scheme, cell_rows, memo)
+
+        monkeypatch.setattr(secure, "_observed_vectors", spy)
+        checks = verify_secrecy_sweep(scheme)
+        assert len(memos) == len(checks) == 30
+        assert all(m is memos[0] for m in memos)
+        assert set(memos[0]) == rows
+        assert len(rows) < sum(len(m) for m in memos)
+        for chk in checks:
+            assert verify_secrecy(scheme, chk.eve) == chk
 
     def test_empty_eve_trivially_passes(self, scheme):
         chk = verify_secrecy(scheme, EveModel())
