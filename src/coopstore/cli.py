@@ -26,7 +26,6 @@ from .eve import (
     bandwidth_comparison,
     capacity_cell,
     capacity_table,
-    download_spans,
     lemma_suite,
     specific_verifications,
 )
@@ -498,11 +497,9 @@ def cmd_verify(args, clock) -> ReportDoc:
 
     if code.variant == "stable":
         verif = {}
-        # the canonical placements' F nodes are 1..k-1: each span built once
-        spans = download_spans(code, range(1, p.k))
         for l2 in range(1, p.k):
             for l1 in range(0, p.k - l2):
-                res = specific_verifications(code, l1, l2, spans)
+                res = specific_verifications(code, l1, l2)
                 verif[f"l1={l1},l2={l2}"] = res.summary()
                 ranks["lookups"] += res.rank_lookups
                 ranks["eliminations"] += res.rank_eliminations

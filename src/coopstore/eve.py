@@ -588,7 +588,7 @@ def capacity_table(code, pairs=None):
     return [capacity_cell(code, eve, spans) for l1, l2 in pairs for eve in placements(code, l1, l2)]
 
 
-def specific_verifications(code, l1: int, l2: int, spans=None) -> LemmaResults:
+def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     """The three concrete checks on the canonical placement E=[1,l1], F=[l1+1,l1+l2].
 
     downloads_span: downloads of F span exactly storage-plus-repair; for
@@ -600,9 +600,6 @@ def specific_verifications(code, l1: int, l2: int, spans=None) -> LemmaResults:
     leak_totals: the leaked total is (l1+l2)*alpha + sum_g H(S_g^F) with
         per-helper entropy min(l2, t)*beta, reproducing the closed-form
         capacity.
-
-    spans maps each node of F to its download_span (download_spans gives
-    every node's) and is built here when not given.
     """
     p = code.params
     if l1 + l2 > p.k - 1 or l2 < 1:
@@ -612,8 +609,7 @@ def specific_verifications(code, l1: int, l2: int, spans=None) -> LemmaResults:
     e_set = tuple(range(1, l1 + 1))
     f_set = tuple(range(l1 + 1, l1 + l2 + 1))
     nodes = list(range(1, p.n + 1))
-    if spans is None:
-        spans = download_spans(code, f_set)
+    spans = download_spans(code, f_set)
 
     tilde = [row for f in f_set for row in spans[f]]
     w_f = _storage(ctx, f_set)

@@ -19,9 +19,9 @@ Greenan and Miller (FAST 2013) that matrix.lincomb uses:
 - GF(2^m): row XOR (b translated through the product table of v).
 
 The leading column and its value come from bit_length().  On every other
-field echelon reduces tuples of elements, and rank keeps the flat
-row-major loops: _rank_prime with `% p` inline for GF(p), p > 16, and
-_rank_generic, which stays the reference for every field.
+field (GF(p) with p > 16, larger GF(2^m), towers) echelon and rank reduce
+tuples of elements through the field's own sub/mul/inv.  _rank_generic,
+a flat row-major loop, is the reference for every field.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ def rank(data, nrows, ncols, field):
         raw = bytes(data)
         rows = [int.from_bytes(raw[i : i + ncols], "big") for i in range(0, nrows * ncols, ncols)]
         return len(_echelon_lanes((), rows, ncols, field))
-    if field.kind == "prime":
-        return _rank_prime(data, nrows, ncols, field.order)
-    return _rank_generic(data, nrows, ncols, field)
+    rows = [tuple(data[i : i + ncols]) for i in range(0, nrows * ncols, ncols)]
+    return len(_echelon_generic((), rows, ncols, field))
 
 
 def _echelon_lanes(basis, rows, ncols, field):
@@ -109,22 +108,18 @@ def _echelon_generic(basis, rows, ncols, field):
     """echelon on tuples of field elements: every field without byte lanes."""
     if len(basis) >= ncols:
         return basis
-    p = field.order if field.kind == "prime" else 0
     sub, mul, inv = field.sub, field.mul, field.inv
     pivots = [(_lead(b), b) for b in basis]
     for row in rows:
         for c, b in pivots:
             f = row[c]
             if f:
-                if p:
-                    row = [(x - f * y) % p for x, y in zip(row, b)]
-                else:
-                    row = [sub(x, mul(f, y)) if y else x for x, y in zip(row, b)]
+                row = [sub(x, mul(f, y)) if y else x for x, y in zip(row, b)]
         c = _lead(row)
         if c == ncols:
             continue
         f = inv(row[c])
-        row = tuple(f * x % p for x in row) if p else tuple(mul(f, x) for x in row)
+        row = tuple(mul(f, x) for x in row)
         pivots.append((c, row))
         pivots.sort()
         if len(pivots) == ncols:
@@ -140,39 +135,8 @@ def _lead(row):
     return len(row)
 
 
-def _rank_prime(data, nrows, ncols, p):
-    """The loop of _rank_generic over GF(p), p > 16, its arithmetic written inline."""
-    m = list(data)
-    r = 0
-    for col in range(ncols):
-        piv = -1
-        for row in range(r, nrows):
-            if m[row * ncols + col]:
-                piv = row
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for c in range(col, ncols):
-                m[r * ncols + c], m[piv * ncols + c] = m[piv * ncols + c], m[r * ncols + c]
-        pinv = pow(m[r * ncols + col], p - 2, p)
-        for row in range(r + 1, nrows):
-            f = m[row * ncols + col]
-            if f:
-                f = f * pinv % p
-                m[row * ncols + col] = 0
-                for c in range(col + 1, ncols):
-                    v = m[r * ncols + c]
-                    if v:
-                        m[row * ncols + c] = (m[row * ncols + c] - f * v) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def _rank_generic(data, nrows, ncols, field):
-    """Rank through the field's own add/sub/mul/inv: GF(2^m) and towers."""
+    """Rank by a flat row-major loop through the field's own sub/mul/inv: the reference."""
     m = list(data)
     sub, mul, inv = field.sub, field.mul, field.inv
     r = 0

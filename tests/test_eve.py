@@ -13,7 +13,6 @@ from coopstore.eve import (
     bandwidth_comparison,
     capacity_table,
     download_span,
-    download_spans,
     leakage_observations,
     lemma_suite,
     measured_secrecy_capacity,
@@ -416,22 +415,6 @@ class TestSpecificVerifications:
                     "leak_decomposition": (3, True),
                     "leak_totals": (3, True),
                 }
-
-    @pytest.mark.parametrize("make", [s1, n8], ids=["s1", "n8"])
-    def test_shared_spans_change_nothing(self, make):
-        # verify hands every placement the same download_spans
-        code = make()
-        spans = download_spans(code)
-        k = code.params.k
-        for l2 in range(1, k):
-            for l1 in range(k - l2):
-                alone = specific_verifications(code, l1, l2)
-                shared = specific_verifications(code, l1, l2, spans)
-                assert shared.summary() == alone.summary()
-                assert (shared.rank_lookups, shared.rank_eliminations) == (
-                    alone.rank_lookups,
-                    alone.rank_eliminations,
-                )
 
     def test_invalid_l(self):
         with pytest.raises(InvalidL):

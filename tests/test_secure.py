@@ -129,22 +129,34 @@ class TestVerifySecrecy:
             assert chk.observed_rank == chk.randomness_entropy == 30
 
     def test_sweep_expands_each_distinct_row_once(self, scheme, monkeypatch):
-        # one memo for the whole sweep, and a fresh verify_secrecy per
-        # placement gives the same check
-        memos, rows = [], set()
+        # the sweep hands every placement one memo; the expansion reads it
+        # back, so each distinct row is expanded (written) once although
+        # the placements observe many more cell rows; and a fresh
+        # verify_secrecy per placement gives the same check
+        memos, rows, expanded = [], set(), []
+        observed = 0
         real = secure._observed_vectors
 
+        class Counted(dict):
+            def __setitem__(self, lam, w):
+                expanded.append(lam)
+                super().__setitem__(lam, w)
+
+        counted = Counted()
+
         def spy(scheme, cell_rows, memo):
+            nonlocal observed
             memos.append(memo)
             rows.update(cell_rows)
-            return real(scheme, cell_rows, memo)
+            observed += len(cell_rows)
+            return real(scheme, cell_rows, counted)
 
         monkeypatch.setattr(secure, "_observed_vectors", spy)
         checks = verify_secrecy_sweep(scheme)
         assert len(memos) == len(checks) == 30
         assert all(m is memos[0] for m in memos)
-        assert set(memos[0]) == rows
-        assert len(rows) < sum(len(m) for m in memos)
+        assert sorted(expanded) == sorted(rows) == sorted(counted)
+        assert len(expanded) < observed
         for chk in checks:
             assert verify_secrecy(scheme, chk.eve) == chk
 
