@@ -492,8 +492,8 @@ def cmd_verify(args, clock) -> ReportDoc:
     for name, chk in lemmas.checks.items():
         if not chk.passed:
             report.fail(f"{name}: {chk.witness}")
-    # row sets whose rank was asked for, and those eliminated, over every call
-    ranks = {"lookups": lemmas.rank_lookups, "eliminations": lemmas.rank_eliminations}
+    # summed over every call
+    ranks = lemmas.counters()
 
     if code.variant == "stable":
         verif = {}
@@ -501,8 +501,8 @@ def cmd_verify(args, clock) -> ReportDoc:
             for l1 in range(0, p.k - l2):
                 res = specific_verifications(code, l1, l2)
                 verif[f"l1={l1},l2={l2}"] = res.summary()
-                ranks["lookups"] += res.rank_lookups
-                ranks["eliminations"] += res.rank_eliminations
+                for name, value in res.counters().items():
+                    ranks[name] += value
                 for name, chk in res.checks.items():
                     if not chk.passed:
                         report.fail(f"verification {name} at (l1={l1},l2={l2}): {chk.witness}")

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import DimensionMismatch, InstanceTooLarge
-from .matrix import dot
 
 BRUTE_FORCE_LIMIT = 1 << 20
 
@@ -80,7 +79,7 @@ def empty_observations(field, message_len) -> ObservationSet:
 def rank_rows(field, ncols, rows) -> int:
     """Rank of hashable rows of length ncols; repeats are dropped, first kept."""
     rows = list(dict.fromkeys(rows))
-    if not rows:
+    if not rows or not ncols:
         return 0
     return kernels.rank([v for r in rows for v in r], len(rows), ncols, field)
 
@@ -105,39 +104,40 @@ def mutual_information(x: ObservationSet, y: ObservationSet) -> int:
 
 
 def brute_force_entropy(obs: ObservationSet) -> Fraction:
-    """Shannon entropy of the observed output, by enumerating all messages.
+    """Shannon entropy of the observed output over all q^B messages.
 
     Returns an exact Fraction in log-q units, computed from the output
-    histogram alone (independent of any rank computation).  For a linear
-    map every output count is a power of q; a non-power count would mean
-    the rows were not linear functionals and raises.
+    histogram alone (independent of any rank computation).  The histogram
+    is built one message coordinate at a time: it starts as {0-vector: 1},
+    the output of the one message of length 0, and coordinate pos turns
+    every entry (out, count) into the q entries out + v * r[pos] (over
+    the rows r), v ranging over the field, each with the same count.
+    After the last coordinate it holds the output of every one of the q^B
+    messages, counted, through the field's add and mul alone, and never
+    more entries than there are distinct outputs.  For a linear map every
+    output count is a power of q; a non-power count would mean the rows
+    were not linear functionals and raises.
     """
     q = obs.field.order
     b = obs.message_len
-    if q**b > BRUTE_FORCE_LIMIT:
-        raise InstanceTooLarge(f"q^B = {q}^{b} exceeds {BRUTE_FORCE_LIMIT}")
-    f = obs.field
-    rows = list(obs.rows)
-    counts: dict[tuple, int] = {}
-    msg = [0] * b
     total = q**b
-    for idx in range(total):
-        # next message in odometer order
-        if idx:
-            pos = 0
-            while True:
-                msg[pos] += 1
-                if msg[pos] < q:
-                    break
-                msg[pos] = 0
-                pos += 1
-        out = tuple(dot(f, r, msg) for r in rows)
-        counts[out] = counts.get(out, 0) + 1
-    h = Fraction(0)
-    for c in counts.values():
-        e = _exact_log(c, q)
-        h += Fraction(c, total) * (b - e)
-    return h
+    if total > BRUTE_FORCE_LIMIT:
+        raise InstanceTooLarge(f"q^B = {q}^{b} exceeds {BRUTE_FORCE_LIMIT}")
+    add, mul = obs.field.add, obs.field.mul
+    counts = {(0,) * len(obs.rows): 1}
+    for pos in range(b):
+        column = [r[pos] for r in obs.rows]
+        # v * column for every element v; v = 0 leaves an output where it is
+        shifts = [tuple(mul(v, c) for c in column) for v in range(1, q)]
+        grown = dict(counts)
+        for out, c in counts.items():
+            for shift in shifts:
+                key = tuple(map(add, out, shift))
+                grown[key] = grown.get(key, 0) + c
+        counts = grown
+    assert sum(counts.values()) == total
+    # sum over outputs of (c / q^B) * log_q(q^B / c), with c = q^e exactly
+    return Fraction(sum(c * (b - _exact_log(c, q)) for c in counts.values()), total)
 
 
 def _exact_log(c: int, q: int) -> int:

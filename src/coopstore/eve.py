@@ -17,14 +17,16 @@ plain rows through entropy.rank_rows.  Labels are formatted only for the
 labelled reference view, leakage_observations.
 
 lemma_suite and specific_verifications each open a per-call analysis
-context (_AnalysisContext) and drop it when they return.  It builds each
+context (_AnalysisContext) and drop it when they return.  It fetches each
 functional row once, keyed on (kind, helper, failed, group), never on
 (helper, failed) alone: the suite must not assume the stability it checks.
-It memoises the echelon basis of each row set, keyed by a bitmask over
-small row indices, so a row set the identities ask for many times is
-eliminated once, and a conditional rank reduces only its new rows against
-the basis of what it is conditioned on.  The capacity sweep and the
-secrecy checks do not use it.
+It hands the identities row handles, not rows: each distinct row's handle
+is one bit of an int, so a row set is the OR of its handles' bits, and no
+row is hashed again once its key has been seen.  It memoises the echelon
+basis of each row set on that int, so a row set the identities ask for
+many times is eliminated once, and a conditional rank reduces only its
+new rows against the basis of what it is conditioned on.  The capacity
+sweep and the secrecy checks do not use it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in eve by name
 from . import kernels
@@ -93,7 +97,7 @@ def validate_eve(code, eve: EveModel):
 
 
 def repair_download_rows(code, node: int):
-    """Everything delivered to `node` across all (group, helper-set) contexts."""
+    """Everything delivered to `node` across all (group, helper-set) contexts, labelled."""
     rows = []
     for group, helpers in code.contexts(node):
         rows.extend(code.downloads_for_context(node, group, helpers))
@@ -105,10 +109,18 @@ def download_span(code, node: int):
 
     They span exactly what the full traversal spans, so a rank taken over
     them is the measured leakage, not an assumed one.  The traversal yields
-    hundreds of labelled rows but only a handful of distinct ones; callers
-    build the span once per node per call and reuse it across placements.
+    hundreds of rows but only a handful of distinct ones, so it is walked
+    through the code's label-free download_rows (downloads_for_context
+    labels exactly those rows); callers build the span once per node per
+    call and reuse it across placements.
     """
-    return list(dict.fromkeys(row for _, row in repair_download_rows(code, node)))
+    return list(
+        dict.fromkeys(
+            row
+            for group, helpers in code.contexts(node)
+            for row in code.download_rows(node, group, helpers)
+        )
+    )
 
 
 def download_spans(code, nodes=None):
@@ -213,9 +225,20 @@ class LemmaResults:
     checks: dict = dc_field(default_factory=dict)
     rank_lookups: int = 0  # row sets whose rank the call asked for
     rank_eliminations: int = 0  # of those, the ones eliminated
+    rows_built: int = 0  # row keys the call fetched from the code
+    rows_unique: int = 0  # distinct rows among everything it ranked
 
     def get(self, name) -> LemmaCheck:
         return self.checks.setdefault(name, LemmaCheck(name))
+
+    def counters(self):
+        """The call's rank and row counts, as verify --report names them."""
+        return {
+            "lookups": self.rank_lookups,
+            "eliminations": self.rank_eliminations,
+            "rows_built": self.rows_built,
+            "rows_unique": self.rows_unique,
+        }
 
     @property
     def all_passed(self):
@@ -243,58 +266,72 @@ def _rank(code, rows):
 
 
 class _AnalysisContext:
-    """The rows and bases of one lemma_suite or specific_verifications call.
+    """The row handles and bases of one lemma_suite or specific_verifications call.
 
     It is created when the call starts and dropped when it returns; nothing
     outlives the call.  It answers the functional protocol the rank
     identities use, so _ctx_repair_rows and the other row builders take it
-    in place of the code:
+    in place of the code, but it answers with row handles:
 
-    - Each row is built once, in a dict keyed on everything it may depend
-      on: (kind, helper, failed, group).  A contextual row is never keyed on
-      (helper, failed) alone, which would assume the stability the suite
-      checks; CodeB's rows depend on the group.  Nominal rows are defined
-      per (helper, failed) (the least repair group holding the failed node)
-      and carry group None.  Storage rows are kept per node the same way.
-    - Each distinct row gets a small index, a bit 1 << index, and its
-      packed form for kernels.echelon (byte lanes on GF(p), p <= 16, and
-      GF(2^m), m <= 8), the first time any row set holds it.  A row set is
-      keyed by the OR of its rows' bits (a frozenset of rows per key held
-      3.5 MB more at n=8 than these ints).
+    - Each row is fetched from the code once, in a dict keyed on everything
+      it may depend on: (kind, helper, failed, group).  A contextual row is
+      never keyed on (helper, failed) alone, which would assume the
+      stability the suite checks; CodeB's rows depend on the group.
+      Nominal rows are defined per (helper, failed) (the least repair group
+      holding the failed node) and carry group None.  Storage rows are kept
+      per node the same way, as (label, handle) pairs.
+    - intern turns a fetched row into its handle: the distinct row's bit
+      1 << index, the index given in first-seen order.  Only then is the
+      row tuple hashed, and its packed form for kernels.echelon (byte
+      lanes on GF(p), p <= 16, and GF(2^m), m <= 8) made.  Rows that come
+      from elsewhere (download spans) are interned the same way.  A row
+      set is keyed by the OR of its handles.
     - Each row set's echelon basis is memoised on that key; its rank is the
-      basis's length.  rank_given(rows, given) takes the memoised basis of
-      given and reduces only rows against it, so H(X | Y) never eliminates
-      Y's rows again.  Either way a row set is eliminated once, by one
-      kernels.echelon call, however often it is asked for.
+      basis's length.  A miss reduces the set's distinct rows in
+      first-occurrence order.  rank_given(rows, given) takes the memoised
+      basis of given and reduces only rows against it, so H(X | Y) never
+      eliminates Y's rows again.  Either way a row set is eliminated once,
+      by one kernels.echelon call, however often it is asked for.
 
     lookups counts the row sets asked for, eliminations those eliminated.
+    finish also reports the keys fetched (rows_built) and the distinct rows
+    interned (rows_unique).
     """
 
     def __init__(self, code):
         self.code = code
         self.params = code.params
         self.field = code.field
-        self._rows = {}
-        self._bits = {}
-        self._packed = {}
+        self._rows = {}  # key -> handle, or (label, handle) pairs for storage
+        self._bits = {}  # distinct row -> handle
+        self._packed = {}  # handle -> packed row
         self._bases = {0: ()}  # the empty row set: rank 0, no elimination
         self._distinct = {}  # each distinct basis, kept once
         self.lookups = 0
         self.eliminations = 0
 
+    def intern(self, row):
+        """The handle of a row: the bit of its index among the distinct rows."""
+        bit = self._bits.get(row)
+        if bit is None:
+            bit = self._bits[row] = 1 << len(self._bits)
+            self._packed[bit] = kernels.pack(self.field, row)
+        return bit
+
     def _row(self, key, build, *args):
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = build(*args)
-        return row
+        handle = self._rows.get(key)
+        if handle is None:
+            handle = self._rows[key] = self.intern(build(*args))
+        return handle
 
     def repair_functional(self, helper, failed, group):
         # the hot path of every lemma, so the lookup is written out
         key = ("S", helper, failed, group)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = self.code.repair_functional(helper, failed, group)
-        return row
+        handle = self._rows.get(key)
+        if handle is None:
+            row = self.code.repair_functional(helper, failed, group)
+            handle = self._rows[key] = self.intern(row)
+        return handle
 
     def exchange_functional(self, sender, receiver, group):
         key = ("Z", sender, receiver, group)
@@ -303,19 +340,17 @@ class _AnalysisContext:
     def nominal_repair_row(self, helper, failed):
         return self._row(("S0", helper, failed, None), self.code.nominal_repair_row, helper, failed)
 
-    def storage_rows(self, node):
-        return self._row(("W", node, None, None), self.code.storage_rows, node)
+    def nominal_exchange_row(self, sender, receiver):
+        key = ("Z0", sender, receiver, None)
+        return self._row(key, self.code.nominal_exchange_row, sender, receiver)
 
-    def _mask(self, rows):
-        bits = self._bits
-        mask = 0
-        for row in rows:
-            bit = bits.get(row)
-            if bit is None:
-                bit = bits[row] = 1 << len(bits)
-                self._packed[row] = kernels.pack(self.field, row)
-            mask |= bit
-        return mask
+    def storage_rows(self, node):
+        key = ("W", node, None, None)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = [(label, self.intern(row)) for label, row in self.code.storage_rows(node)]
+            self._rows[key] = rows
+        return rows
 
     def _basis(self, mask, rows, start=()):
         """The memoised basis of a row set; on a miss, start extended by rows."""
@@ -332,7 +367,7 @@ class _AnalysisContext:
 
     def rank(self, rows):
         """H(rows) in symbols."""
-        return len(self._basis(self._mask(rows), rows))
+        return len(self._basis(reduce(or_, rows, 0), rows))
 
     def rank_given(self, rows, given):
         """H(rows | given) = rank(rows stacked on given) - rank(given).
@@ -340,14 +375,16 @@ class _AnalysisContext:
         The joint basis, when not memoised, is the basis of given extended
         by rows alone.
         """
-        g = self._mask(given)
+        g = reduce(or_, given, 0)
         base = self._basis(g, given)
-        return len(self._basis(self._mask(rows) | g, rows, base)) - len(base)
+        return len(self._basis(reduce(or_, rows, g), rows, base)) - len(base)
 
     def finish(self, res):
         """Copy the counters into the call's results and return them."""
         res.rank_lookups = self.lookups
         res.rank_eliminations = self.eliminations
+        res.rows_built = len(self._rows)
+        res.rows_unique = len(self._bits)
         return res
 
 
@@ -370,6 +407,12 @@ def _nominal_repair_rows(code, senders, targets):
 def _storage(code, nodes):
     """W_nodes: every stored symbol of the nodes, node by node."""
     return [row for i in nodes for _, row in code.storage_rows(i)]
+
+
+def _interned_spans(ctx, nodes):
+    """download_span of each node, through the context's intern, by node."""
+    spans = download_spans(ctx.code, nodes)
+    return {f: [ctx.intern(row) for row in span] for f, span in spans.items()}
 
 
 def _subset_chains(nodes, sizes, rng=None, samples=200):
@@ -471,7 +514,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     # --- traversal span -----------------------------------------------------
     chk = res.get("traversal_span")
     allowed_f = sorted(eavesdroppable_nodes(code))
-    spans = download_spans(code, allowed_f)
+    spans = _interned_spans(ctx, allowed_f)
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
             tilde = [row for f in f_set for row in spans[f]]
@@ -609,7 +652,7 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     e_set = tuple(range(1, l1 + 1))
     f_set = tuple(range(l1 + 1, l1 + l2 + 1))
     nodes = list(range(1, p.n + 1))
-    spans = download_spans(code, f_set)
+    spans = _interned_spans(ctx, f_set)
 
     tilde = [row for f in f_set for row in spans[f]]
     w_f = _storage(ctx, f_set)
@@ -621,7 +664,7 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     ref = w_f + s_f
     if not (ctx.rank(tilde) == ctx.rank(ref) == ctx.rank(tilde + ref)):
         chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
-    z_f = [code.nominal_exchange_row(j, i) for i in f_set for j in nodes if j != i]
+    z_f = [ctx.nominal_exchange_row(j, i) for i in f_set for j in nodes if j != i]
     chk.checked += 1
     if ctx.rank_given(z_f, w_f) != 0 or ctx.rank_given(w_f, z_f) != 0:
         chk.fail(("span(Z^F) != span(W_F)", f_set))

@@ -284,10 +284,14 @@ class CodeAAdapter:
             helpers = tuple(i for i in range(2, p.n + 1) if i != ell)
             yield group, helpers
 
-    def downloads_for_context(self, node: int, group, helpers):
+    def download_rows(self, node: int, group, helpers):
         # exchange payload undefined in the source construction: repair only
-        sub = code_a_repair_functionals(self.code_params, group)
-        return list(zip(sub.labels, sub.rows))
+        return list(code_a_repair_functionals(self.code_params, group).rows)
+
+    def downloads_for_context(self, node: int, group, helpers):
+        """download_rows(node, group, helpers), each with its label."""
+        labels = code_a_repair_functionals(self.code_params, group).labels
+        return list(zip(labels, self.download_rows(node, group, helpers)))
 
     def granted_rows(self, node: int):
         if node != 1:

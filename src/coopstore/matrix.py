@@ -180,7 +180,8 @@ class Mat:
 
 def dot(field, u, v):
     """Inner product sum_i u_i * v_i over the field."""
-    # add/mul looked up per nonzero pair: faster on brute_force_entropy's sparse rows
+    # zero pairs skip the field calls: the per-generation reference's columns and
+    # the odometer entropy reference's (tests/helpers.py) rows are often sparse
     acc = 0
     for x, y in zip(u, v):
         if x and y:

@@ -22,7 +22,9 @@ StableCode's per-generation methods are reference only (see StableCode).
 Every transferred symbol is also exposed as a linear functional of vec(M)
 (row-major, length B = k*t) so leakage can be measured as rank.  Code
 objects are immutable after construction and all operations are pure given
-their shard inputs, so instances are safe to share across threads.
+their shard inputs, so instances are safe to share across threads (a
+StableCode's lazily filled row memo only ever stores the one row a key
+defines).
 """
 
 from __future__ import annotations
@@ -187,19 +189,22 @@ class StableDeployment:
         label = f"Z_{sender}^{receiver}|{context_label(group, helpers)}"
         return label, self.exchange_functional(sender, receiver, group)
 
-    def downloads_for_context(self, node: int, group, helpers):
-        """All rows delivered to `node` when repaired under (group, helpers)."""
-        ctx = context_label(group, helpers)
-        rows = [
-            (f"S_{lam}^{node}|{ctx}", self.repair_functional(lam, node, group))
-            for lam in helpers
-        ]
-        rows += [
-            (f"Z_{j}^{node}|{ctx}", self.exchange_functional(j, node, group))
-            for j in group
-            if j != node
-        ]
+    def download_rows(self, node: int, group, helpers):
+        """The rows delivered to `node` when repaired under (group, helpers).
+
+        One repair row per helper, then one exchange row per other group
+        member, unlabelled: download_span walks these.
+        """
+        rows = [self.repair_functional(lam, node, group) for lam in helpers]
+        rows += [self.exchange_functional(j, node, group) for j in group if j != node]
         return rows
+
+    def downloads_for_context(self, node: int, group, helpers):
+        """download_rows(node, group, helpers), each with its label."""
+        ctx = context_label(group, helpers)
+        labels = [f"S_{lam}^{node}|{ctx}" for lam in helpers]
+        labels += [f"Z_{j}^{node}|{ctx}" for j in group if j != node]
+        return list(zip(labels, self.download_rows(node, group, helpers)))
 
     def nominal_repair_row(self, helper: int, failed: int):
         """The transfer under the least repair group holding the failed node."""
@@ -281,6 +286,7 @@ class StableCode(StableDeployment):
         super().__init__(params, field, G)
         self.Gp = systematic_superregular(field, params.t, params.n)
         self._gp_cols = [self.Gp.col(j) for j in range(params.n)]
+        self._pair_rows = {}  # (g' node, g node) -> _tensor_row, filled by _pair_row
 
     # ---- encode / reconstruct -------------------------------------------
 
@@ -325,13 +331,13 @@ class StableCode(StableDeployment):
         """The repair symbol as a length-B row over vec(M); the group is ignored."""
         if helper == failed:
             raise SelfRepair("a node cannot help repair itself")
-        return self._tensor_row(self._gp_cols[failed - 1], self._g_cols[helper - 1])
+        return self._pair_row(failed, helper)
 
     def exchange_functional(self, sender: int, receiver: int, group=None):
         """Phase-2 symbol (sender's solved combination against g_receiver)."""
         if sender == receiver:
             raise SelfRepair("no self exchange")
-        return self._tensor_row(self._gp_cols[sender - 1], self._g_cols[receiver - 1])
+        return self._pair_row(sender, receiver)
 
     def cooperative_repair(self, ctx: RepairContext, shards, transcript=None):
         """Regenerate all nodes of ctx.group from the helper shards.
@@ -388,6 +394,21 @@ class StableCode(StableDeployment):
         return out
 
     # ---- internals -------------------------------------------------------------
+
+    def _pair_row(self, left, right):
+        """_tensor_row(g'_left, g_right), built on first use and kept.
+
+        Repair row (helper h, failed f) is pair (f, h) and exchange row
+        (sender s, receiver r) is pair (s, r), so the two share one row.
+        This memoises a pure function of two public columns; it assumes
+        nothing about stability, which stability_certificate still checks
+        context by context.
+        """
+        row = self._pair_rows.get((left, right))
+        if row is None:
+            row = self._tensor_row(self._gp_cols[left - 1], self._g_cols[right - 1])
+            self._pair_rows[left, right] = row
+        return row
 
     def _tensor_row(self, left, right):
         """Row over vec(M) of the bilinear form left^T M right."""

@@ -1,6 +1,7 @@
 """Shared test oracles, independent of the library's elimination path."""
 
 import itertools
+from fractions import Fraction
 
 
 def det_oracle(field, mat):
@@ -19,6 +20,44 @@ def det_oracle(field, mat):
             term = field.neg(term)
         total = field.add(total, term)
     return total
+
+
+def brute_force_entropy_oracle(obs):
+    """Shannon entropy of obs's output, one message at a time: the reference.
+
+    Walks all q^B messages in odometer order, evaluates every row on each
+    with matrix.dot, and takes the entropy of the output histogram, in
+    log-q units.  entropy.brute_force_entropy must return the same Fraction.
+    """
+    from coopstore.matrix import dot
+
+    f = obs.field
+    q = f.order
+    b = obs.message_len
+    total = q**b
+    counts = {}
+    msg = [0] * b
+    for idx in range(total):
+        # next message in odometer order
+        if idx:
+            pos = 0
+            while True:
+                msg[pos] += 1
+                if msg[pos] < q:
+                    break
+                msg[pos] = 0
+                pos += 1
+        out = tuple(dot(f, r, msg) for r in obs.rows)
+        counts[out] = counts.get(out, 0) + 1
+    h = Fraction(0)
+    for c in counts.values():
+        e = 0
+        while c % q == 0:
+            c //= q
+            e += 1
+        assert c == 1, "output count is not a power of the field order"
+        h += Fraction(q**e, total) * (b - e)
+    return h
 
 
 def bytes_to_symbols_oracle(data, q):
@@ -209,6 +248,9 @@ class FromScratchAnalysis:
 
     def __getattr__(self, name):
         return getattr(self.code, name)
+
+    def intern(self, row):
+        return row
 
     def rank(self, rows):
         from coopstore.entropy import rank_rows

@@ -317,8 +317,8 @@ class TestEveryCommandReport:
             run(["verify", "--variant", variant, "--report", report])
             counted[variant] = json.loads(report.read_text())["results"]["lemma_ranks"]
         assert counted == {
-            "stable": {"lookups": 2167, "eliminations": 755},
-            "code-b": {"lookups": 1873, "eliminations": 350},
+            "stable": {"lookups": 2167, "eliminations": 755, "rows_built": 231, "rows_unique": 75},
+            "code-b": {"lookups": 1873, "eliminations": 350, "rows_built": 186, "rows_unique": 12},
         }
         code = s1()
         calls = [lemma_suite(code)] + [
@@ -327,6 +327,8 @@ class TestEveryCommandReport:
         assert counted["stable"] == {
             "lookups": sum(r.rank_lookups for r in calls),
             "eliminations": sum(r.rank_eliminations for r in calls),
+            "rows_built": sum(r.rows_built for r in calls),
+            "rows_unique": sum(r.rows_unique for r in calls),
         }
 
 

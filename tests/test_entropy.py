@@ -15,7 +15,8 @@ from coopstore.entropy import (
     observations,
 )
 from coopstore.errors import DimensionMismatch, InstanceTooLarge
-from coopstore.field import prime_field
+from coopstore.field import binary_field, prime_field
+from helpers import brute_force_entropy_oracle
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -111,6 +112,30 @@ class TestBruteForceOracle:
     def test_instance_too_large(self):
         with pytest.raises(InstanceTooLarge):
             brute_force_entropy(empty_observations(GF2, 21))
+
+    @pytest.mark.parametrize(
+        "field, bmax",
+        [(GF2, 8), (GF3, 5), (prime_field(5), 4), (binary_field(2), 4)],
+        ids=["gf2", "gf3", "gf5", "gf4"],
+    )
+    def test_matches_odometer_reference(self, field, bmax):
+        # the coordinate-at-a-time histogram against one evaluation per message
+        q = field.order
+        rng = random.Random(q)
+        cases = []
+        for b in (0, 1, bmax):
+            cases.append((b, []))  # no rows
+            cases.append((b, [(0,) * b] * 2))  # all-zero rows
+        for _ in range(30):
+            b = rng.randint(0, bmax)
+            rows = [tuple(rng.randrange(q) for _ in range(b)) for _ in range(rng.randint(0, b + 2))]
+            if rows and rng.random() < 0.5:
+                rows += rng.sample(rows, rng.randint(1, len(rows)))  # repeated rows
+            cases.append((b, rows))
+        for b, rows in cases:
+            obs = observations(field, b, [(f"r{i}", r) for i, r in enumerate(rows)])
+            expect = brute_force_entropy_oracle(obs)
+            assert brute_force_entropy(obs) == expect == Fraction(entropy_symbols(obs)), (b, rows)
 
 
 class TestRankIdentities:

@@ -386,6 +386,26 @@ class TestAnalysisContext:
         monkeypatch.setattr(eve, "_AnalysisContext", FromScratchAnalysis)
         assert all_summaries(code) == memoised
 
+    def test_tensor_rows_built_once_per_node_pair(self, monkeypatch):
+        # every repair and exchange row is _tensor_row(g'_a, g_b) for a pair
+        # a != b, so the suite and every canonical placement build at most
+        # n(n - 1) rows, however many contexts ask for them
+        calls = [0]
+        real = StableCode._tensor_row
+
+        def counted(self, left, right):
+            calls[0] += 1
+            return real(self, left, right)
+
+        monkeypatch.setattr(StableCode, "_tensor_row", counted)
+        code = n8()
+        n, k = code.params.n, code.params.k
+        assert lemma_suite(code).all_passed
+        for l2 in range(1, k):
+            for l1 in range(k - l2):
+                assert specific_verifications(code, l1, l2).all_passed
+        assert 0 < calls[0] <= n * (n - 1) == 56
+
     def test_n9_exhaustive_counts(self):
         res = lemma_suite(n9())
         assert res.all_passed, res.summary()

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+from coopstore.eve import download_span, repair_download_rows
 from coopstore.instances import a1, b1, s1
 from coopstore.legacy import CodeAAdapter
 from coopstore.stable import eavesdroppable_nodes
@@ -55,3 +56,17 @@ def digest(code, nominal):
 )
 def test_traversal_digest(make, nominal, expected):
     assert digest(make(), nominal) == expected
+
+
+@pytest.mark.parametrize("make", [s1, b1, lambda: CodeAAdapter(a1())], ids=["s1", "b1", "code-a"])
+def test_download_rows_are_the_labelled_rows(make):
+    # one traversal: downloads_for_context labels exactly download_rows, and
+    # the span walked over download_rows keeps the labelled view's first
+    # occurrences in order
+    code = make()
+    for node in eavesdroppable_nodes(code):
+        for group, helpers in code.contexts(node):
+            labelled = code.downloads_for_context(node, group, helpers)
+            assert code.download_rows(node, group, helpers) == [row for _, row in labelled]
+        full = [row for _, row in repair_download_rows(code, node)]
+        assert download_span(code, node) == list(dict.fromkeys(full))
