@@ -447,7 +447,13 @@ def cmd_capacity_sweep(args, clock) -> ReportDoc:
     else:
         pairs = None
         if "pairs" in config.get("sweep", {}):
-            pairs = [tuple(x) for x in config["sweep"]["pairs"]]
+            pairs = config["sweep"]["pairs"]
+            if not isinstance(pairs, list) or not all(
+                isinstance(x, list) and len(x) == 2 and all(type(v) is int and v >= 0 for v in x)
+                for x in pairs
+            ):
+                raise InvalidConfig(f"sweep.pairs is not a list of [l1, l2] >= 0: {pairs!r}")
+            pairs = [tuple(x) for x in pairs]
         cells = capacity_table(code, pairs=pairs)
     rows = capacity_rows(cells)
     report.results = {"variant": code.variant, "cells": rows, "placements": len(rows)}

@@ -2,13 +2,15 @@
 
 Every observed symbol is a linear functional of a uniform message vector
 over GF(q), so joint entropies are matrix ranks: H(rows) = rank(rows) in
-units of log q ("symbols").  rank_rows is the one row-level entry: the
-analysis layer ranks plain rows through it, because a rank never depends
-on what the rows are called.  ObservationSet adds labels for reports and
-the labelled reference views; entropy_symbols, conditional_entropy and
-mutual_information are its rank identities on stacked row sets.  A
-brute-force enumerator over all q^B messages certifies the rank formula on
-tiny instances.
+units of log q ("symbols").  RowSpace is what the analysis layer ranks
+through (lemma suite, capacity sweep, secrecy checks): a rank never
+depends on what the rows are called, so it holds plain rows as handles and
+memoises each row set's echelon basis.  rank_rows ranks plain rows from
+scratch, and ObservationSet adds labels for reports; entropy_symbols,
+conditional_entropy and mutual_information are its rank identities on
+stacked row sets.  Those are the from-scratch reference the memoised
+ranks are tested against.  A brute-force enumerator over all q^B messages
+certifies the rank formula on tiny instances.
 
 Entropies are reported in symbols because every identity being verified
 is integer-valued in that unit; multiply by log2(q) for bits.
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from . import kernels
 from .errors import DimensionMismatch, InstanceTooLarge
@@ -82,6 +86,67 @@ def rank_rows(field, ncols, rows) -> int:
     if not rows or not ncols:
         return 0
     return kernels.rank([v for r in rows for v in r], len(rows), ncols, field)
+
+
+class RowSpace:
+    """Rows of length ncols over field, as handles, with memoised echelon bases.
+
+    A row's handle is the bit 1 << (its index among the distinct rows);
+    the row is hashed, and packed for kernels.echelon, once.  A row set is
+    keyed by the OR of its handles, and its echelon basis is memoised on
+    that key, so it is eliminated once (one kernels.echelon call) however
+    often it is asked for.  rank(rows, given) and rank_given(rows, given)
+    extend the memoised basis of given by rows alone.  lookups counts the
+    row sets asked for, eliminations those eliminated.  A space lives as
+    long as the call that made it.
+    """
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self._bits = {}  # distinct row -> handle
+        self._packed = {}  # handle -> packed row
+        self._bases = {0: ()}  # the empty row set: rank 0, no elimination
+        self._distinct = {}  # each distinct basis, kept once
+        self.lookups = 0
+        self.eliminations = 0
+
+    def intern(self, row):
+        """The handle of a row: the bit of its index among the distinct rows."""
+        bit = self._bits.get(row)
+        if bit is None:
+            bit = self._bits[row] = 1 << len(self._bits)
+            self._packed[bit] = kernels.pack(self.field, row)
+        return bit
+
+    def _basis(self, mask, rows, start=()):
+        """The memoised basis of a row set; on a miss, start extended by rows."""
+        self.lookups += 1
+        basis = self._bases.get(mask)
+        if basis is None:
+            self.eliminations += 1
+            packed = self._packed
+            extra = [packed[row] for row in dict.fromkeys(rows)]
+            basis = kernels.echelon(start, extra, self.ncols, self.field)
+            # at n=8, the lemma suite's 5,254 row sets have 1,628 distinct bases
+            basis = self._bases[mask] = self._distinct.setdefault(basis, basis)
+        return basis
+
+    def rank(self, rows, given=()):
+        """H(rows, given) in symbols, as handles: given's memoised basis extended by rows."""
+        g = reduce(or_, given, 0)
+        base = self._basis(g, given) if given else ()
+        return len(self._basis(reduce(or_, rows, g), rows, base))
+
+    def rank_given(self, rows, given):
+        """H(rows | given) = rank(rows stacked on given) - rank(given).
+
+        The joint basis, when not memoised, is the basis of given extended
+        by rows alone.
+        """
+        g = reduce(or_, given, 0)
+        base = self._basis(g, given)
+        return len(self._basis(reduce(or_, rows, g), rows, base)) - len(base)
 
 
 def entropy_symbols(obs: ObservationSet) -> int:

@@ -11,22 +11,14 @@ concrete instance by exhaustive subset enumeration: joint repair-data
 entropies, the reduction of full downloads to storage-plus-repair spans,
 and the per-helper entropy counts that produce the closed-form capacity.
 
-A rank depends only on the rows, never on their names, so the analysis
+A rank depends only on the rows, never on their names, so every analysis
 (lemma suite, capacity sweep, measured capacity, secrecy checks) ranks
-plain rows through entropy.rank_rows.  Labels are formatted only for the
-labelled reference view, leakage_observations.
-
-lemma_suite and specific_verifications each open a per-call analysis
-context (_AnalysisContext) and drop it when they return.  It fetches each
-functional row once, keyed on (kind, helper, failed, group), never on
-(helper, failed) alone: the suite must not assume the stability it checks.
-It hands the identities row handles, not rows: each distinct row's handle
-is one bit of an int, so a row set is the OR of its handles' bits, and no
-row is hashed again once its key has been seen.  It memoises the echelon
-basis of each row set on that int, so a row set the identities ask for
-many times is eliminated once, and a conditional rank reduces only its
-new rows against the basis of what it is conditioned on.  The capacity
-sweep and the secrecy checks do not use it.
+plain rows in one entropy.RowSpace per call; labels are formatted only
+for the labelled reference view, leakage_observations.  The lemma suite
+ranks in an _AnalysisContext, a RowSpace that also fetches each
+functional row once per (kind, helper, failed, group), never per (helper,
+failed) alone: the suite must not assume the stability it checks.  The
+capacity and secrecy sweeps rank through PlacementRows.
 """
 
 from __future__ import annotations
@@ -34,12 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in eve by name
-from . import kernels
-from .entropy import ObservationSet, entropy_symbols, observations, rank_rows  # noqa: F401
+from .entropy import ObservationSet, RowSpace, entropy_symbols, observations  # noqa: F401
 from .errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
 from .stable import eavesdroppable_nodes
 
@@ -123,13 +112,6 @@ def download_span(code, node: int):
     )
 
 
-def download_spans(code, nodes=None):
-    """download_span of each node (default: every eavesdroppable node), by node."""
-    if nodes is None:
-        nodes = eavesdroppable_nodes(code)
-    return {f: download_span(code, f) for f in nodes}
-
-
 def leakage_observations(code, eve: EveModel) -> ObservationSet:
     """The adversary's full view: W_E plus every download of every F node."""
     validate_eve(code, eve)
@@ -142,19 +124,48 @@ def leakage_observations(code, eve: EveModel) -> ObservationSet:
     return observations(code.field, code.params.B, rows)
 
 
-def observed_rows(code, eve: EveModel, spans):
-    """The distinct rows of leakage_observations(code, eve), in its order.
+class PlacementRows:
+    """The rows of leakage_observations(code, eve), ranked in RowSpaces.
 
-    spans maps each node of eve.F to its download_span; eve must already
-    have passed validate_eve.  Every node's span holds the distinct rows of
-    its traversal in first-occurrence order, so de-duplicating W_E, then
-    per F node its span and granted rows, keeps the full view's order.
+    A node of F shows its download_span and granted rows, a node of E its
+    storage rows; each node's rows are built once.  expand maps a row to
+    one row per space (by default the row itself); each distinct row is
+    expanded and interned once.  ranks(eve) gives, per space, the rank of
+    W_E and F's view: each F set's basis is reduced once, then extended.
     """
-    rows = _storage(code, eve.E)
-    for f in eve.F:
-        rows.extend(spans[f])
-        rows.extend(row for _, row in code.granted_rows(f))
-    return list(dict.fromkeys(rows))
+
+    def __init__(self, code, spaces, expand=lambda row: (row,)):
+        self.code = code
+        self.spaces = spaces
+        self._intern = lambda row: tuple(s.intern(r) for s, r in zip(spaces, expand(row)))
+        self._nodes = {}  # (node, in F) -> its rows' handles
+        self._handles = {}  # row -> its handle in each space
+
+    def _node(self, node, downloads):
+        key = (node, downloads)
+        if key not in self._nodes:
+            code = self.code
+            if downloads:
+                built = download_span(code, node) + [row for _, row in code.granted_rows(node)]
+            else:
+                built = [row for _, row in code.storage_rows(node)]
+            for row in built:
+                if row not in self._handles:
+                    self._handles[row] = self._intern(row)
+            self._nodes[key] = [self._handles[row] for row in built]
+        return self._nodes[key]
+
+    def observed(self, eve: EveModel):
+        """(handles of F's rows, handles of E's rows); eve is validated."""
+        f_rows = [h for f in eve.F for h in self._node(f, True)]
+        return f_rows, [h for e in eve.E for h in self._node(e, False)]
+
+    def ranks(self, eve: EveModel):
+        f_rows, e_rows = self.observed(eve)
+        return [
+            space.rank([h[i] for h in e_rows], [h[i] for h in f_rows])
+            for i, space in enumerate(self.spaces)
+        ]
 
 
 def measured_secrecy_capacity(code, eve: EveModel) -> int:
@@ -260,63 +271,22 @@ class LemmaResults:
         }
 
 
-def _rank(code, rows):
-    """H(rows) in symbols."""
-    return rank_rows(code.field, code.params.B, rows)
+class _AnalysisContext(RowSpace):
+    """The RowSpace of one lemma_suite or specific_verifications call.
 
-
-class _AnalysisContext:
-    """The row handles and bases of one lemma_suite or specific_verifications call.
-
-    It is created when the call starts and dropped when it returns; nothing
-    outlives the call.  It answers the functional protocol the rank
-    identities use, so _ctx_repair_rows and the other row builders take it
-    in place of the code, but it answers with row handles:
-
-    - Each row is fetched from the code once, in a dict keyed on everything
-      it may depend on: (kind, helper, failed, group).  A contextual row is
-      never keyed on (helper, failed) alone, which would assume the
-      stability the suite checks; CodeB's rows depend on the group.
-      Nominal rows are defined per (helper, failed) (the least repair group
-      holding the failed node) and carry group None.  Storage rows are kept
-      per node the same way, as (label, handle) pairs.
-    - intern turns a fetched row into its handle: the distinct row's bit
-      1 << index, the index given in first-seen order.  Only then is the
-      row tuple hashed, and its packed form for kernels.echelon (byte
-      lanes on GF(p), p <= 16, and GF(2^m), m <= 8) made.  Rows that come
-      from elsewhere (download spans) are interned the same way.  A row
-      set is keyed by the OR of its handles.
-    - Each row set's echelon basis is memoised on that key; its rank is the
-      basis's length.  A miss reduces the set's distinct rows in
-      first-occurrence order.  rank_given(rows, given) takes the memoised
-      basis of given and reduces only rows against it, so H(X | Y) never
-      eliminates Y's rows again.  Either way a row set is eliminated once,
-      by one kernels.echelon call, however often it is asked for.
-
-    lookups counts the row sets asked for, eliminations those eliminated.
-    finish also reports the keys fetched (rows_built) and the distinct rows
-    interned (rows_unique).
+    It answers the functional protocol the rank identities use, with row
+    handles, so _ctx_repair_rows and the other row builders take it in
+    place of the code.  Each row is fetched once, keyed on everything it
+    may depend on: (kind, helper, failed, group); CodeB's rows depend on
+    the group.  Nominal rows carry group None; storage rows are kept per
+    node as (label, handle) pairs.  finish reports the RowSpace counters,
+    the keys fetched (rows_built) and the distinct rows (rows_unique).
     """
 
     def __init__(self, code):
+        super().__init__(code.field, code.params.B)
         self.code = code
-        self.params = code.params
-        self.field = code.field
         self._rows = {}  # key -> handle, or (label, handle) pairs for storage
-        self._bits = {}  # distinct row -> handle
-        self._packed = {}  # handle -> packed row
-        self._bases = {0: ()}  # the empty row set: rank 0, no elimination
-        self._distinct = {}  # each distinct basis, kept once
-        self.lookups = 0
-        self.eliminations = 0
-
-    def intern(self, row):
-        """The handle of a row: the bit of its index among the distinct rows."""
-        bit = self._bits.get(row)
-        if bit is None:
-            bit = self._bits[row] = 1 << len(self._bits)
-            self._packed[bit] = kernels.pack(self.field, row)
-        return bit
 
     def _row(self, key, build, *args):
         handle = self._rows.get(key)
@@ -352,33 +322,6 @@ class _AnalysisContext:
             self._rows[key] = rows
         return rows
 
-    def _basis(self, mask, rows, start=()):
-        """The memoised basis of a row set; on a miss, start extended by rows."""
-        self.lookups += 1
-        basis = self._bases.get(mask)
-        if basis is None:
-            self.eliminations += 1
-            packed = self._packed
-            extra = [packed[row] for row in dict.fromkeys(rows)]
-            basis = kernels.echelon(start, extra, self.params.B, self.field)
-            # at n=8, 5,254 row sets have 1,628 distinct bases
-            basis = self._bases[mask] = self._distinct.setdefault(basis, basis)
-        return basis
-
-    def rank(self, rows):
-        """H(rows) in symbols."""
-        return len(self._basis(reduce(or_, rows, 0), rows))
-
-    def rank_given(self, rows, given):
-        """H(rows | given) = rank(rows stacked on given) - rank(given).
-
-        The joint basis, when not memoised, is the basis of given extended
-        by rows alone.
-        """
-        g = reduce(or_, given, 0)
-        base = self._basis(g, given)
-        return len(self._basis(reduce(or_, rows, g), rows, base)) - len(base)
-
     def finish(self, res):
         """Copy the counters into the call's results and return them."""
         res.rank_lookups = self.lookups
@@ -407,12 +350,6 @@ def _nominal_repair_rows(code, senders, targets):
 def _storage(code, nodes):
     """W_nodes: every stored symbol of the nodes, node by node."""
     return [row for i in nodes for _, row in code.storage_rows(i)]
-
-
-def _interned_spans(ctx, nodes):
-    """download_span of each node, through the context's intern, by node."""
-    spans = download_spans(ctx.code, nodes)
-    return {f: [ctx.intern(row) for row in span] for f, span in spans.items()}
 
 
 def _subset_chains(nodes, sizes, rng=None, samples=200):
@@ -514,7 +451,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     # --- traversal span -----------------------------------------------------
     chk = res.get("traversal_span")
     allowed_f = sorted(eavesdroppable_nodes(code))
-    spans = _interned_spans(ctx, allowed_f)
+    spans = {f: [ctx.intern(row) for row in download_span(code, f)] for f in allowed_f}
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
             tilde = [row for f in f_set for row in spans[f]]
@@ -589,28 +526,13 @@ def placements(code, l1: int, l2: int):
             yield EveModel(E=e_set, F=f_set)
 
 
-def capacity_cell(code, eve: EveModel, spans=None) -> CapacityCell:
+def capacity_cell(code, eve: EveModel) -> CapacityCell:
     """Measured capacity at one placement, beside the predicted one.
 
     Only the stable code has a closed form; every other code is measured
-    against NOT_COVERED.  spans maps each node of eve.F to its
-    download_span and is built here when not given.
+    against NOT_COVERED.
     """
-    validate_eve(code, eve)
-    if spans is None:
-        spans = download_spans(code, eve.F)
-    p = code.params
-    predicted = (
-        predicted_secrecy_capacity(p, eve.l1, eve.l2) if code.variant == "stable" else NOT_COVERED
-    )
-    return CapacityCell(
-        l1=eve.l1,
-        l2=eve.l2,
-        E=eve.E,
-        F=eve.F,
-        measured=p.B - _rank(code, observed_rows(code, eve, spans)),
-        predicted=predicted,
-    )
+    return _capacity_cells(code, [eve])[0]
 
 
 def capacity_table(code, pairs=None):
@@ -627,8 +549,22 @@ def capacity_table(code, pairs=None):
             for l1 in range(tot + 1)
             for l2 in [tot - l1]
         ]
-    spans = download_spans(code) if any(l2 for _, l2 in pairs) else {}
-    return [capacity_cell(code, eve, spans) for l1, l2 in pairs for eve in placements(code, l1, l2)]
+    return _capacity_cells(code, (eve for l1, l2 in pairs for eve in placements(code, l1, l2)))
+
+
+def _capacity_cells(code, eves):
+    """capacity_cell of each placement, all ranked in one RowSpace."""
+    p = code.params
+    view = PlacementRows(code, (RowSpace(code.field, p.B),))
+    cells = []
+    for eve in eves:
+        validate_eve(code, eve)
+        (leaked,) = view.ranks(eve)
+        predicted = NOT_COVERED
+        if code.variant == "stable":
+            predicted = predicted_secrecy_capacity(p, eve.l1, eve.l2)
+        cells.append(CapacityCell(eve.l1, eve.l2, eve.E, eve.F, p.B - leaked, predicted))
+    return cells
 
 
 def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
@@ -652,9 +588,7 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     e_set = tuple(range(1, l1 + 1))
     f_set = tuple(range(l1 + 1, l1 + l2 + 1))
     nodes = list(range(1, p.n + 1))
-    spans = _interned_spans(ctx, f_set)
-
-    tilde = [row for f in f_set for row in spans[f]]
+    tilde = [ctx.intern(row) for f in f_set for row in download_span(code, f)]
     w_f = _storage(ctx, f_set)
     s_f = _nominal_repair_rows(ctx, nodes, f_set)
 

@@ -55,6 +55,8 @@ def echelon(basis, rows, ncols, field):
     independent of the basis so far joins it.  Rows stop being read once
     the basis has ncols rows.  Neither argument is mutated.
     """
+    if len(basis) >= ncols:
+        return basis
     if lanes(field):
         return _echelon_lanes(basis, rows, ncols, field)
     return _echelon_generic(basis, rows, ncols, field)
@@ -62,18 +64,12 @@ def echelon(basis, rows, ncols, field):
 
 def rank(data, nrows, ncols, field):
     """Rank of a row-major matrix given as a flat list of field elements."""
-    if lanes(field):
-        raw = bytes(data)
-        rows = [int.from_bytes(raw[i : i + ncols], "big") for i in range(0, nrows * ncols, ncols)]
-        return len(_echelon_lanes((), rows, ncols, field))
-    rows = [tuple(data[i : i + ncols]) for i in range(0, nrows * ncols, ncols)]
-    return len(_echelon_generic((), rows, ncols, field))
+    rows = [pack(field, data[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
+    return len(echelon((), rows, ncols, field))
 
 
 def _echelon_lanes(basis, rows, ncols, field):
     """echelon on byte-lane ints: GF(p), p <= 16, and GF(2^m), m <= 8."""
-    if len(basis) >= ncols:
-        return basis
     binary = field.kind == "binary"
     p = field.order
     mod = None if binary else mod_table(p)
@@ -106,8 +102,6 @@ def _echelon_lanes(basis, rows, ncols, field):
 
 def _echelon_generic(basis, rows, ncols, field):
     """echelon on tuples of field elements: every field without byte lanes."""
-    if len(basis) >= ncols:
-        return basis
     sub, mul, inv = field.sub, field.mul, field.inv
     pivots = [(_lead(b), b) for b in basis]
     for row in rows:

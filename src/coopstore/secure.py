@@ -6,9 +6,9 @@ mixed vector becomes the B data cells of the stable code, each cell one
 extension symbol.  Storage-code coefficients live in the base field F_q and
 act on cells coordinate-wise, so every symbol an eavesdropper sees is an
 ext-linear functional of the secret-plus-randomness vector.  Secrecy is then
-an exact rank fact checked per instance, by two eliminations over the
-extension field: the observed functionals must have no component outside
-the randomness positions (zero mutual information with the secret).
+an exact rank fact checked per instance, by two ranks over the extension
+field: the observed functionals must have no component outside the
+randomness positions (zero mutual information with the secret).
 
 The B cells are one generation of the data matrix, stored and recovered
 through the tower code's encode_batch / reconstruct_batch, like files.
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entropy import entropy_symbols, observations
+# entropy_symbols is unused here, but perfbench's tracer rebinds it in secure by name
+from .entropy import RowSpace, entropy_symbols  # noqa: F401
 from .errors import (
     DuplicateNode,
     FieldKindUnsupported,
@@ -31,8 +32,7 @@ from .errors import (
 from .eve import (
     NOT_COVERED,
     EveModel,
-    download_spans,
-    observed_rows,
+    PlacementRows,
     placements,
     predicted_secrecy_capacity,
     validate_eve,
@@ -144,35 +144,32 @@ class SecrecyCheck:
         return self.mutual_information == 0
 
 
-def _observed_vectors(scheme: SecureScheme, cell_rows, memo):
-    """w(lam) = Gab @ lam^T over ext for each observed cell row lam.
+def _expand(scheme: SecureScheme, lam):
+    """w(lam) = Gab @ lam^T over ext for an observed cell row lam, and w(lam)[secret_len:].
 
     A cell row lam observes sum_j lam_j c_j with c = u @ Gab, which equals
-    u . w(lam): one extension symbol, linear in u over ext.  memo maps each
-    row already expanded to its w(lam), so a sweep expands every distinct
-    row once.
+    u . w(lam): one extension symbol, linear in u over ext.
     """
     ext = scheme.ext
     gab = scheme.gabidulin
-    out = []
-    for lam in cell_rows:
-        w = memo.get(lam)
-        if w is None:
-            w = []
-            for i in range(scheme.B):
-                acc = 0
-                for j, coef in enumerate(lam):
-                    if coef:
-                        acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
-                w.append(acc)
-            w = memo[lam] = tuple(w)
-        out.append(w)
-    return out
+    w = []
+    for i in range(scheme.B):
+        acc = 0
+        for j, coef in enumerate(lam):
+            if coef:
+                acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
+        w.append(acc)
+    return tuple(w), tuple(w[scheme.secret_len :])
 
 
-def verify_secrecy(
-    scheme: SecureScheme, eve: EveModel, spans=None, vectors=None
-) -> SecrecyCheck:
+def _observed_rows(scheme: SecureScheme) -> PlacementRows:
+    """Each observed cell row's w(lam) in two RowSpaces over ext: over all
+    B positions, and over the randomness positions secret_len..B-1."""
+    spaces = (RowSpace(scheme.ext, scheme.B), RowSpace(scheme.ext, scheme.random_len))
+    return PlacementRows(scheme.code, spaces, lambda lam: _expand(scheme, lam))
+
+
+def verify_secrecy(scheme: SecureScheme, eve: EveModel, observed=None) -> SecrecyCheck:
     """Exact rank verification that the eavesdropper learns nothing.
 
     Eve sees the b base-field coordinates of u . w for every observed
@@ -194,24 +191,12 @@ def verify_secrecy(
     randomness (H(observations) <= H(randomness)) and a determined
     randomness are reported as diagnostics.
 
-    spans maps each node of eve.F to its download_span and vectors each
-    expanded cell row to its w(lam); both are built here when not given,
-    and verify_secrecy_sweep shares them across its placements.
+    Both ranks come from observed (what _observed_rows returns), made here
+    when not given; verify_secrecy_sweep shares one across its placements.
     """
-    code = scheme.code
-    validate_eve(code, eve)
-    if spans is None:
-        spans = download_spans(code, eve.F)
-    ext = scheme.ext
-    b = ext.degree
-    if vectors is None:
-        vectors = {}
-    ws = _observed_vectors(scheme, observed_rows(code, eve, spans), vectors)
-    s = scheme.secret_len
-    h_e = b * entropy_symbols(observations(ext, scheme.B, [("w", w) for w in ws]))
-    h_e_given_s = b * entropy_symbols(
-        observations(ext, scheme.random_len, [("w", w[s:]) for w in ws])
-    )
+    validate_eve(scheme.code, eve)
+    b = scheme.ext.degree
+    h_e, h_e_given_s = (b * r for r in (observed or _observed_rows(scheme)).ranks(eve))
     h_r = b * scheme.random_len
     return SecrecyCheck(
         eve=eve,
@@ -226,13 +211,11 @@ def verify_secrecy(
 def verify_secrecy_sweep(scheme: SecureScheme):
     """verify_secrecy over every (E, F) placement at the scheme's (l1, l2).
 
-    Each F node's download_span is built, and each distinct observed cell
-    row expanded, once per sweep, as capacity_table does for its spans.
+    Every placement ranks in one _observed_rows, so each node's view is
+    built, and each distinct observed cell row expanded, once per sweep.
     """
-    code = scheme.code
-    spans = download_spans(code) if scheme.l2 else {}
-    vectors = {}
+    observed = _observed_rows(scheme)
     return [
-        verify_secrecy(scheme, eve, spans, vectors)
-        for eve in placements(code, scheme.l1, scheme.l2)
+        verify_secrecy(scheme, eve, observed)
+        for eve in placements(scheme.code, scheme.l1, scheme.l2)
     ]

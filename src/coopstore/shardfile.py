@@ -272,11 +272,22 @@ def manifest_digests(directory):
     """node -> expected shard sha256, or None when there is nothing to check.
 
     A version-1 manifest predates the digests, and a directory without a
-    manifest has none; their shards are read unchecked.
+    manifest has none; their shards are read unchecked.  A manifest that is
+    not an object with an integer version, or whose sha256 is not a map
+    from node ids to strings, is corrupt.
     """
-    if not Path(directory, "manifest.json").exists():
+    path = Path(directory, "manifest.json")
+    if not path.exists():
         return None
     doc = read_manifest(directory)
-    if doc.get("version", 1) < 2:
+    version = doc.get("version", 1) if isinstance(doc, dict) else None
+    if type(version) is not int:
+        raise CorruptShard(f"{path}: manifest is not an object with an integer version")
+    if version < 2:
         return None
-    return {int(node): digest for node, digest in doc.get("sha256", {}).items()}
+    digests = doc.get("sha256", {})
+    if not isinstance(digests, dict) or not all(
+        node.isdecimal() and isinstance(digest, str) for node, digest in digests.items()
+    ):
+        raise CorruptShard(f"{path}: manifest sha256 is not a map of node ids to digests")
+    return {int(node): digest for node, digest in digests.items()}

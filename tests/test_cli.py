@@ -174,6 +174,16 @@ class TestSweepVerify:
         assert cell["measured"] == cell["predicted"] == 1
         assert (cell["E"], cell["F"]) == ("4", "1")
 
+    @pytest.mark.parametrize(
+        "pairs", [[[-1, 1]], [[1]], [[0, 1, 2]], [["0", 1]], [[True, 0]], 5],
+        ids=["negative", "one-value", "three-values", "string", "bool", "not-a-list"],
+    )
+    def test_malformed_sweep_pairs_are_config_errors(self, tmp_path, capsys, pairs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"pairs": pairs}}))
+        assert run(["capacity-sweep", "--config", cfg]) == 2
+        assert "sweep.pairs" in capsys.readouterr().err
+
     def test_empty_sweep_range_is_vacuous_success(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"pairs": []}}))
@@ -495,6 +505,13 @@ class TestManifestDigests:
         out = tmp_path / "out.bin"
         assert run(["decode", "--shard-dir", shards, "--output", out]) == 0
         assert out.read_bytes() == sample_file.read_bytes()
+
+    def test_malformed_manifest_is_named(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        manifest = json.loads((shards / "manifest.json").read_text())
+        manifest["sha256"] = [1]
+        (shards / "manifest.json").write_text(json.dumps(manifest))
+        self.decode_fails_naming(shards, tmp_path, capsys, "manifest.json", "1,2,3")
 
     def test_repair_refuses_shard_that_misses_its_digest(self, tmp_path, sample_file, capsys):
         shards = encode_dir(tmp_path, sample_file)

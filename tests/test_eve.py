@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -15,8 +16,8 @@ from coopstore.eve import (
     download_span,
     leakage_observations,
     lemma_suite,
+    PlacementRows,
     measured_secrecy_capacity,
-    observed_rows,
     predicted_secrecy_capacity,
     repair_download_rows,
     specific_verifications,
@@ -60,23 +61,30 @@ def t_over_k():
 
 
 def count_ranks(monkeypatch):
-    """A list whose first entry counts elimination kernel calls from now on.
+    """A Counter of kernels.rank and kernels.echelon calls from now on.
 
-    One elimination is one call of kernels.rank (entropy.rank_rows, which
-    the from-scratch reference ranks through) or of kernels.echelon (the
-    analysis context's basis memo).  rank does not call echelon, so no
-    elimination is counted twice.
+    One elimination is one call of kernels.echelon: a RowSpace's basis memo
+    calls it directly, and kernels.rank (entropy.rank_rows, which the
+    from-scratch reference ranks through) calls it once per rank.
     """
-    calls = [0]
+    calls = Counter()
     for name in ("rank", "echelon"):
         real = getattr(kernels, name)
 
-        def counted(*args, real=real):
-            calls[0] += 1
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(kernels, name, counted)
     return calls
+
+
+class RowsAsHandles:
+    """A stand-in row space whose handle of a row is the row itself."""
+
+    @staticmethod
+    def intern(row):
+        return row
 
 
 def all_summaries(code):
@@ -159,10 +167,15 @@ class TestDownloadSpan:
             assert set(span) == set(full)
             assert span == sorted(span, key=full.index)
 
-    @pytest.mark.parametrize("make", [s1, b1, code_a, n8], ids=["s1", "b1", "code-a", "n8"])
+    @pytest.mark.parametrize(
+        "make",
+        [s1, b1, code_a, n8, n8_gf16, n8_gf17, t_over_k],
+        ids=["s1", "b1", "code-a", "n8", "n8-gf16", "n8-gf17", "t-over-k"],
+    )
     def test_capacity_from_spans_equals_full_view(self, make):
-        # every placement: the capacity sweep and measured_secrecy_capacity,
-        # both over spans, against the rank of the full labelled view
+        # every placement: the capacity sweep (one RowSpace) and
+        # measured_secrecy_capacity (one per placement), both over spans,
+        # against the from-scratch rank of the full labelled view
         code = make()
         p = code.params
         cells = capacity_table(code)
@@ -183,15 +196,18 @@ class TestDownloadSpan:
         ids=["s1", "b1", "code-a", "n8"],
     )
     def test_observed_rows_are_the_distinct_full_view(self, make, placements):
-        # every placement: the bare rows the analysis ranks against the
-        # labelled reference view, row for row and in order
+        # every placement: the bare rows the analysis ranks, node by node
+        # (PlacementRows), against the labelled reference view
         code = make()
-        spans = {f: download_span(code, f) for f in code.supported_failed_nodes}
+        view = PlacementRows(code, (RowsAsHandles,))
         cells = capacity_table(code)
         assert len(cells) == placements
         for cell in cells:
             eve = EveModel(E=cell.E, F=cell.F)
-            assert observed_rows(code, eve, spans) == leakage_observations(code, eve).unique_rows()
+            f_rows, e_rows = view.observed(eve)
+            assert {row for (row,) in f_rows + e_rows} == set(
+                leakage_observations(code, eve).unique_rows()
+            )
 
     def test_n8_span_size(self):
         code = n8()
@@ -367,13 +383,22 @@ class TestAnalysisContext:
         code = make()
         calls = count_ranks(monkeypatch)
         res = lemma_suite(code)
-        assert calls[0] == res.rank_eliminations == distinct
+        assert calls == {"echelon": res.rank_eliminations}
+        assert res.rank_eliminations == distinct
         assert res.rank_lookups > distinct
         # the reference ranks every row set it is asked for
         monkeypatch.setattr(eve, "_AnalysisContext", FromScratchAnalysis)
-        calls[0] = 0
+        calls.clear()
         lemma_suite(code)
-        assert calls[0] == from_scratch
+        assert calls == {"rank": from_scratch, "echelon": from_scratch}
+
+    def test_capacity_table_reuses_f_set_bases(self, monkeypatch):
+        # one RowSpace per sweep: each F set's basis is reduced once and then
+        # extended by W_E, so the 577 placements take fewer eliminations
+        # than placements, and none ranks from scratch
+        calls = count_ranks(monkeypatch)
+        assert len(capacity_table(n8())) == 577
+        assert calls == {"echelon": 570}
 
     @pytest.mark.parametrize(
         "make",

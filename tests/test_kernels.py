@@ -58,6 +58,8 @@ def test_prime_rank_edge_cases(p):
         ([p - 1, 1, 1, p - 1], 2, 2, 1),
         ([1, 0, 0, 0, 1, 0], 6, 1, 1),
         ([1, 0, 1, 0, 1, 0], 1, 6, 1),
+        ([], 2, 0, 0),  # rows of no columns
+        ([], 0, 3, 0),
     ]
     for data, nrows, ncols, expect in cases:
         assert kernels.rank(data, nrows, ncols, field) == expect

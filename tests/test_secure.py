@@ -7,7 +7,7 @@ import pytest
 from helpers import secrecy_oracle
 
 from coopstore.errors import DuplicateNode, InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
-from coopstore.eve import EveModel
+from coopstore.eve import EveModel, leakage_observations
 from coopstore import secure
 from coopstore.instances import s1, s1_binary
 from coopstore.secure import (
@@ -129,34 +129,24 @@ class TestVerifySecrecy:
             assert chk.observed_rank == chk.randomness_entropy == 30
 
     def test_sweep_expands_each_distinct_row_once(self, scheme, monkeypatch):
-        # the sweep hands every placement one memo; the expansion reads it
-        # back, so each distinct row is expanded (written) once although
-        # the placements observe many more cell rows; and a fresh
-        # verify_secrecy per placement gives the same check
-        memos, rows, expanded = [], set(), []
-        observed = 0
-        real = secure._observed_vectors
+        # the sweep's placements share one set of row spaces, so each
+        # distinct cell row any placement observes is expanded once, although
+        # the placements observe many more; and a fresh verify_secrecy per
+        # placement gives the same check
+        expanded = []
+        real = secure._expand
 
-        class Counted(dict):
-            def __setitem__(self, lam, w):
-                expanded.append(lam)
-                super().__setitem__(lam, w)
+        def spy(scheme, lam):
+            expanded.append(lam)
+            return real(scheme, lam)
 
-        counted = Counted()
-
-        def spy(scheme, cell_rows, memo):
-            nonlocal observed
-            memos.append(memo)
-            rows.update(cell_rows)
-            observed += len(cell_rows)
-            return real(scheme, cell_rows, counted)
-
-        monkeypatch.setattr(secure, "_observed_vectors", spy)
+        monkeypatch.setattr(secure, "_expand", spy)
         checks = verify_secrecy_sweep(scheme)
-        assert len(memos) == len(checks) == 30
-        assert all(m is memos[0] for m in memos)
-        assert sorted(expanded) == sorted(rows) == sorted(counted)
-        assert len(expanded) < observed
+        assert len(checks) == 30
+        views = [leakage_observations(scheme.code, chk.eve).unique_rows() for chk in checks]
+        assert len(expanded) == len(set(expanded))
+        assert set(expanded) == {row for view in views for row in view}
+        assert len(expanded) < sum(len(view) for view in views)
         for chk in checks:
             assert verify_secrecy(scheme, chk.eve) == chk
 

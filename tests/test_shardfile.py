@@ -208,6 +208,23 @@ def test_manifest_digests(tmp_path):
     assert manifest_digests(tmp_path) is None  # version 1 predates the digests
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["not", "an", "object"],
+        {"version": "2", "sha256": {"1": "aa"}},
+        {"version": 2, "sha256": {"x": "ab"}},
+        {"version": 2, "sha256": [1]},
+        {"version": 2, "sha256": {"1": 5}},
+    ],
+    ids=["list", "string-version", "non-node-key", "list-digests", "non-string-digest"],
+)
+def test_malformed_manifest_is_corrupt(tmp_path, doc):
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(CorruptShard, match="manifest.json"):
+        manifest_digests(tmp_path)
+
+
 def test_manifest_without_digests_is_version_1(tmp_path):
     write_manifest(tmp_path, {"variant": "stable"}, [1, 2])
     doc = read_manifest(tmp_path)
