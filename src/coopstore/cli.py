@@ -82,6 +82,8 @@ def _load_config(args) -> dict:
             raise InvalidConfig(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise InvalidConfig(f"config is not a JSON object: {config!r}")
     if getattr(args, "params", None):
         config["params"] = {**config.get("params", {}), **_parse_kv(args.params)}
     if getattr(args, "field", None):
@@ -435,25 +437,31 @@ def cmd_attack(args, clock) -> ReportDoc:
     return report
 
 
+def _int_lists(value, length=None) -> bool:
+    """Whether value is a list of lists of ints >= 0, each of length (if given)."""
+    return isinstance(value, list) and all(
+        isinstance(x, list) and length in (None, len(x)) and all(type(v) is int and v >= 0 for v in x)
+        for x in value
+    )
+
+
 def cmd_capacity_sweep(args, clock) -> ReportDoc:
     config = _load_config(args)
     code = _make_code(config)
     report = ReportDoc(command="capacity-sweep", config=config)
     if "eve" in config:
-        eve = EveModel(
-            E=tuple(config["eve"].get("E", ())), F=tuple(config["eve"].get("F", ()))
-        )
-        cells = [capacity_cell(code, eve)]
+        nodes = config["eve"]
+        lists = [nodes.get("E", []), nodes.get("F", [])] if isinstance(nodes, dict) else None
+        if not _int_lists(lists):
+            raise InvalidConfig(f"eve is not an object of node lists E and F: {nodes!r}")
+        cells = [capacity_cell(code, EveModel(*map(tuple, lists)))]
     else:
-        pairs = None
-        if "pairs" in config.get("sweep", {}):
-            pairs = config["sweep"]["pairs"]
-            if not isinstance(pairs, list) or not all(
-                isinstance(x, list) and len(x) == 2 and all(type(v) is int and v >= 0 for v in x)
-                for x in pairs
-            ):
-                raise InvalidConfig(f"sweep.pairs is not a list of [l1, l2] >= 0: {pairs!r}")
-            pairs = [tuple(x) for x in pairs]
+        sweep = config.get("sweep", {})
+        if not isinstance(sweep, dict):
+            raise InvalidConfig(f"sweep is not an object: {sweep!r}")
+        pairs = sweep.get("pairs")
+        if pairs is not None and not _int_lists(pairs, 2):
+            raise InvalidConfig(f"sweep.pairs is not a list of [l1, l2] >= 0: {pairs!r}")
         cells = capacity_table(code, pairs=pairs)
     rows = capacity_rows(cells)
     report.results = {"variant": code.variant, "cells": rows, "placements": len(rows)}

@@ -5,7 +5,7 @@ over GF(q), so joint entropies are matrix ranks: H(rows) = rank(rows) in
 units of log q ("symbols").  RowSpace is what the analysis layer ranks
 through (lemma suite, capacity sweep, secrecy checks): a rank never
 depends on what the rows are called, so it holds plain rows as handles and
-memoises each row set's echelon basis.  rank_rows ranks plain rows from
+memoises the echelon bases it reuses.  rank_rows ranks plain rows from
 scratch, and ObservationSet adds labels for reports; entropy_symbols,
 conditional_entropy and mutual_information are its rank identities on
 stacked row sets.  Those are the from-scratch reference the memoised
@@ -83,8 +83,6 @@ def empty_observations(field, message_len) -> ObservationSet:
 def rank_rows(field, ncols, rows) -> int:
     """Rank of hashable rows of length ncols; repeats are dropped, first kept."""
     rows = list(dict.fromkeys(rows))
-    if not rows or not ncols:
-        return 0
     return kernels.rank([v for r in rows for v in r], len(rows), ncols, field)
 
 
@@ -92,13 +90,13 @@ class RowSpace:
     """Rows of length ncols over field, as handles, with memoised echelon bases.
 
     A row's handle is the bit 1 << (its index among the distinct rows);
-    the row is hashed, and packed for kernels.echelon, once.  A row set is
-    keyed by the OR of its handles, and its echelon basis is memoised on
-    that key, so it is eliminated once (one kernels.echelon call) however
-    often it is asked for.  rank(rows, given) and rank_given(rows, given)
-    extend the memoised basis of given by rows alone.  lookups counts the
-    row sets asked for, eliminations those eliminated.  A space lives as
-    long as the call that made it.
+    the row is hashed, and packed for kernels.echelon, once.  rank and
+    rank_given memoise each row set's echelon basis on the OR of its
+    handles, so it is eliminated once (one kernels.echelon call) however
+    often it is asked for.  joint_rank, for row sets asked once (one
+    placement's whole view), extends given's basis in one kernels.rank
+    call and keeps nothing.  lookups counts the memo's lookups,
+    eliminations its misses.  A space lives as long as the call that made it.
     """
 
     def __init__(self, field, ncols):
@@ -106,6 +104,7 @@ class RowSpace:
         self.ncols = ncols
         self._bits = {}  # distinct row -> handle
         self._packed = {}  # handle -> packed row
+        self._plain = {}  # handle -> row
         self._bases = {0: ()}  # the empty row set: rank 0, no elimination
         self._distinct = {}  # each distinct basis, kept once
         self.lookups = 0
@@ -117,6 +116,7 @@ class RowSpace:
         if bit is None:
             bit = self._bits[row] = 1 << len(self._bits)
             self._packed[bit] = kernels.pack(self.field, row)
+            self._plain[bit] = row
         return bit
 
     def _basis(self, mask, rows, start=()):
@@ -132,11 +132,9 @@ class RowSpace:
             basis = self._bases[mask] = self._distinct.setdefault(basis, basis)
         return basis
 
-    def rank(self, rows, given=()):
-        """H(rows, given) in symbols, as handles: given's memoised basis extended by rows."""
-        g = reduce(or_, given, 0)
-        base = self._basis(g, given) if given else ()
-        return len(self._basis(reduce(or_, rows, g), rows, base))
+    def rank(self, rows):
+        """H(rows) in symbols, rows as handles."""
+        return len(self._basis(reduce(or_, rows, 0), rows))
 
     def rank_given(self, rows, given):
         """H(rows | given) = rank(rows stacked on given) - rank(given).
@@ -147,6 +145,15 @@ class RowSpace:
         g = reduce(or_, given, 0)
         base = self._basis(g, given)
         return len(self._basis(reduce(or_, rows, g), rows, base)) - len(base)
+
+    def joint_rank(self, rows, given):
+        """H(rows, given): given's memoised basis extended by rows, not kept."""
+        base = self._basis(reduce(or_, given, 0), given)
+        plain = [self._plain[row] for row in dict.fromkeys(rows)]
+        if not plain:
+            return len(base)
+        data = [v for row in plain for v in row]
+        return kernels.rank(data, len(plain), self.ncols, self.field, basis=base)
 
 
 def entropy_symbols(obs: ObservationSet) -> int:

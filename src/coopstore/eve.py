@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in eve by name
 from .entropy import ObservationSet, RowSpace, entropy_symbols, observations  # noqa: F401
@@ -130,16 +131,17 @@ class PlacementRows:
     A node of F shows its download_span and granted rows, a node of E its
     storage rows; each node's rows are built once.  expand maps a row to
     one row per space (by default the row itself); each distinct row is
-    expanded and interned once.  ranks(eve) gives, per space, the rank of
-    W_E and F's view: each F set's basis is reduced once, then extended.
+    expanded and interned once.  ranks(eve) gives, per space, the
+    joint_rank of W_E over F's view, whose basis is memoised.
     """
 
     def __init__(self, code, spaces, expand=lambda row: (row,)):
         self.code = code
         self.spaces = spaces
-        self._intern = lambda row: tuple(s.intern(r) for s, r in zip(spaces, expand(row)))
+        self._intern = lru_cache(None)(  # row -> its handle in each space
+            lambda row: tuple(s.intern(r) for s, r in zip(spaces, expand(row)))
+        )
         self._nodes = {}  # (node, in F) -> its rows' handles
-        self._handles = {}  # row -> its handle in each space
 
     def _node(self, node, downloads):
         key = (node, downloads)
@@ -149,21 +151,19 @@ class PlacementRows:
                 built = download_span(code, node) + [row for _, row in code.granted_rows(node)]
             else:
                 built = [row for _, row in code.storage_rows(node)]
-            for row in built:
-                if row not in self._handles:
-                    self._handles[row] = self._intern(row)
-            self._nodes[key] = [self._handles[row] for row in built]
+            self._nodes[key] = [self._intern(row) for row in built]
         return self._nodes[key]
 
     def observed(self, eve: EveModel):
-        """(handles of F's rows, handles of E's rows); eve is validated."""
+        """(handles of F's rows, handles of E's rows), once eve is validated."""
+        validate_eve(self.code, eve)
         f_rows = [h for f in eve.F for h in self._node(f, True)]
         return f_rows, [h for e in eve.E for h in self._node(e, False)]
 
     def ranks(self, eve: EveModel):
         f_rows, e_rows = self.observed(eve)
         return [
-            space.rank([h[i] for h in e_rows], [h[i] for h in f_rows])
+            space.joint_rank([h[i] for h in e_rows], [h[i] for h in f_rows])
             for i, space in enumerate(self.spaces)
         ]
 
@@ -543,12 +543,7 @@ def capacity_table(code, pairs=None):
     """
     p = code.params
     if pairs is None:
-        pairs = [
-            (l1, l2)
-            for tot in range(0, p.k)
-            for l1 in range(tot + 1)
-            for l2 in [tot - l1]
-        ]
+        pairs = [(l1, tot - l1) for tot in range(p.k) for l1 in range(tot + 1)]
     return _capacity_cells(code, (eve for l1, l2 in pairs for eve in placements(code, l1, l2)))
 
 
@@ -556,13 +551,11 @@ def _capacity_cells(code, eves):
     """capacity_cell of each placement, all ranked in one RowSpace."""
     p = code.params
     view = PlacementRows(code, (RowSpace(code.field, p.B),))
+    stable = code.variant == "stable"
     cells = []
     for eve in eves:
-        validate_eve(code, eve)
         (leaked,) = view.ranks(eve)
-        predicted = NOT_COVERED
-        if code.variant == "stable":
-            predicted = predicted_secrecy_capacity(p, eve.l1, eve.l2)
+        predicted = predicted_secrecy_capacity(p, eve.l1, eve.l2) if stable else NOT_COVERED
         cells.append(CapacityCell(eve.l1, eve.l2, eve.E, eve.F, p.B - leaked, predicted))
     return cells
 

@@ -7,11 +7,11 @@ multiplicative identity): prime fields, GF(2^m) and towers alike.
 echelon(basis, rows, ncols, field) reduces rows into an echelon basis and
 returns the grown basis, so a caller can keep a basis and extend it later
 instead of eliminating the rows it holds again; rank is the length of a
-basis grown from nothing.  On a lane field (GF(p) with p <= 16, GF(2^m)
-with m <= 8) a row is one int with one byte lane per column, column 0
-most significant (pack), and a row operation is whole-row integer
-arithmetic plus one bytes.translate, the per-constant tables of Plank,
-Greenan and Miller (FAST 2013) that matrix.lincomb uses:
+basis grown from nothing, or from a kept basis.  On a lane field (GF(p)
+with p <= 16, GF(2^m) with m <= 8) a row is one int with one byte lane
+per column, column 0 most significant (pack), and a row operation is
+whole-row integer arithmetic plus one bytes.translate, the per-constant
+tables of Plank, Greenan and Miller (FAST 2013) that matrix.lincomb uses:
 
 - GF(p): row + (p - v) * b, then the mod-p table.  A lane holds at most
   (p - 1) + (p - 1)^2 <= 255 before the translate, so nothing carries
@@ -62,10 +62,10 @@ def echelon(basis, rows, ncols, field):
     return _echelon_generic(basis, rows, ncols, field)
 
 
-def rank(data, nrows, ncols, field):
-    """Rank of a row-major matrix given as a flat list of field elements."""
+def rank(data, nrows, ncols, field, basis=()):
+    """Rank of a flat row-major matrix of field elements stacked on an echelon basis."""
     rows = [pack(field, data[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
-    return len(echelon((), rows, ncols, field))
+    return len(echelon(basis, rows, ncols, field))
 
 
 def _echelon_lanes(basis, rows, ncols, field):

@@ -35,7 +35,6 @@ from .eve import (
     PlacementRows,
     placements,
     predicted_secrecy_capacity,
-    validate_eve,
 )
 from .field import ExtensionField
 from .matrix import Mat, moore_matrix
@@ -194,7 +193,6 @@ def verify_secrecy(scheme: SecureScheme, eve: EveModel, observed=None) -> Secrec
     Both ranks come from observed (what _observed_rows returns), made here
     when not given; verify_secrecy_sweep shares one across its placements.
     """
-    validate_eve(scheme.code, eve)
     b = scheme.ext.degree
     h_e, h_e_given_s = (b * r for r in (observed or _observed_rows(scheme)).ranks(eve))
     h_r = b * scheme.random_len

@@ -184,6 +184,24 @@ class TestSweepVerify:
         assert run(["capacity-sweep", "--config", cfg]) == 2
         assert "sweep.pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, section",
+        [
+            ({"sweep": ["pairs"]}, "sweep"),
+            ({"sweep": [1]}, "sweep"),
+            ({"eve": [1]}, "eve"),
+            ({"eve": {"E": 1}}, "eve"),
+            ({"eve": {"F": ["a", 1]}}, "eve"),
+            ([1], "config"),
+        ],
+        ids=["sweep-names-pairs", "sweep-list", "eve-list", "eve-E-int", "eve-F-string", "config-list"],
+    )
+    def test_malformed_config_objects_are_config_errors(self, tmp_path, capsys, config, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["capacity-sweep", "--config", cfg]) == 2
+        assert f"{section} is not" in capsys.readouterr().err
+
     def test_empty_sweep_range_is_vacuous_success(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {"pairs": []}}))

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from coopstore.entropy import (
     ObservationSet,
+    RowSpace,
     brute_force_entropy,
     conditional_entropy,
     empty_observations,
     entropy_symbols,
     mutual_information,
     observations,
+    rank_rows,
 )
 from coopstore.errors import DimensionMismatch, InstanceTooLarge
 from coopstore.field import binary_field, prime_field
@@ -158,6 +160,32 @@ class TestRankIdentities:
             y = rand_obs(GF3, 4, rng.randint(0, 4), rng)
             assert mutual_information(x, y) <= min(entropy_symbols(x), entropy_symbols(y))
             assert mutual_information(x, y) >= 0
+
+
+class TestRowSpace:
+    @pytest.mark.parametrize("field", [GF3, prime_field(17), binary_field(4)], ids=str)
+    def test_ranks_equal_rank_rows(self, field, rng):
+        space = RowSpace(field, 5)
+        pool = [tuple(rng.randrange(field.order) for _ in range(5)) for _ in range(6)]
+        pool += [pool[0], (0,) * 5]  # a repeat and a zero row
+        for _ in range(60):
+            rows = rng.sample(pool, rng.randint(0, 4))
+            given = rng.sample(pool, rng.randint(0, 4))
+            r, g = [space.intern(x) for x in rows], [space.intern(x) for x in given]
+            joint = rank_rows(field, 5, rows + given)
+            assert space.rank(r) == rank_rows(field, 5, rows)
+            assert space.rank_given(r, g) == joint - rank_rows(field, 5, given)
+            assert space.joint_rank(r, g) == joint
+
+    def test_joint_rank_keeps_only_given_basis(self):
+        space = RowSpace(GF3, 3)
+        e, f = space.intern((1, 0, 0)), space.intern((0, 1, 0))
+        assert space.joint_rank([e], [f]) == 2
+        assert space.joint_rank([e], [f]) == 2
+        # f's basis was eliminated once and then found; e | f never kept
+        assert (space.lookups, space.eliminations) == (2, 1)
+        assert space.rank([e, f]) == 2
+        assert (space.lookups, space.eliminations) == (3, 2)
 
 
 def obs_strategy(field, b):

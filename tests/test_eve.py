@@ -64,16 +64,17 @@ def count_ranks(monkeypatch):
     """A Counter of kernels.rank and kernels.echelon calls from now on.
 
     One elimination is one call of kernels.echelon: a RowSpace's basis memo
-    calls it directly, and kernels.rank (entropy.rank_rows, which the
-    from-scratch reference ranks through) calls it once per rank.
+    calls it directly, and kernels.rank (RowSpace.joint_rank, and
+    entropy.rank_rows, which the from-scratch reference ranks through)
+    calls it once per rank.
     """
     calls = Counter()
     for name in ("rank", "echelon"):
         real = getattr(kernels, name)
 
-        def counted(*args, real=real, name=name):
+        def counted(*args, real=real, name=name, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, counted)
     return calls
@@ -393,12 +394,15 @@ class TestAnalysisContext:
         assert calls == {"rank": from_scratch, "echelon": from_scratch}
 
     def test_capacity_table_reuses_f_set_bases(self, monkeypatch):
-        # one RowSpace per sweep: each F set's basis is reduced once and then
-        # extended by W_E, so the 577 placements take fewer eliminations
-        # than placements, and none ranks from scratch
+        # one RowSpace per sweep: each of the 92 F sets' bases is reduced
+        # once, and each of the 484 placements with E nonempty extends its
+        # F set's basis by W_E in one kernels.rank call; the others are
+        # F's memoised rank.  Fewer eliminations than the 577 placements.
         calls = count_ranks(monkeypatch)
-        assert len(capacity_table(n8())) == 577
-        assert calls == {"echelon": 570}
+        cells = capacity_table(n8())
+        assert len(cells) == 577
+        assert sum(1 for c in cells if c.E) == 484
+        assert calls == {"rank": 484, "echelon": 484 + 92}
 
     @pytest.mark.parametrize(
         "make",

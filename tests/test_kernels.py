@@ -123,6 +123,7 @@ def test_echelon_extension_equals_rank_from_scratch(name):
         assert base == snapshot
         assert len(base) == _generic_rank(field, given, ncols)
         assert len(grown) == _generic_rank(field, given + rows, ncols)
+        assert kernels.rank(_flat(rows), len(rows), ncols, field, basis=base) == len(grown)
 
 
 @pytest.mark.parametrize("name", list(ECHELON_FIELDS))
