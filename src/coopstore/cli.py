@@ -3,13 +3,14 @@
 Exit codes: 0 the report passes, 1 a check failed or the data is bad, 2 usage
 or config error (see main).
 Flags override config-file fields; COOPSTORE_SEED is the seed fallback.
+decode and repair parse node lists and leave which shard files to read, and
+whether to trust them, to shardfile.ShardDir.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .entropy import brute_force_entropy, entropy_symbols, observations
-from .errors import ConfigError, CoopstoreError, CorruptShard, InvalidConfig
+from .errors import ConfigError, CoopstoreError, InvalidConfig
 from .eve import (
     EveModel,
     bandwidth_comparison,
@@ -35,10 +36,8 @@ from .matrix import Mat, lincomb_branch
 from .report import ReportDoc, capacity_rows, text_table, write_capacity_csv
 from .secure import scheme_create, verify_secrecy_sweep
 from .shardfile import (
+    ShardDir,
     ShardMeta,
-    manifest_digests,
-    read_shard,
-    read_shard_meta,
     shard_filename,
     write_atomic,
     write_manifest,
@@ -50,6 +49,8 @@ from .striping import pack_payload, unpack_payload
 DEFAULT_PARAMS = {"n": 6, "k": 3, "d": 3, "t": 2}
 DEFAULT_FIELD = {"p": 11}
 DEFAULT_CODE_A = {"d": 3, "omega": 2}
+# the key sets a params or field object may use, all with int values
+SECTION_KEYS = {"params": [("n", "k", "d", "t", "beta")], "field": [("p",), ("m", "poly")]}
 
 
 def _parse_kv(text: str) -> dict:
@@ -84,10 +85,12 @@ def _load_config(args) -> dict:
             raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise InvalidConfig(f"config is not a JSON object: {config!r}")
+        for name in SECTION_KEYS.keys() & config.keys():
+            _section(name, config[name])
     if getattr(args, "params", None):
-        config["params"] = {**config.get("params", {}), **_parse_kv(args.params)}
+        config["params"] = {**config.get("params", {}), **_section("params", _parse_kv(args.params))}
     if getattr(args, "field", None):
-        config["field"] = _parse_kv(args.field)
+        config["field"] = _section("field", _parse_kv(args.field))
     if getattr(args, "variant", None):
         config["variant"] = args.variant
     if getattr(args, "omega", None) is not None:
@@ -99,6 +102,17 @@ def _load_config(args) -> dict:
     config.setdefault("seed", 0)
     config.setdefault("variant", "stable")
     return config
+
+
+def _section(name, value) -> dict:
+    """A params or field object, checked: int values under one of its key sets."""
+    allowed = SECTION_KEYS[name]
+    if not isinstance(value, dict) or all(value.keys() - keys for keys in allowed) or any(
+        type(v) is not int for v in value.values()
+    ):
+        spelled = " or ".join(f"({', '.join(keys)})" for keys in allowed)
+        raise InvalidConfig(f"{name} is not an object of ints with keys from {spelled}: {value!r}")
+    return value
 
 
 def _field_from_config(config) -> object:
@@ -114,11 +128,8 @@ def _field_from_config(config) -> object:
 
 def _make_code(config):
     field = _field_from_config(config)
-    raw = {**DEFAULT_PARAMS, **config.get("params", {})}
-    params = CodeParams.mscr(
-        n=raw["n"], k=raw["k"], d=raw["d"], t=raw["t"], q=field.order,
-        beta=raw.get("beta", 1),
-    )
+    # _load_config let only the keys of CodeParams.mscr into params
+    params = CodeParams.mscr(**{**DEFAULT_PARAMS, **config.get("params", {})}, q=field.order)
     variant = config.get("variant", "stable")
     if variant == "stable":
         return StableCode.create(params, field)
@@ -207,92 +218,20 @@ def cmd_encode(args, clock) -> ReportDoc:
     return report
 
 
-def _present_ids(directory):
-    """Node ids of the shard files in a directory, from their names alone.
-
-    Only names that shard_filename produces count; a stray node_old.shard
-    or node_2.shard is ignored.
-    """
-    ids = []
-    for path in Path(directory).glob("node_*.shard"):
-        digits = path.stem[len("node_"):]
-        if digits.isdecimal() and path.name == shard_filename(int(digits)):
-            ids.append(int(digits))
-    return sorted(ids)
-
-
-def _expected_digest(digests, path, node):
-    """The manifest's sha256 for a shard, None when the manifest has none."""
-    if digests is None:
-        return None
-    if node not in digests:
-        raise CorruptShard(f"{path}: node {node} is not listed in manifest.json")
-    return digests[node]
-
-
-def _load_shards(directory, node_ids, digests, count=None):
-    """Read and cross-check the listed shards that exist (missing ones are skipped).
-
-    With count given, reading stops once count(first header) shards are loaded.
-    """
-    directory = Path(directory)
-    metas, payloads = {}, {}
-    for node in node_ids:
-        if metas and count is not None and len(metas) == count(next(iter(metas.values()))):
-            break
-        path = directory / shard_filename(node)
-        if not path.exists():
-            continue
-        meta, symbols = read_shard(path, sha256=_expected_digest(digests, path, node))
-        _check_identity(path, node, meta, next(iter(metas.values()), meta))
-        metas[node] = meta
-        payloads[node] = symbols
-    if not metas:
-        raise InvalidConfig(f"no shard files found in {directory}")
-    return metas, payloads
-
-
-def _check_identity(path, node, meta, first):
-    """A shard's header must name its file's node and match the first shard's shape."""
-    if meta.node_id != node:
-        raise CorruptShard(f"{path}: header is for node {meta.node_id}, not {node}")
-    if _shape(meta) != _shape(first):
-        raise CorruptShard(
-            f"{path}: variant, field, params or generation count differ "
-            f"from {shard_filename(first.node_id)}"
-        )
-
-
-def _shape(meta):
-    """Everything all shards of one encoding share."""
-    return meta.variant, meta.field_spec, meta.params, meta.generations
-
-
 def cmd_decode(args, clock) -> ReportDoc:
-    directory = Path(args.shard_dir)
     listed = _parse_ids(args.nodes, "--nodes")
-    nodes = listed or _present_ids(directory)
     with clock.layer("shard_read"):
-        # the first k present shards are read in full and used; the others
-        # only have their headers checked, so their payloads cannot block decode
-        metas, payloads = _load_shards(
-            directory, nodes, manifest_digests(directory), count=lambda m: m.params.k
-        )
-        meta = next(iter(metas.values()))
-        if listed:
-            _check_ids("--nodes", listed, meta.params.n, meta.params.k, None)
-        for node in nodes:
-            path = directory / shard_filename(node)
-            if node not in metas and path.exists():
-                _check_identity(path, node, read_shard_meta(path), meta)
+        meta, payloads = ShardDir(args.shard_dir).load(listed)
     p = meta.params
+    if listed:
+        _check_ids("--nodes", listed, p.n, p.k, None)
     code = StableCode.create(p, field_create(meta.field_spec))
     with clock.layer("algebra"):
         symbols = code.reconstruct_batch(payloads)
     with clock.layer("striping"):
         blob = unpack_payload(symbols, p.q)
     write_atomic(args.output, blob)
-    report = ReportDoc(command="decode", config=_echo_meta(meta))
+    report = ReportDoc(command="decode", config=_echo_config({"variant": meta.variant}, code.field, p))
     report.results = _datapath_results(
         code, meta.generations, output_bytes=len(blob), shards=sorted(payloads)
     )
@@ -304,27 +243,19 @@ def cmd_repair(args, clock) -> ReportDoc:
     group = _parse_ids(args.group, "--group")
     if not group:
         raise InvalidConfig("--group is required, e.g. --group 2,5")
-    directory = Path(args.shard_dir)
-    digests = manifest_digests(directory)
+    shards = ShardDir(args.shard_dir)
     helpers = _parse_ids(args.helpers, "--helpers")
     overlap = sorted(set(helpers or ()) & set(group))
     if overlap:
         raise InvalidConfig(f"--helpers: node {overlap[0]} is also in --group")
     with clock.layer("shard_read"):
-        if helpers is None:
-            # the lowest d present nodes outside the group; d is in the first one's header
-            pool = [n for n in _present_ids(directory) if n not in group]
-            metas, payloads = _load_shards(directory, pool, digests, count=lambda m: m.params.d)
-            helpers = tuple(metas)
-        else:
-            metas, payloads = _load_shards(directory, helpers, digests)
-    meta = next(iter(metas.values()))
+        meta, payloads = shards.load(helpers, group)
     p = meta.params
     _check_ids("--group", group, p.n, p.t, p.t)
     if args.helpers:
         _check_ids("--helpers", helpers, p.n, p.d, p.d)
     code = StableCode.create(p, field_create(meta.field_spec))
-    ctx = repair_context(code, group, helpers)
+    ctx = repair_context(code, group, helpers or tuple(payloads))
     with clock.layer("algebra"):
         regenerated, (phase1, phase2) = RepairPlan(code, ctx).run(payloads)
 
@@ -336,15 +267,9 @@ def cmd_repair(args, clock) -> ReportDoc:
             f"transfer accounting broken: {(phase1, phase2)} != {(expect1, expect2)}"
         )
     for node, payload in regenerated.items():
-        path = directory / shard_filename(node)
         with clock.layer("shard_write"):
-            write_shard(
-                path,
-                dataclasses.replace(meta, node_id=node),
-                payload,
-                sha256=_expected_digest(digests, path, node),
-            )
-    report = ReportDoc(command="repair", config=_echo_meta(meta))
+            shards.write(node, meta, payload)
+    report = ReportDoc(command="repair", config=_echo_config({"variant": meta.variant}, code.field, p))
     report.results = _datapath_results(
         code,
         gens,
@@ -358,13 +283,6 @@ def cmd_repair(args, clock) -> ReportDoc:
         f"{','.join(map(str, ctx.helpers))}; transfers: phase1={phase1} phase2={phase2}"
     )
     return report
-
-
-def _echo_meta(meta) -> dict:
-    """The config a shard header records, in the shape of the encode echo."""
-    return _echo_config(
-        {"variant": meta.variant}, field_create(meta.field_spec), meta.params
-    )
 
 
 def _parse_ids(text, option):

@@ -20,6 +20,9 @@ Layout (all little-endian):
                   generation, each symbol `width` bytes little-endian
 
 Files are bit-exact deterministic for a given (input, config).
+
+ShardDir is the one reader of a shard directory: decode and repair load
+and check their shards, and repair writes regenerated ones, through it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, CorruptShard, InvalidConfig, IoError
@@ -141,12 +144,7 @@ def read_shard(path, sha256=None):
     The symbols are the payload bytes themselves at width 1, else a list of
     ints.  With sha256 given, the whole file must have that digest.
     """
-    try:
-        with Path(path).open("rb") as fh:
-            head = fh.read(HEADER_SIZE)
-            payload = fh.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    head, payload = _read(path, whole=True)
     if sha256 is not None:
         hasher = hashlib.sha256(head)
         hasher.update(payload)
@@ -171,12 +169,16 @@ def read_shard(path, sha256=None):
 
 def read_shard_meta(path) -> ShardMeta:
     """The validated header of a shard file, without reading its payload."""
+    return _parse_header(path, _read(path, whole=False)[0])
+
+
+def _read(path, whole):
+    """(header bytes, payload bytes, or b"" unless whole) of a shard file."""
     try:
         with Path(path).open("rb") as fh:
-            head = fh.read(HEADER_SIZE)
+            return fh.read(HEADER_SIZE), fh.read() if whole else b""
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    return _parse_header(path, head)
 
 
 def _parse_header(path, blob) -> ShardMeta:
@@ -291,3 +293,87 @@ def manifest_digests(directory):
     ):
         raise CorruptShard(f"{path}: manifest sha256 is not a map of node ids to digests")
     return {int(node): digest for node, digest in digests.items()}
+
+
+class ShardDir:
+    """A directory of shard files and its manifest.json: which shards to trust.
+
+    The manifest's digests are read once.  Every shard read is checked
+    against its digest (when the manifest has them), against the node id
+    in its file name, and against the shape of the first shard read;
+    listed ids whose file is missing are skipped.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.digests = manifest_digests(self.path)
+
+    def present(self) -> list[int]:
+        """The node ids of the shard files here, from their names alone.
+
+        Only names that shard_filename produces count: a stray
+        node_old.shard or node_2.shard is ignored.
+        """
+        ids = [shard.stem[len("node_"):] for shard in self.path.glob("node_*.shard")]
+        return sorted(
+            int(i) for i in ids if i.isdecimal() and shard_filename(int(i)) == f"node_{i}.shard"
+        )
+
+    def load(self, nodes=None, group=None):
+        """-> (first header read, {node: payload}): the shards to decode or repair from.
+
+        nodes: the ids to read, in order; None means every present id
+        outside group.  Ids outside 1..n of the first header read are
+        skipped: stale shards of a larger encoding (a listed one is the
+        caller's to reject).  Without group (decode) the first k existing
+        shards are read in full and the others only have their headers
+        checked, so their payloads cannot block decode.  With group (repair)
+        only the first d existing shards, the helpers, are opened.
+        """
+        if nodes is None:
+            nodes = [j for j in self.present() if j not in (group or ())]
+        first, full, payloads = None, None, {}
+        for node in nodes:
+            path = self.path / shard_filename(node)
+            if not path.exists() or first and not 1 <= node <= first.params.n:
+                continue
+            if len(payloads) == full:
+                if group is not None:
+                    break
+                self._check(path, node, read_shard_meta(path), first)
+                continue
+            meta, payloads[node] = read_shard(path, sha256=self._digest(path, node))
+            if first is None:
+                first = meta
+                full = meta.params.k if group is None else meta.params.d
+            self._check(path, node, meta, first)
+        if first is None:
+            raise InvalidConfig(f"no shard files found in {self.path}")
+        return first, payloads
+
+    def write(self, node, first, payload) -> None:
+        """Write node's regenerated shard under first's header.
+
+        A shard whose sha256 misses its manifest.json digest is refused unwritten.
+        """
+        path = self.path / shard_filename(node)
+        write_shard(path, replace(first, node_id=node), payload, sha256=self._digest(path, node))
+
+    def _digest(self, path, node):
+        """The manifest's sha256 for a shard, None when the manifest has none."""
+        if self.digests is None:
+            return None
+        if node not in self.digests:
+            raise CorruptShard(f"{path}: node {node} is not listed in manifest.json")
+        return self.digests[node]
+
+    @staticmethod
+    def _check(path, node, meta, first):
+        """A shard's header must name its file's node and have the first shard's shape."""
+        if meta.node_id != node:
+            raise CorruptShard(f"{path}: header is for node {meta.node_id}, not {node}")
+        if replace(meta, node_id=first.node_id) != first:
+            raise CorruptShard(
+                f"{path}: variant, field, params or generation count differ "
+                f"from {shard_filename(first.node_id)}"
+            )

@@ -9,6 +9,11 @@ bytes.translate; larger fields use int lists.  The stream is prefixed with its 8
 little-endian byte length and zero-filled at the tail up to a whole
 number of B-symbol generations; decoding reads the prefix and cuts the
 fill.  Each generation is one t x k data matrix, row-major.
+
+Every packed symbol is below 2^s, so a decoded stream holding a wider
+symbol, or a length prefix past its end, is corrupt (CorruptShard).  That
+catches some corruption of a shard read without a manifest digest, not
+all: the digest stays the complete check.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import InvalidConfig
+from .errors import CorruptShard, InvalidConfig
 
 LENGTH_PREFIX_BYTES = 8
 
@@ -84,44 +89,40 @@ def _lanes_to_symbols(data: bytes, nbytes: int, nsyms: int, s: int) -> bytes:
 
 
 def symbols_to_bytes(symbols, q: int, nbytes: int) -> bytes:
-    """The first nbytes bytes of the bit string that ORs symbol i in at bit i*s.
+    """The first nbytes bytes of the bit string that has symbol i at bit i*s.
 
-    Values above 2^s - 1 spill into the following symbols' bits, as they
-    would in one big integer.
+    A symbol of 2^s or more cannot come from bytes_to_symbols: CorruptShard.
     """
     block_bytes, nsyms, s = _block(q)
-    if isinstance(symbols, (bytes, bytearray)):
-        symbols = bytes(symbols) + bytes(-len(symbols) % nsyms)
-        stream = _lanes_to_bytes(symbols, block_bytes, nsyms, s)
+    as_bytes = isinstance(symbols, (bytes, bytearray))
+    wide = symbols.translate(None, bytes(range(1 << s))) if as_bytes else [v for v in symbols if v >> s]
+    if wide:
+        raise CorruptShard(f"corrupt stream: decoded symbol {wide[0]} is wider than {s} bits")
+    fill = -len(symbols) % nsyms
+    if as_bytes:
+        stream = _lanes_to_bytes(bytes(symbols) + bytes(fill), block_bytes, nsyms, s)
     else:
-        symbols = list(symbols) + [0] * (-len(symbols) % nsyms)
-        stream = bytes(_split(_spill(_merge(symbols, nsyms, s), block_bytes * 8), block_bytes, 8))
+        stream = bytes(_split(_merge(list(symbols) + [0] * fill, nsyms, s), block_bytes, 8))
     return stream[:nbytes] + bytes(max(0, nbytes - len(stream)))
 
 
 def _lanes_to_bytes(symbols: bytes, block_bytes: int, nsyms: int, s: int) -> bytes:
     """symbols_to_bytes of a bytes stream on whole blocks, one lane at a time.
 
-    Symbol lane j, symbols[j::nsyms], sits at bit j*s of every block; each
-    byte lane its values reach gets it translated through a shift table,
-    ORed in as ints.  A value of up to 8 bits spills at most into byte 0 of
-    the next block: one element on in that lane, so one block more than
-    the input is returned.
+    Symbol lane j, symbols[j::nsyms], sits at bits j*s .. j*s + s - 1 of
+    every block; each byte lane those bits reach gets it translated
+    through a shift table, ORed in as ints.
     """
     blocks = len(symbols) // nsyms
-    width = s  # the bit length of the largest value, at least s
-    while width < 8 and symbols.translate(None, bytes(range(1 << width))):
-        width += 1
     acc = [0] * block_bytes
     for j in range(nsyms):
         lane = symbols[j::nsyms]
         lo = j * s
-        for b in range(lo // 8, (lo + width - 1) // 8 + 1):
-            part = int.from_bytes(lane.translate(_shift_table(lo - 8 * b, 8)), "little")
-            acc[b % block_bytes] |= part << 8 * (b // block_bytes)
-    out = bytearray(block_bytes * (blocks + 1))
+        for b in range(lo // 8, (lo + s - 1) // 8 + 1):
+            acc[b] |= int.from_bytes(lane.translate(_shift_table(lo - 8 * b, 8)), "little")
+    out = bytearray(block_bytes * blocks)
     for b, lane in enumerate(acc):
-        out[b::block_bytes] = lane.to_bytes(blocks + 1, "little")
+        out[b::block_bytes] = lane.to_bytes(blocks, "little")
     return bytes(out)
 
 
@@ -130,17 +131,6 @@ def _shift_table(shift: int, bits: int) -> bytes:
     """x -> (x shifted left by shift, right when negative) & (2^bits - 1)."""
     mask = (1 << bits) - 1
     return bytes((x << shift if shift >= 0 else x >> -shift) & mask for x in range(256))
-
-
-def _spill(blocks, bits: int) -> list[int]:
-    """Blocks of at most bits bits: each one's excess ORed into the following ones."""
-    full = (1 << bits) - 1
-    reach = -(-max(blocks, default=0).bit_length() // bits) - 1
-    out = [v & full for v in blocks] + [0] * max(0, reach)
-    for dist in range(1, reach + 1):
-        shift = dist * bits
-        out[dist : dist + len(blocks)] = [o | v >> shift & full for o, v in zip(out[dist:], blocks)]
-    return out
 
 
 def pack_payload(data: bytes, q: int, block: int):
@@ -162,11 +152,11 @@ def unpack_payload(symbols, q: int) -> bytes:
     s = symbol_bits(q)
     total_bytes = len(symbols) * s // 8
     if total_bytes < LENGTH_PREFIX_BYTES:
-        raise InvalidConfig("symbol stream shorter than the length prefix")
+        raise CorruptShard("symbol stream shorter than the length prefix")
     stream = symbols_to_bytes(symbols, q, total_bytes)
     length = int.from_bytes(stream[:LENGTH_PREFIX_BYTES], "little")
     if length > total_bytes - LENGTH_PREFIX_BYTES:
-        raise InvalidConfig("corrupt stream: length prefix exceeds available data")
+        raise CorruptShard("corrupt stream: length prefix exceeds available data")
     return stream[LENGTH_PREFIX_BYTES : LENGTH_PREFIX_BYTES + length]
 
 

@@ -193,8 +193,21 @@ class TestSweepVerify:
             ({"eve": {"E": 1}}, "eve"),
             ({"eve": {"F": ["a", 1]}}, "eve"),
             ([1], "config"),
+            ({"params": [1]}, "params"),
+            ({"field": 5}, "field"),
+            ({"params": {"n": "8"}}, "params"),
+            ({"field": {"p": "11"}}, "field"),
+            ({"params": {"n": 8.0, "k": 4, "d": 4, "t": 2}}, "params"),
+            ({"field": {"m": 4, "poly": "x"}}, "field"),
+            ({"params": {"n": 8, "K": 4}}, "params"),
+            ({"params": {"n": True}}, "params"),
+            ({"field": {"p": 11, "m": 4}}, "field"),
         ],
-        ids=["sweep-names-pairs", "sweep-list", "eve-list", "eve-E-int", "eve-F-string", "config-list"],
+        ids=[
+            "sweep-names-pairs", "sweep-list", "eve-list", "eve-E-int", "eve-F-string", "config-list",
+            "params-list", "field-int", "params-string", "field-string", "params-float",
+            "field-poly-string", "params-unknown-key", "params-bool", "field-p-and-m",
+        ],
     )
     def test_malformed_config_objects_are_config_errors(self, tmp_path, capsys, config, section):
         cfg = tmp_path / "cfg.json"
@@ -253,6 +266,8 @@ def test_bad_params_are_config_errors(tmp_path, sample_file, capsys):
         ["repair", "--shard-dir", shards, "--group", "2,five"],
         ["repair", "--shard-dir", shards, "--group", "2,5", "--helpers", "1,x,3"],
         ["verify", "--params", "n=abc"],
+        ["verify", "--params", "n=8,K=4"],
+        ["verify", "--field", "p=11,m=4"],
         ["verify", "--field", "p=abc"],
         ["verify", "--field", "m=30"],
         ["secure-verify", "--field", "p=11"],
@@ -726,3 +741,126 @@ class TestForeignHeader:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "node_002.shard" in err, err
         assert not out.exists()
+
+
+class TestStaleShards:
+    """node_007 and node_008 left by an earlier n=8 encoding into the same directory."""
+
+    @pytest.fixture
+    def shards(self, tmp_path, sample_file):
+        encode_dir(tmp_path, sample_file, extra=["--params", "n=8,k=3,d=3,t=2"])
+        shards = encode_dir(tmp_path, sample_file)
+        assert {p.name for p in shards.glob("*.shard")} >= {"node_007.shard", "node_008.shard"}
+        return shards
+
+    def test_default_decode_and_repair_ignore_ids_outside_1_to_n(self, tmp_path, sample_file, shards):
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out]) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
+        saved = {j: (shards / f"node_00{j}.shard").read_bytes() for j in (2, 5)}
+        for j in (2, 5):
+            (shards / f"node_00{j}.shard").unlink()
+        report = tmp_path / "r.json"
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5", "--report", report]) == 0
+        assert json.loads(report.read_text())["results"]["helpers"] == [1, 3, 4]
+        for j in (2, 5):
+            assert (shards / f"node_00{j}.shard").read_bytes() == saved[j]
+
+    def test_explicit_stale_node_is_still_an_error(self, tmp_path, shards, capsys):
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", "1,2,3,7"]) == 2
+        assert capsys.readouterr().err == "error: --nodes: node 7 is outside 1..6\n"
+        # read first, its header sets n; the manifest does not list it
+        assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", "7,1,2"]) == 1
+        assert "node_007.shard: node 7 is not listed in manifest.json" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCorruptStream:
+    """A decoded stream that packing cannot have made is bad data (exit 1), never bytes."""
+
+    def wide_symbol(symbols):
+        return symbols[:30] + bytes([8]) + symbols[31:]  # 8 is in GF(11) but not 3 bits wide
+
+    def long_prefix(symbols):
+        return bytes([7] * 21) + symbols[21:]  # 63 bits of the length prefix set
+
+    def short_stream(symbols):
+        return symbols[:6]  # one generation: 2 bytes, fewer than the prefix
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (wide_symbol, "corrupt stream: decoded symbol 8 is wider than 3 bits"),
+            (long_prefix, "corrupt stream: length prefix exceeds available data"),
+            (short_stream, "symbol stream shorter than the length prefix"),
+        ],
+        ids=["wide-symbol", "long-prefix", "short-stream"],
+    )
+    def test_decode_exits_1(self, tmp_path, sample_file, capsys, monkeypatch, mangle, message):
+        real = cli.pack_payload
+        monkeypatch.setattr(cli, "pack_payload", lambda *args: mangle(real(*args)))
+        shards = encode_dir(tmp_path, sample_file)
+        monkeypatch.undo()
+        capsys.readouterr()
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestLoaderReads:
+    """Which shard files decode and repair open, and how much of each."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        log = []
+        real_read, real_meta = shardfile.read_shard, shardfile.read_shard_meta
+        real_open = shardfile.Path.open
+
+        def read(path, sha256=None):
+            log.append(("payload", path.name))
+            return real_read(path, sha256=sha256)
+
+        def meta(path):
+            log.append(("header", path.name))
+            return real_meta(path)
+
+        def opened(path, *args, **kwargs):
+            if path.suffix == ".shard":
+                log.append(("open", path.name))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(shardfile, "read_shard", read)
+        monkeypatch.setattr(shardfile, "read_shard_meta", meta)
+        monkeypatch.setattr(shardfile.Path, "open", opened)
+        return log
+
+    @staticmethod
+    def names(*ids):
+        return [f"node_{j:03d}.shard" for j in ids]
+
+    @pytest.mark.parametrize(
+        "nodes, full, headers",
+        [([], (1, 2, 3), (4, 5, 6)), (["--nodes", "1,2,3,6"], (1, 2, 3), (6,))],
+        ids=["default", "explicit"],
+    )
+    def test_decode_reads_k_payloads_and_the_other_headers(
+        self, tmp_path, sample_file, reads, nodes, full, headers
+    ):
+        shards = encode_dir(tmp_path, sample_file)
+        reads.clear()
+        assert run(["decode", "--shard-dir", shards, "--output", tmp_path / "out.bin", *nodes]) == 0
+        assert [name for kind, name in reads if kind == "payload"] == self.names(*full)
+        assert [name for kind, name in reads if kind == "header"] == self.names(*headers)
+        assert sorted(name for kind, name in reads if kind == "open") == self.names(*full, *headers)
+
+    @pytest.mark.parametrize("helpers", [[], ["--helpers", "1,3,4"]], ids=["default", "explicit"])
+    def test_repair_opens_only_the_d_helpers(self, tmp_path, sample_file, reads, helpers):
+        shards = encode_dir(tmp_path, sample_file)
+        for j in (2, 5):
+            (shards / f"node_00{j}.shard").unlink()
+        reads.clear()
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5", *helpers]) == 0
+        assert reads == [(kind, name) for name in self.names(1, 3, 4) for kind in ("payload", "open")]

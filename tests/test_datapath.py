@@ -15,7 +15,7 @@ import pytest
 from helpers import bytes_to_symbols_oracle, symbols_to_bytes_oracle
 
 from coopstore.cli import main
-from coopstore.errors import DimensionMismatch, MissingShard, TooFewShards
+from coopstore.errors import CorruptShard, DimensionMismatch, MissingShard, TooFewShards
 from coopstore.field import ExtensionField, binary_field, prime_field
 from coopstore.matrix import Mat, dot, lincomb, lincomb_branch
 from coopstore.secure import PUBLISHED_TOWERS
@@ -31,6 +31,7 @@ from coopstore.striping import (
     pack_payload,
     stripe_symbols,
     symbols_to_bytes,
+    unpack_payload,
 )
 
 
@@ -163,16 +164,34 @@ class TestStriping:
             assert isinstance(symbols, bytes) == (q <= 256)
             assert list(symbols) == bytes_to_symbols_oracle(data, q)
             assert symbols_to_bytes(symbols, q, size) == data
-            # arbitrary field elements spill above s bits just as in one int;
-            # so do arbitrary bytes, up to 8 - s bits past the next symbol
+            # any s-bit values, cut or zero-filled to any length, are the
+            # oracle's bytes; a wider value (a field element from 2^s up, or
+            # any larger int) cannot come from bytes_to_symbols: it is refused
+            s = q.bit_length() - 1
+            narrow = [rng.randrange(1 << s) for _ in symbols]
             noise = [rng.randrange(q) for _ in symbols]
             wide = [rng.randrange(256 if q <= 256 else q << 40) for _ in symbols]
-            for values in (noise, wide):
+            for values in (narrow, noise, wide):
                 stream = bytes(values) if q <= 256 else values
                 for nbytes in (size, size + 5, size // 2):
-                    assert symbols_to_bytes(stream, q, nbytes) == symbols_to_bytes_oracle(
-                        values, q, nbytes
-                    )
+                    if max(values, default=0) >> s:
+                        with pytest.raises(CorruptShard, match="wider than"):
+                            symbols_to_bytes(stream, q, nbytes)
+                    else:
+                        assert symbols_to_bytes(stream, q, nbytes) == symbols_to_bytes_oracle(
+                            values, q, nbytes
+                        )
+
+    @pytest.mark.parametrize("q", [11, 257])
+    def test_bad_length_prefix_is_corrupt(self, q):
+        symbols = pack_payload(bytes(40), q, 6)
+        assert unpack_payload(symbols, q) == bytes(40)
+        longer = bytes_to_symbols((1000).to_bytes(8, "little"), q)
+        stream = longer + symbols[len(longer):]
+        with pytest.raises(CorruptShard, match="length prefix exceeds"):
+            unpack_payload(stream, q)
+        with pytest.raises(CorruptShard, match="shorter than the length prefix"):
+            unpack_payload(symbols[:6], q)
 
 
 @pytest.mark.parametrize("q", [11, 16, 131, 256, 257])
