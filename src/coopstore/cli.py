@@ -87,6 +87,9 @@ def _load_config(args) -> dict:
             raise InvalidConfig(f"config is not a JSON object: {config!r}")
         for name in SECTION_KEYS.keys() & config.keys():
             _section(name, config[name])
+        for name in ("seed", "omega"):
+            if name in config and type(config[name]) is not int:
+                raise InvalidConfig(f"{name} is not an int: {config[name]!r}")
     if getattr(args, "params", None):
         config["params"] = {**config.get("params", {}), **_section("params", _parse_kv(args.params))}
     if getattr(args, "field", None):

@@ -11,14 +11,17 @@ concrete instance by exhaustive subset enumeration: joint repair-data
 entropies, the reduction of full downloads to storage-plus-repair spans,
 and the per-helper entropy counts that produce the closed-form capacity.
 
-A rank depends only on the rows, never on their names, so every analysis
-(lemma suite, capacity sweep, measured capacity, secrecy checks) ranks
-plain rows in one entropy.RowSpace per call; labels are formatted only
-for the labelled reference view, leakage_observations.  The lemma suite
-ranks in an _AnalysisContext, a RowSpace that also fetches each
-functional row once per (kind, helper, failed, group), never per (helper,
-failed) alone: the suite must not assume the stability it checks.  The
-capacity and secrecy sweeps rank through PlacementRows.
+repair_download_rows is the one walk over a node's repair contexts: it
+gives each download once, keyed by a tuple (kind, sender, group,
+helpers).  A rank depends only on the rows, never on their names, so
+every analysis (lemma suite, capacity sweep, measured capacity, secrecy
+checks) ranks plain rows in one entropy.RowSpace per call, and
+download_label names a key only where something prints it
+(leakage_observations and the attacks).  The lemma suite ranks in an
+_AnalysisContext, a RowSpace that also fetches each functional row once
+per (kind, helper, failed, group), never per (helper, failed) alone: the
+suite must not assume the stability it checks.  The capacity and secrecy
+sweeps rank through PlacementRows.
 """
 
 from __future__ import annotations
@@ -87,11 +90,23 @@ def validate_eve(code, eve: EveModel):
 
 
 def repair_download_rows(code, node: int):
-    """Everything delivered to `node` across all (group, helper-set) contexts, labelled."""
-    rows = []
-    for group, helpers in code.contexts(node):
-        rows.extend(code.downloads_for_context(node, group, helpers))
-    return rows
+    """Everything delivered to `node` across all (group, helper-set) contexts.
+
+    The one walk over code.contexts(node): (key, row) pairs in traversal
+    order, key = (kind, sender, group, helpers), kind "S" for a repair
+    transfer and "Z" for an exchange.
+    """
+    return [
+        ((kind, sender, group, helpers), row)
+        for group, helpers in code.contexts(node)
+        for (kind, sender), row in code.download_rows(node, group, helpers)
+    ]
+
+
+def download_label(code, receiver: int, key) -> str:
+    """The printed name of a download: kind_sender^receiver|<context tag>."""
+    kind, sender, group, helpers = key
+    return f"{kind}_{sender}^{receiver}|{code.context_label(group, helpers)}"
 
 
 def download_span(code, node: int):
@@ -99,28 +114,21 @@ def download_span(code, node: int):
 
     They span exactly what the full traversal spans, so a rank taken over
     them is the measured leakage, not an assumed one.  The traversal yields
-    hundreds of rows but only a handful of distinct ones, so it is walked
-    through the code's label-free download_rows (downloads_for_context
-    labels exactly those rows); callers build the span once per node per
-    call and reuse it across placements.
+    hundreds of rows but only a handful of distinct ones; callers build the
+    span once per node per call and reuse it across placements.
     """
-    return list(
-        dict.fromkeys(
-            row
-            for group, helpers in code.contexts(node)
-            for row in code.download_rows(node, group, helpers)
-        )
-    )
+    return list(dict.fromkeys(row for _, row in repair_download_rows(code, node)))
 
 
 def leakage_observations(code, eve: EveModel) -> ObservationSet:
-    """The adversary's full view: W_E plus every download of every F node."""
+    """The adversary's full view, labelled: W_E plus every download of every F node."""
     validate_eve(code, eve)
     rows = []
     for e in eve.E:
         rows.extend(code.storage_rows(e))
     for f in eve.F:
-        rows.extend(repair_download_rows(code, f))
+        walk = repair_download_rows(code, f)
+        rows.extend((download_label(code, f, key), row) for key, row in walk)
         rows.extend(code.granted_rows(f))
     return observations(code.field, code.params.B, rows)
 

@@ -35,7 +35,7 @@ from .errors import (
     Singular,
     SingularLeakageMatrix,
 )
-from .eve import EveModel, leakage_observations
+from .eve import EveModel, download_label, leakage_observations, repair_download_rows
 from .matrix import Mat, dot, lincomb
 from .stable import CodeParams, ShardVector, StableDeployment, repair_context
 from .stable import _interleave, _stream_size
@@ -122,44 +122,22 @@ def code_a_encode(params: CodeAParams, a, b):
     return shards
 
 
-def _row_a(params, a_coeffs, b_coeffs):
-    return tuple(a_coeffs) + tuple(b_coeffs)
-
-
 def code_a_repair_functionals(params: CodeAParams, group) -> ObservationSet:
-    """Functionals of the repair data sent to node 1 under one group.
+    """The labelled repair data sent to node 1 under one group (1, l).
 
-    group must be (1, l).  For (1, 2) each parity j sends z^T D_j^{-1} r_j.
-    For (1, i+2) parity j != i sends z^T D_i D_j^{-1} r_j (the aligned
-    combination) and node 2 sends z^T D_i b.
+    The rows are node 1's traversal (CodeAAdapter.download_rows) under that
+    group; only the labels are built here.
     """
     group = tuple(sorted(group))
     if len(group) != 2 or group[0] != 1 or not 2 <= group[1] <= params.n:
         raise InvalidGroup(f"only groups (1, l) are modeled, got {group}")
-    f = params.field
-    alpha = params.alpha
-    other = group[1]
-    rows = []
-    if other == 2:
-        # helpers: all d parity nodes
-        for j in range(1, params.d + 1):
-            dj_inv = [f.inv(v) for v in params.diag(j)]
-            rows.append(
-                (f"S_{j + 2}^1|C=1,2", _row_a(params, dj_inv, [1] * alpha))
-            )
-    else:
-        i = other - 2
-        di = params.diag(i)
-        for j in range(1, params.d + 1):
-            if j == i:
-                continue
-            dj_inv = [f.inv(v) for v in params.diag(j)]
-            a_part = [f.mul(x, y) for x, y in zip(di, dj_inv)]
-            rows.append(
-                (f"S_{j + 2}^1|C=1,{other}", _row_a(params, a_part, di))
-            )
-        rows.append((f"S_2^1|C=1,{other}", _row_a(params, [0] * alpha, di)))
-    return observations(f, params.B, rows)
+    code = CodeAAdapter(params)
+    rows = [
+        (download_label(code, 1, key), row)
+        for key, row in repair_download_rows(code, 1)
+        if key[2] == group
+    ]
+    return observations(params.field, params.B, rows)
 
 
 def code_a_leakage_matrix(params: CodeAParams, j: int) -> Mat:
@@ -284,14 +262,28 @@ class CodeAAdapter:
             helpers = tuple(i for i in range(2, p.n + 1) if i != ell)
             yield group, helpers
 
-    def download_rows(self, node: int, group, helpers):
-        # exchange payload undefined in the source construction: repair only
-        return list(code_a_repair_functionals(self.code_params, group).rows)
+    def context_label(self, group, helpers) -> str:
+        """The "C=1,l" tag: Code A's downloads depend on the group alone."""
+        return f"C={','.join(map(str, group))}"
 
-    def downloads_for_context(self, node: int, group, helpers):
-        """download_rows(node, group, helpers), each with its label."""
-        labels = code_a_repair_functionals(self.code_params, group).labels
-        return list(zip(labels, self.download_rows(node, group, helpers)))
+    def download_rows(self, node: int, group, helpers):
+        """The repair data sent to node 1 under group (1, l), keyed ("S", sender).
+
+        For (1, 2) each parity j sends z^T D_j^{-1} r_j.  For (1, i+2)
+        parity j != i sends z^T D_i D_j^{-1} r_j (the aligned combination)
+        and node 2 sends z^T D_i b.  The exchange payload is undefined in
+        the source construction, so no row is keyed "Z".
+        """
+        p = self.code_params
+        f = p.field
+        inv = {j: tuple(f.inv(v) for v in p.diag(j)) for j in range(1, p.d + 1)}
+        if group[1] == 2:
+            # helpers: all d parity nodes
+            return [(("S", j + 2), inv[j] + (1,) * p.alpha) for j in inv]
+        i = group[1] - 2
+        di = p.diag(i)
+        rows = [(("S", j + 2), tuple(map(f.mul, di, inv[j])) + di) for j in inv if j != i]
+        return rows + [(("S", 2), (0,) * p.alpha + di)]
 
     def granted_rows(self, node: int):
         if node != 1:
@@ -365,9 +357,9 @@ def code_b_repair_data(code: CodeB, data: Mat, group, helpers):
     for fj in group:
         idx = code.packet_index(fj, group)
         for lam in helpers:
-            label, row = code.repair_row_ctx(lam, fj, group, helpers)
             symbols[(lam, fj)] = payloads[lam][idx]
-            rows.append((label, row))
+            label = download_label(code, fj, ("S", lam, group, helpers))
+            rows.append((label, code.repair_functional(lam, fj, group)))
     return symbols, observations(code.field, code.params.B, rows)
 
 
@@ -401,8 +393,8 @@ def code_b_attack(code: CodeB, data: Mat) -> CodeBAttackResult:
         groups.append(group)
         idx = code.packet_index(target, group)
         for lam in helpers:
-            label, row = code.repair_row_ctx(lam, target, group, helpers)
-            rows.append((label, row))
+            label = download_label(code, target, ("S", lam, group, helpers))
+            rows.append((label, code.repair_functional(lam, target, group)))
             symbols[(idx, lam)] = payloads[lam][idx]
     obs = observations(code.field, p.B, rows)
 

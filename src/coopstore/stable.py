@@ -125,11 +125,6 @@ def repair_context(code, group, helpers=None) -> RepairContext:
     return RepairContext(group, helpers)
 
 
-def context_label(group, helpers) -> str:
-    """The "C=...;D=..." tag every row delivered under one context carries."""
-    return f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
-
-
 class StableDeployment:
     """The deployment shared by the d = k codes, plus their functional protocol.
 
@@ -139,6 +134,9 @@ class StableDeployment:
     repair_functional(helper, failed, group) and
     exchange_functional(sender, receiver, group); whether they depend on the
     group is the whole difference between a stable and an unstable code.
+    download_rows gives a context's downloads once, keyed by (kind, sender)
+    tuples, and context_label the context's tag; eve.download_label builds a
+    printed name from the two only where one is printed.
     The batch operations need only G, so every code here shares them.
     """
 
@@ -181,30 +179,19 @@ class StableDeployment:
             for helpers in itertools.combinations(pool, p.d):
                 yield group, helpers
 
-    def repair_row_ctx(self, helper: int, failed: int, group, helpers):
-        label = f"S_{helper}^{failed}|{context_label(group, helpers)}"
-        return label, self.repair_functional(helper, failed, group)
-
-    def exchange_row_ctx(self, sender: int, receiver: int, group, helpers):
-        label = f"Z_{sender}^{receiver}|{context_label(group, helpers)}"
-        return label, self.exchange_functional(sender, receiver, group)
+    def context_label(self, group, helpers) -> str:
+        """The "C=...;D=..." tag of every row delivered under one context."""
+        return f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
 
     def download_rows(self, node: int, group, helpers):
         """The rows delivered to `node` when repaired under (group, helpers).
 
-        One repair row per helper, then one exchange row per other group
-        member, unlabelled: download_span walks these.
+        One repair row per helper, keyed ("S", helper), then one exchange
+        row per other group member, keyed ("Z", sender).
         """
-        rows = [self.repair_functional(lam, node, group) for lam in helpers]
-        rows += [self.exchange_functional(j, node, group) for j in group if j != node]
+        rows = [(("S", lam), self.repair_functional(lam, node, group)) for lam in helpers]
+        rows += [(("Z", j), self.exchange_functional(j, node, group)) for j in group if j != node]
         return rows
-
-    def downloads_for_context(self, node: int, group, helpers):
-        """download_rows(node, group, helpers), each with its label."""
-        ctx = context_label(group, helpers)
-        labels = [f"S_{lam}^{node}|{ctx}" for lam in helpers]
-        labels += [f"Z_{j}^{node}|{ctx}" for j in group if j != node]
-        return list(zip(labels, self.download_rows(node, group, helpers)))
 
     def nominal_repair_row(self, helper: int, failed: int):
         """The transfer under the least repair group holding the failed node."""

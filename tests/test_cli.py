@@ -111,6 +111,23 @@ class TestAttack:
         assert doc["results"]["recovered"] == "EXACT"
         assert doc["results"]["helpers"] == [4, 5, 6]
 
+    @pytest.mark.parametrize(
+        "variant, count, first, expected",
+        [
+            ("code-a", 15, "S_3^1|C=1,2",
+             "ab2d84d2481a8bbc6670145575fe6a35a643886895af5ef17aa088d8ec5714a1"),
+            ("code-b", 6, "S_4^2|C=1,2;D=4,5,6",
+             "d22bf0ace741d29660849ebd123fb325cfa5a560e06574405b44c6f56bf852b8"),
+        ],
+    )
+    def test_leaked_rows_pinned(self, tmp_path, variant, count, first, expected):
+        # every label the attack reports, in order, at the defaults
+        report = tmp_path / "r.json"
+        assert run(["attack", "--variant", variant, "--report", report]) == 0
+        labels = json.loads(report.read_text())["results"]["leaked_rows"]
+        assert (len(labels), labels[0]) == (count, first)
+        assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == expected
+
     def test_code_b_partial_leak_fails(self, monkeypatch):
         # recovery alone does not pass: the leak must also be total
         real = cli.code_b_attack
@@ -214,6 +231,23 @@ class TestSweepVerify:
         cfg.write_text(json.dumps(config))
         assert run(["capacity-sweep", "--config", cfg]) == 2
         assert f"{section} is not" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["attack", "--variant", "code-a"], {"seed": [1]}, "seed"),
+            (["verify"], {"seed": [1]}, "seed"),
+            (["attack", "--variant", "code-a"], {"omega": "x"}, "omega"),
+            (["attack", "--variant", "code-a"], {"seed": 1.5}, "seed"),
+            (["attack", "--variant", "code-a"], {"omega": True}, "omega"),
+        ],
+        ids=["attack-seed-list", "verify-seed-list", "omega-string", "seed-float", "omega-bool"],
+    )
+    def test_bad_seed_and_omega_are_config_errors(self, tmp_path, capsys, argv, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([*argv, "--config", cfg]) == 2
+        assert f"{key} is not an int" in capsys.readouterr().err
 
     def test_empty_sweep_range_is_vacuous_success(self, tmp_path):
         cfg = tmp_path / "cfg.json"

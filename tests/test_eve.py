@@ -305,8 +305,9 @@ class TestLemmaSuite:
 
     @pytest.mark.parametrize("make", [s1, b1], ids=["s1", "b1"])
     def test_context_rows_match_row_ctx(self, make):
-        # the bare rows the lemma suite ranks equal the rows of the labelled
-        # repair_row_ctx / exchange_row_ctx, on every context of every node
+        # the bare rows the lemma suite ranks are the transfer primitives'
+        # rows, and the code's keyed download_rows, on every context of
+        # every node
         from coopstore.eve import _ctx_exchange_rows, _ctx_repair_rows
 
         code = make()
@@ -314,13 +315,15 @@ class TestLemmaSuite:
         for node in nodes:
             for group, helpers in code.contexts(node):
                 assert _ctx_repair_rows(code, helpers, group, group) == [
-                    code.repair_row_ctx(i, j, group, helpers)[1]
-                    for j in group
-                    for i in helpers
+                    code.repair_functional(i, j, group) for j in group for i in helpers
                 ]
-                assert _ctx_exchange_rows(code, group, node, group) == [
-                    code.exchange_row_ctx(j, node, group, helpers)[1] for j in group if j != node
-                ]
+                senders = [j for j in group if j != node]
+                z_rows = _ctx_exchange_rows(code, group, node, group)
+                assert z_rows == [code.exchange_functional(j, node, group) for j in senders]
+                s_rows = _ctx_repair_rows(code, helpers, [node], group)
+                assert code.download_rows(node, group, helpers) == [
+                    (("S", i), row) for i, row in zip(helpers, s_rows)
+                ] + [(("Z", j), row) for j, row in zip(senders, z_rows)]
 
     def test_traversal_span_counts_and_witnesses(self):
         # pinned before conditional_entropy moved out of the G loop

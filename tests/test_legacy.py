@@ -219,8 +219,8 @@ class TestCodeBRepair:
 
     def test_same_node_different_functional_across_groups(self):
         code = b1()
-        r12 = code.repair_row_ctx(5, 2, (1, 2), (4, 5, 6))[1]
-        r23 = code.repair_row_ctx(5, 2, (2, 3), (4, 5, 6))[1]
+        r12 = code.repair_functional(5, 2, (1, 2))
+        r23 = code.repair_functional(5, 2, (2, 3))
         assert r12 != r23  # node 2 is second in (1,2) but first in (2,3)
 
     def test_zero_data_zero_transfers(self):

@@ -1,8 +1,9 @@
 """Pins every labelled row the functional protocol yields on the desk instances.
 
-The eavesdropper analysis consumes only (label, row) pairs, so a change to
-how the code models build them must leave this traversal byte-identical.
-Each digest is a sha256 over one "label<TAB>row" line per yielded pair.
+The eavesdropper analysis consumes the codes' rows, and reports name them
+by labels built on demand, so a change to how the code models build
+either must leave this traversal byte-identical.  Each digest is a sha256
+over one "label<TAB>row" line per yielded pair.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import itertools
 
 import pytest
 
-from coopstore.eve import download_span, repair_download_rows
+from coopstore.eve import download_label, repair_download_rows
 from coopstore.instances import a1, b1, s1
 from coopstore.legacy import CodeAAdapter
 from coopstore.stable import eavesdroppable_nodes
@@ -21,8 +22,8 @@ def traversal(code, nominal):
     for node in range(1, n + 1):
         yield from code.storage_rows(node)
     for node in eavesdroppable_nodes(code):
-        for group, helpers in code.contexts(node):
-            yield from code.downloads_for_context(node, group, helpers)
+        for key, row in repair_download_rows(code, node):
+            yield download_label(code, node, key), row
     if nominal:
         for a, b in itertools.permutations(range(1, n + 1), 2):
             yield f"S_{a}^{b}", code.nominal_repair_row(a, b)
@@ -58,15 +59,38 @@ def test_traversal_digest(make, nominal, expected):
     assert digest(make(), nominal) == expected
 
 
-@pytest.mark.parametrize("make", [s1, b1, lambda: CodeAAdapter(a1())], ids=["s1", "b1", "code-a"])
-def test_download_rows_are_the_labelled_rows(make):
-    # one traversal: downloads_for_context labels exactly download_rows, and
-    # the span walked over download_rows keeps the labelled view's first
-    # occurrences in order
+def old_labels(code, node, group, helpers):
+    """Reference: the labels of one context's downloads, in the format reports print."""
+    if isinstance(code, CodeAAdapter):
+        other = group[1]
+        parity = [j + 2 for j in range(1, code.code_params.d + 1) if j + 2 != other]
+        senders = parity + ([2] if other != 2 else [])
+        return [f"S_{j}^1|C=1,{other}" for j in senders]
+    ctx = f"C={','.join(map(str, group))};D={','.join(map(str, helpers))}"
+    return [f"S_{lam}^{node}|{ctx}" for lam in helpers] + [
+        f"Z_{j}^{node}|{ctx}" for j in group if j != node
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, first",
+    [
+        (s1, "S_3^1|C=1,2;D=3,4,5"),
+        (b1, "S_3^1|C=1,2;D=3,4,5"),
+        (lambda: CodeAAdapter(a1()), "S_3^1|C=1,2"),
+    ],
+    ids=["s1", "b1", "code-a"],
+)
+def test_labels_on_demand_are_the_old_strings(make, first):
+    # download_label over the keyed walk names every download as the
+    # labelled view used to, in the same order
     code = make()
     for node in eavesdroppable_nodes(code):
-        for group, helpers in code.contexts(node):
-            labelled = code.downloads_for_context(node, group, helpers)
-            assert code.download_rows(node, group, helpers) == [row for _, row in labelled]
-        full = [row for _, row in repair_download_rows(code, node)]
-        assert download_span(code, node) == list(dict.fromkeys(full))
+        labels = [download_label(code, node, key) for key, _ in repair_download_rows(code, node)]
+        assert labels == [
+            label
+            for group, helpers in code.contexts(node)
+            for label in old_labels(code, node, group, helpers)
+        ]
+        if node == 1:
+            assert labels[0] == first

@@ -242,7 +242,7 @@ class TestFunctionalSpans:
             pool = [i for i in range(1, 7) if i not in group]
             helpers = tuple(pool[:3])
             for fj in group:
-                phase1 = [code.repair_row_ctx(lam, fj, group, helpers) for lam in helpers]
+                phase1 = [("s", code.repair_functional(lam, fj, group)) for lam in helpers]
                 obs1 = observations(code.field, 6, phase1)
                 for fi in group:
                     if fi == fj:
@@ -256,7 +256,7 @@ class TestFunctionalSpans:
         code = s1()
         group, helpers = (2, 5), (1, 3, 4)
         for fj in group:
-            rows = [code.repair_row_ctx(lam, fj, group, helpers) for lam in helpers]
+            rows = [("s", code.repair_functional(lam, fj, group)) for lam in helpers]
             rows += [
                 ("z", code.exchange_functional(fi, fj)) for fi in group if fi != fj
             ]
