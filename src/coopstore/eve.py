@@ -34,24 +34,9 @@ from functools import lru_cache
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in eve by name
 from .entropy import ObservationSet, RowSpace, entropy_symbols, observations  # noqa: F401
 from .errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
-from .stable import eavesdroppable_nodes
 
-
-class NotCovered:
-    """Closed-form capacity is not claimed for these parameters."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "not-covered"
-
-
-NOT_COVERED = NotCovered()
+# Closed-form capacity is not claimed for these parameters.
+NOT_COVERED = "not-covered"
 
 
 @dataclass(frozen=True)
@@ -84,7 +69,7 @@ def validate_eve(code, eve: EveModel):
         raise InvalidEveModel("eavesdropped node ids out of range")
     if eve.l1 + eve.l2 > p.k - 1:
         raise InvalidEveModel(f"need l1 + l2 <= k - 1 = {p.k - 1}")
-    allowed = set(eavesdroppable_nodes(code))
+    allowed = set(code.supported_failed_nodes)
     if not set(eve.F) <= allowed:
         raise InvalidEveModel(f"code cannot enumerate repair downloads for {eve.F}")
 
@@ -458,7 +443,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
 
     # --- traversal span -----------------------------------------------------
     chk = res.get("traversal_span")
-    allowed_f = sorted(eavesdroppable_nodes(code))
+    allowed_f = sorted(code.supported_failed_nodes)
     spans = {f: [ctx.intern(row) for row in download_span(code, f)] for f in allowed_f}
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
@@ -638,9 +623,7 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
         chk.fail(("H(S_g^F) != min(l2, t)beta", per_helper))
     chk.checked += 1
     capacity = p.B - leaked
-    closed_form = (p.k - l1 - l2) * (p.alpha - l2 * p.beta) if l2 <= p.t else 0
-    if p.d == p.k and l2 >= p.t:
-        closed_form = 0
+    closed_form = predicted_secrecy_capacity(p, l1, l2)
     if capacity != closed_form:
         chk.fail(("capacity != closed form", capacity, closed_form))
     return ctx.finish(res)

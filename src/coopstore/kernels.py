@@ -22,6 +22,10 @@ The leading column and its value come from bit_length().  On every other
 field (GF(p) with p > 16, larger GF(2^m), towers) echelon and rank reduce
 tuples of elements through the field's own sub/mul/inv.  _rank_generic,
 a flat row-major loop, is the reference for every field.
+
+solve(A, B) runs on echelon as well, the one row reduction here: it
+eliminates the rows of [A | B], then reduces that basis, last row first,
+to [I | X].
 """
 
 from __future__ import annotations
@@ -164,46 +168,29 @@ def _rank_generic(data, nrows, ncols, field):
 def solve(a_data, n, b_data, bcols, field):
     """Solve A X = B for square A (n x n), B given row-major (n x bcols).
 
-    Returns the flat row-major solution, or None when A is singular.
+    Returns the flat row-major solution, or None when A is singular.  The
+    rows of [A | B] go through echelon: A is singular exactly when their
+    basis has fewer than n rows or its last row leads outside A.
+    Otherwise each basis row, last first, is reduced against the rows
+    after it, one echelon call each, which leaves [I | X].
     """
     w = n + bcols
-    m = [0] * (n * w)
-    for i in range(n):
-        m[i * w : i * w + n] = a_data[i * n : (i + 1) * n]
-        m[i * w + n : (i + 1) * w] = b_data[i * bcols : (i + 1) * bcols]
-    sub, mul, inv = field.sub, field.mul, field.inv
+    rows = [
+        pack(field, tuple(a_data[i * n : (i + 1) * n]) + tuple(b_data[i * bcols : (i + 1) * bcols]))
+        for i in range(n)
+    ]
+    basis = echelon((), rows, w, field)
+    if len(basis) < n or (n and not any(_unpack(field, basis[-1], w)[:n])):
+        return None
+    reduced = ()
+    for row in reversed(basis):
+        reduced = echelon(reduced, [row], w, field)
+    return [v for row in reduced for v in _unpack(field, row, w)[n:]]
 
-    for col in range(n):
-        piv = -1
-        for row in range(col, n):
-            if m[row * w + col]:
-                piv = row
-                break
-        if piv < 0:
-            return None
-        if piv != col:
-            for c in range(col, w):
-                m[col * w + c], m[piv * w + c] = m[piv * w + c], m[col * w + c]
-        pinv = inv(m[col * w + col])
-        for c in range(col, w):
-            v = m[col * w + c]
-            if v:
-                m[col * w + c] = mul(v, pinv)
-        for row in range(n):
-            if row == col:
-                continue
-            f = m[row * w + col]
-            if f:
-                m[row * w + col] = 0
-                for c in range(col + 1, w):
-                    v = m[col * w + c]
-                    if v:
-                        m[row * w + c] = sub(m[row * w + c], mul(f, v))
 
-    out = [0] * (n * bcols)
-    for i in range(n):
-        out[i * bcols : (i + 1) * bcols] = m[i * w + n : (i + 1) * w]
-    return out
+def _unpack(field, row, ncols):
+    """A packed row (see pack) as a tuple of ncols elements."""
+    return tuple(row.to_bytes(ncols, "big")) if lanes(field) else row
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,11 @@
 
 A Mat is immutable: (field, nrows, ncols, flat row-major tuple of canonical
 int elements).  Rank, inverse and solving go through the kernel layer
-(``kernels``).  The structured constructors build the
-code-generator matrices: Vandermonde, systematic-plus-Cauchy (every square
-submatrix of which is invertible), and Moore matrices of Frobenius powers.
+(``kernels``), whose one row reduction is ``kernels.echelon``; the
+products mul and mul_vec are ``dot`` over rows and columns.  The
+structured constructors build the code-generator matrices: Vandermonde,
+systematic-plus-Cauchy (every square submatrix of which is invertible),
+and Moore matrices of Frobenius powers.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import (
     FieldTooSmall,
     Singular,
 )
-from .field import ExtensionField
+from .field import ExtensionField, prime_field
 
 
 class Mat:
@@ -87,12 +89,6 @@ class Mat:
             tuple(self.at(i, j) for i in row_idx for j in col_idx),
         )
 
-    def vstack(self, other):
-        self._check_field(other)
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("vstack column counts differ")
-        return Mat(self.field, self.nrows + other.nrows, self.ncols, self.data + other.data)
-
     # --- arithmetic ---
     def mul(self, other):
         self._check_field(other)
@@ -101,20 +97,8 @@ class Mat:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         f = self.field
-        add, mul = f.add, f.mul
-        out = [0] * (self.nrows * other.ncols)
-        for i in range(self.nrows):
-            for k in range(self.ncols):
-                a = self.at(i, k)
-                if not a:
-                    continue
-                base = i * other.ncols
-                orow = k * other.ncols
-                for j in range(other.ncols):
-                    b = other.data[orow + j]
-                    if b:
-                        out[base + j] = add(out[base + j], mul(a, b))
-        return Mat(f, self.nrows, other.ncols, out)
+        cols = [other.col(j) for j in range(other.ncols)]
+        return Mat(f, self.nrows, other.ncols, (dot(f, r, c) for r in self.rows() for c in cols))
 
     __matmul__ = mul
 
@@ -122,15 +106,7 @@ class Mat:
         """Matrix times column vector (tuple) -> tuple."""
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length != column count")
-        f = self.field
-        out = []
-        for i in range(self.nrows):
-            acc = 0
-            for j, v in enumerate(vec):
-                if v:
-                    acc = f.add(acc, f.mul(self.at(i, j), v))
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(self.field, r, vec) for r in self.rows())
 
     # --- elimination-backed operations ---
     def rank(self) -> int:
@@ -330,25 +306,13 @@ def moore_matrix(field, points, rows: int, frobenius_base: int) -> Mat:
 def _check_independent_over_base(field, pts, frobenius_base):
     """Linear independence of pts over the base subfield, via coordinates."""
     if isinstance(field, ExtensionField) and frobenius_base == field.base.order:
-        coord_field = field.base
-        coord_rows = [field.coords(p) for p in pts]
+        cm = Mat.from_rows(field.base, [field.coords(p) for p in pts])
     elif field.kind == "binary" and frobenius_base == 2:
-        coord_field = None  # GF(2) coordinates are the bits themselves
-        coord_rows = [tuple((p >> b) & 1 for b in range(field.m)) for p in pts]
-    elif field.kind == "prime" and frobenius_base == field.order:
-        if len(pts) > 1:
-            raise DependentPoints("a prime field is 1-dimensional over itself")
-        if pts and pts[0] == 0:
-            raise DependentPoints("zero point")
-        return
+        # GF(2) coordinates are the bits themselves
+        cm = Mat.from_rows(prime_field(2), [tuple((p >> b) & 1 for b in range(field.m)) for p in pts])
     else:
         raise FieldKindUnsupported(
             "independence check supports GF(2^m) over GF(2) and towers over their base"
         )
-    if coord_field is None:
-        from .field import prime_field
-
-        coord_field = prime_field(2)
-    cm = Mat.from_rows(coord_field, coord_rows)
     if cm.rank() != len(pts):
         raise DependentPoints("points are linearly dependent over the base subfield")

@@ -51,7 +51,7 @@ def capacity_rows(cells):
                 "E": ",".join(map(str, c.E)),
                 "F": ",".join(map(str, c.F)),
                 "measured": c.measured,
-                "predicted": "not-covered" if not isinstance(c.predicted, int) else c.predicted,
+                "predicted": c.predicted,
                 "match": bool(c.matches),
             }
         )

@@ -521,7 +521,7 @@ def stability_certificate(code):
     Returns None on pass, otherwise a StabilityWitness exhibiting two
     contexts with different transferred functionals.
     """
-    for failed in eavesdroppable_nodes(code):
+    for failed in code.supported_failed_nodes:
         seen = {}
         for group, helpers in code.contexts(failed):
             for lam in helpers:
@@ -538,8 +538,3 @@ def stability_certificate(code):
                         second_row=row,
                     )
     return None
-
-
-def eavesdroppable_nodes(code):
-    """Nodes whose full repair-download traversal the code can enumerate."""
-    return list(code.supported_failed_nodes)

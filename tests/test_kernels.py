@@ -1,11 +1,16 @@
-"""The rank and echelon kernels against the generic field-method loop."""
+"""The rank and echelon kernels against the generic field-method loop,
+and solve against the permutation-expansion determinant."""
 
 import random
 
 import pytest
 
 from coopstore import kernels
-from coopstore.field import binary_field, prime_field
+from coopstore.field import ExtensionField, binary_field, prime_field
+from coopstore.matrix import Mat
+from coopstore.secure import PUBLISHED_TOWERS
+
+from helpers import det_oracle
 
 
 def _random_rows(rng, field, nrows, ncols):
@@ -154,6 +159,52 @@ def test_echelon_stops_reading_at_full_rank(name):
     # an extension that completes the basis stops reading too
     half = kernels.echelon((), [kernels.pack(field, r) for r in identity[:2]], ncols, field)
     assert len(kernels.echelon(half, rows(identity[2:]), ncols, field)) == ncols
+
+
+SOLVE_FIELDS = {
+    "GF(2)": lambda: prime_field(2),
+    "GF(11)": lambda: prime_field(11),
+    "GF(16)": lambda: binary_field(4),
+    "GF(2^8)": lambda: binary_field(8),
+    "GF(17)": lambda: prime_field(17),
+    "GF(2^9)": lambda: binary_field(9),
+    "tower": lambda: ExtensionField(binary_field(4), 6, PUBLISHED_TOWERS[(16, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVE_FIELDS))
+def test_solve_matches_det_oracle(name):
+    # None exactly when det A = 0, else A X = B in the field's own arithmetic
+    field = SOLVE_FIELDS[name]()
+    assert kernels.lanes(field) == (name in ("GF(2)", "GF(11)", "GF(16)", "GF(2^8)"))
+    rng = random.Random("solve " + name)
+    add, mul = field.add, field.mul
+    singular = solved = consistent_singular = 0
+    for trial in range(150):
+        n, bcols = rng.randint(1, 5), rng.randint(0, 4)
+        a = _random_rows(rng, field, n, n)
+        b = [tuple(rng.randrange(field.order) for _ in range(bcols)) for _ in range(n)]
+        if trial % 10 == 0 and bcols:  # a zero row of A against a nonzero entry of B
+            i = rng.randrange(n)
+            a[i] = (0,) * n
+            b[i] = (1,) + b[i][1:]
+        a_data, b_data = _flat(a), _flat(b)
+        got = kernels.solve(a_data, n, b_data, bcols, field)
+        if det_oracle(field, Mat(field, n, n, a_data)) == 0:
+            assert got is None
+            singular += 1
+            ab = [ra + rb for ra, rb in zip(a, b)]
+            consistent_singular += _generic_rank(field, ab, n + bcols) == n
+            continue
+        assert got is not None and len(got) == n * bcols
+        for i in range(n):
+            for j in range(bcols):
+                acc = 0
+                for c in range(n):
+                    acc = add(acc, mul(a[i][c], got[c * bcols + j]))
+                assert acc == b[i][j]
+        solved += 1
+    assert singular >= 20 and solved >= 20 and consistent_singular >= 10
 
 
 def _unpack(field, row, ncols):

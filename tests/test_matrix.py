@@ -45,7 +45,7 @@ class TestRank:
             ra, rb = rng.randint(1, 4), rng.randint(1, 4)
             a = Mat(gf11, ra, c, [rng.randrange(11) for _ in range(ra * c)])
             b = Mat(gf11, rb, c, [rng.randrange(11) for _ in range(rb * c)])
-            stacked = a.vstack(b)
+            stacked = Mat(gf11, ra + rb, c, a.data + b.data)
             assert max(a.rank(), b.rank()) <= stacked.rank() <= a.rank() + b.rank()
 
 

@@ -14,21 +14,20 @@ import pytest
 from coopstore.eve import download_label, repair_download_rows
 from coopstore.instances import a1, b1, s1
 from coopstore.legacy import CodeAAdapter
-from coopstore.stable import eavesdroppable_nodes
 
 
 def traversal(code, nominal):
     n = code.params.n
     for node in range(1, n + 1):
         yield from code.storage_rows(node)
-    for node in eavesdroppable_nodes(code):
+    for node in code.supported_failed_nodes:
         for key, row in repair_download_rows(code, node):
             yield download_label(code, node, key), row
     if nominal:
         for a, b in itertools.permutations(range(1, n + 1), 2):
             yield f"S_{a}^{b}", code.nominal_repair_row(a, b)
             yield f"Z_{a}^{b}", code.nominal_exchange_row(a, b)
-    for node in eavesdroppable_nodes(code):
+    for node in code.supported_failed_nodes:
         yield from code.granted_rows(node)
 
 
@@ -85,7 +84,7 @@ def test_labels_on_demand_are_the_old_strings(make, first):
     # download_label over the keyed walk names every download as the
     # labelled view used to, in the same order
     code = make()
-    for node in eavesdroppable_nodes(code):
+    for node in code.supported_failed_nodes:
         labels = [download_label(code, node, key) for key, _ in repair_download_rows(code, node)]
         assert labels == [
             label
