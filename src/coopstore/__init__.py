@@ -51,7 +51,6 @@ from .secure import (
 from .stable import (
     CodeParams,
     RepairContext,
-    ShardVector,
     StableCode,
     repair_context,
     stability_certificate,
@@ -69,7 +68,6 @@ __all__ = [
     "ObservationSet",
     "RepairContext",
     "SecureScheme",
-    "ShardVector",
     "StableCode",
     "bandwidth_comparison",
     "binary_field",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .entropy import brute_force_entropy, entropy_symbols, observations
-from .errors import ConfigError, CoopstoreError, InvalidConfig
+from .errors import ConfigError, CoopstoreError, InvalidConfig, TooFewShards
 from .eve import (
     EveModel,
     bandwidth_comparison,
@@ -257,6 +257,11 @@ def cmd_repair(args, clock) -> ReportDoc:
     _check_ids("--group", group, p.n, p.t, p.t)
     if args.helpers:
         _check_ids("--helpers", helpers, p.n, p.d, p.d)
+    elif len(payloads) < p.d:
+        raise TooFewShards(
+            f"need {p.d} helper shards to repair group {','.join(map(str, group))}, "
+            f"got {len(payloads)}: {','.join(map(str, payloads))}"
+        )
     code = StableCode.create(p, field_create(meta.field_spec))
     ctx = repair_context(code, group, helpers or tuple(payloads))
     with clock.layer("algebra"):

@@ -65,10 +65,6 @@ class MissingShard(CoopstoreError):
     pass
 
 
-class DuplicateNode(CoopstoreError):
-    pass
-
-
 class TooFewShards(CoopstoreError):
     pass
 

@@ -166,14 +166,21 @@ def measured_secrecy_capacity(code, eve: EveModel) -> int:
     return capacity_cell(code, eve).measured
 
 
+def _check_pair(params, l1: int, l2: int):
+    """Raise InvalidL unless l1, l2 >= 0 and l1 + l2 <= k - 1, the modelled eavesdroppers."""
+    if l1 < 0 or l2 < 0 or l1 + l2 > params.k - 1:
+        raise InvalidL(
+            f"need l1, l2 >= 0 and l1 + l2 <= k - 1 = {params.k - 1}, got ({l1}, {l2})"
+        )
+
+
 def predicted_secrecy_capacity(params, l1: int, l2: int):
     """Closed-form capacity for stable codes, or NOT_COVERED.
 
     (k - l1 - l2)(alpha - l2*beta) when l2 <= t <= k, or when t > k and
     d = k; additionally 0 when d = k and l2 >= t.  Other regimes are open.
     """
-    if l1 < 0 or l2 < 0 or l1 + l2 > params.k - 1:
-        raise InvalidL(f"need l1, l2 >= 0 and l1 + l2 <= k - 1 = {params.k - 1}")
+    _check_pair(params, l1, l2)
     k, t, d, alpha, beta = params.k, params.t, params.d, params.alpha, params.beta
     if l2 == 0:
         return (k - l1) * alpha
@@ -532,11 +539,15 @@ def capacity_table(code, pairs=None):
     """capacity_cell for every admissible placement.
 
     pairs defaults to every (l1, l2) with l1 + l2 <= k - 1; for each pair
-    every placement is enumerated.
+    every placement is enumerated.  A pair outside that range raises
+    InvalidL before any placement is enumerated.
     """
     p = code.params
     if pairs is None:
         pairs = [(l1, tot - l1) for tot in range(p.k) for l1 in range(tot + 1)]
+    pairs = list(pairs)  # read twice: checked, then enumerated
+    for l1, l2 in pairs:
+        _check_pair(p, l1, l2)
     return _capacity_cells(code, (eve for l1, l2 in pairs for eve in placements(code, l1, l2)))
 
 

@@ -157,26 +157,15 @@ class FieldSpec:
 
 
 class Field:
-    """Common interface; subclasses implement the four basic operations."""
+    """Common interface: the powers, orders and generators shared by every field.
+
+    A subclass provides kind, order and spec, add, sub, mul and inv on
+    canonical ints (inv raising ZeroDivisionError on 0), and element(v),
+    the canonical representative of an int (reducing prime residues).
+    """
 
     kind: str
     order: int
-    char: int
-
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -188,10 +177,6 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return r
-
-    def element(self, v: int) -> int:
-        """Canonical representative of an int (reduces prime residues)."""
-        raise NotImplementedError
 
     def element_order(self, a: int) -> int:
         """Multiplicative order, via the factorization of order-1."""
@@ -231,7 +216,6 @@ class PrimeField(Field):
         if not is_prime(p):
             raise NonPrimeModulus(f"{p} is not prime")
         self.order = p
-        self.char = p
         self.spec = FieldSpec.prime(p)
         self.generator = self.find_generator()
 
@@ -240,9 +224,6 @@ class PrimeField(Field):
 
     def sub(self, a, b):
         return (a - b) % self.order
-
-    def neg(self, a):
-        return -a % self.order
 
     def mul(self, a, b):
         return a * b % self.order
@@ -276,7 +257,6 @@ class BinaryField(Field):
         self.m = m
         self.poly = poly
         self.order = 1 << m
-        self.char = 2
         self.spec = FieldSpec(kind="binary", m=m, poly=poly)
         # log/exp tables are worthwhile up to m=16 (512 KiB); beyond that
         # multiply directly.  The tables are powers of the generator, which
@@ -315,9 +295,6 @@ class BinaryField(Field):
         return a ^ b
 
     sub = add
-
-    def neg(self, a):
-        return a
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -384,7 +361,6 @@ class ExtensionField(Field):
         self.degree = degree
         self.reduction = tuple(reduction)
         self.order = base.order**degree
-        self.char = base.char
         self.spec = ("tower", base.spec, degree, self.reduction)
         m = base.m
         self._m = m
@@ -446,9 +422,6 @@ class ExtensionField(Field):
             a = a * q + c
         return a
 
-    def embed(self, base_elem: int) -> int:
-        return base_elem
-
     def scale(self, base_elem: int, a: int) -> int:
         """Multiply by an embedded base element: one table lookup per byte."""
         table = self._scale[base_elem]
@@ -459,9 +432,6 @@ class ExtensionField(Field):
         return a ^ b
 
     sub = add
-
-    def neg(self, a):
-        return a
 
     def mul(self, a, b):
         times_a = a.to_bytes(self._nbytes, "little").translate

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .eve import EveModel, download_label, leakage_observations, repair_download_rows
 from .matrix import Mat, dot, lincomb
-from .stable import CodeParams, ShardVector, StableDeployment, repair_context
+from .stable import CodeParams, StableDeployment, repair_context
 from .stable import _interleave, _stream_size
 
 
@@ -107,18 +107,15 @@ def _sum_ones(field, count: int) -> int:
 
 
 def code_a_encode(params: CodeAParams, a, b):
-    """Shards: node 1 holds a, node 2 holds b, node i+2 holds a + D_i b."""
+    """node -> symbols: node 1 holds a, node 2 holds b, node i+2 holds a + D_i b."""
     alpha = params.alpha
     a, b = tuple(a), tuple(b)
     if len(a) != alpha or len(b) != alpha:
         raise DimensionMismatch(f"vectors must have length {alpha}")
     f = params.field
-    shards = [ShardVector(1, a), ShardVector(2, b)]
+    shards = {1: a, 2: b}
     for i in range(1, params.d + 1):
-        di = params.diag(i)
-        shards.append(
-            ShardVector(i + 2, tuple(f.add(x, f.mul(w, y)) for x, w, y in zip(a, di, b)))
-        )
+        shards[i + 2] = tuple(f.add(x, f.mul(w, y)) for x, w, y in zip(a, params.diag(i), b))
     return shards
 
 
@@ -184,8 +181,7 @@ def code_a_attack(params: CodeAParams, a, b, j: int = 1) -> CodeAAttackResult:
     f = params.field
     alpha = params.alpha
     a, b = tuple(a), tuple(b)
-    shards = code_a_encode(params, a, b)
-    r_j = shards[j + 1].symbols  # node j+2
+    r_j = code_a_encode(params, a, b)[j + 2]
 
     dj_inv = [f.inv(v) for v in params.diag(j)]
     z_dj_inv_r = dot(f, dj_inv, r_j)  # group (1,2) symbol from parity j

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in secure by name
 from .entropy import RowSpace, entropy_symbols  # noqa: F401
-from .errors import (
-    DuplicateNode,
-    FieldKindUnsupported,
-    LengthMismatch,
-    NotCoveredRegime,
-)
+from .errors import FieldKindUnsupported, LengthMismatch, NotCoveredRegime
 from .eve import (
     NOT_COVERED,
     EveModel,
@@ -38,7 +33,7 @@ from .eve import (
 )
 from .field import ExtensionField
 from .matrix import Mat, moore_matrix
-from .stable import CodeParams, ShardVector, StableCode
+from .stable import CodeParams, StableCode
 
 # (base order, extension degree) -> reduction polynomial, low degree first
 PUBLISHED_TOWERS = {
@@ -108,18 +103,16 @@ def precode(scheme: SecureScheme, secret, randomness):
 
 
 def encode_secure(scheme: SecureScheme, secret, randomness):
-    """Full pipeline: mix, then encode the cells into n extension-symbol shards."""
-    cells = precode(scheme, secret, randomness)
-    payloads = scheme.code_ext.encode_batch(cells)
-    return [ShardVector(node, payload) for node, payload in payloads.items()]
+    """Full pipeline: mix, then encode the cells into node -> extension-symbol payload."""
+    return scheme.code_ext.encode_batch(precode(scheme, secret, randomness))
 
 
 def decode_secret(scheme: SecureScheme, shards):
-    """Reconstruct from any k shards and unmix; the randomness is discarded."""
-    ids = sorted(s.node_id for s in shards)
-    if len(set(ids)) != len(ids):
-        raise DuplicateNode(f"duplicate node ids in {ids}")
-    cells = scheme.code_ext.reconstruct_batch({s.node_id: s.symbols for s in shards})
+    """Reconstruct from the payloads (node -> symbols) of any k nodes and unmix.
+
+    The randomness is discarded.
+    """
+    cells = scheme.code_ext.reconstruct_batch(shards)
     u = scheme.gabidulin.transpose().solve(Mat(scheme.ext, scheme.B, 1, cells)).col(0)
     return u[: scheme.secret_len]
 

@@ -242,21 +242,20 @@ def shard_filename(node_id: int) -> str:
     return f"node_{node_id:03d}.shard"
 
 
-def write_manifest(directory, config: dict, nodes, digests=None) -> None:
-    """manifest.json: the config echo and the shard file names.
+def write_manifest(directory, config: dict, nodes, digests) -> None:
+    """manifest.json: the config echo, the shard file names and their digests.
 
-    With digests (node -> sha256 hex digest of its shard file) it is version 2
-    and records them; without, it is version 1 and its shards read unchecked.
+    digests maps node -> sha256 hex digest of its shard file.  The manifest
+    written is version 2; manifest_digests still reads version 1, which
+    predates the digests.
     """
     doc = {
         "format": "coopstore-manifest",
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "config": config,
         "shards": {str(n): shard_filename(n) for n in nodes},
+        "sha256": {str(n): digests[n] for n in nodes},
     }
-    if digests is not None:
-        doc["version"] = MANIFEST_VERSION
-        doc["sha256"] = {str(n): digests[n] for n in nodes}
     write_atomic(Path(directory, "manifest.json"), json.dumps(doc, indent=2, sort_keys=True).encode())
 
 

@@ -18,6 +18,9 @@ The data path runs on whole files through the batch operations
 secure store use too, and RepairPlan): one matrix.lincomb per packet
 stream, over every generation at once, with each inverse computed once.
 StableCode's per-generation methods are reference only (see StableCode).
+Both take and return shards in one shape: a map from node id to that
+node's symbols, a whole payload in the batch operations and one
+generation's column in the reference.
 
 Every transferred symbol is also exposed as a linear functional of vec(M)
 (row-major, length B = k*t) so leakage can be measured as rank.  Code
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
-    DuplicateNode,
     FieldTooSmall,
     InvalidContext,
     MissingShard,
@@ -81,17 +83,6 @@ class CodeParams:
         return CodeParams(
             n=n, k=k, d=d, t=t, alpha=b // k, beta=beta, beta_prime=beta, B=b, q=q
         )
-
-
-@dataclass(frozen=True)
-class ShardVector:
-    """One node's stored symbols for one generation: the reference methods' shard."""
-
-    node_id: int
-    symbols: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
 
 
 @dataclass(frozen=True)
@@ -265,6 +256,8 @@ class StableCode(StableDeployment):
     Its per-generation encode, reconstruct, repair_symbol and
     cooperative_repair are reference only: the differential tests compare
     the batched path with them, and the benchmark traces them by name.
+    Like the batch operations they pass shards as node -> symbols maps,
+    here one generation's column per node.
     """
 
     variant = "stable"
@@ -278,41 +271,41 @@ class StableCode(StableDeployment):
     # ---- encode / reconstruct -------------------------------------------
 
     def encode(self, data: Mat):
-        """n shards; shard j holds column j of data @ G.  Reference only."""
+        """node -> column j of data @ G, for every node j.  Reference only."""
         p = self.params
         if (data.nrows, data.ncols) != (p.t, p.k):
             raise DimensionMismatch(f"data matrix must be {p.t}x{p.k}")
         if data.field != self.field:
             raise DimensionMismatch("data matrix over the wrong field")
         coded = data.mul(self.G)
-        return [ShardVector(j + 1, coded.col(j)) for j in range(p.n)]
+        return {j + 1: coded.col(j) for j in range(p.n)}
 
     def reconstruct(self, shards) -> Mat:
-        """Recover the t x k data matrix from any k shards.  Reference only."""
+        """The t x k data matrix from the shards (node -> column) of k nodes.
+
+        Like reconstruct_batch, it uses the k lowest node ids it is given.
+        Reference only.
+        """
         p = self.params
-        shards = sorted(shards, key=lambda s: s.node_id)
-        ids = [s.node_id for s in shards]
-        if len(set(ids)) != len(ids):
-            raise DuplicateNode(f"duplicate node ids in {ids}")
         if len(shards) < p.k:
             raise TooFewShards(f"need {p.k} shards, got {len(shards)}")
-        take = shards[: p.k]
-        gsub = self.G.submatrix(range(p.k), [s.node_id - 1 for s in take])
-        stored = Mat.from_rows(self.field, [s.symbols for s in take]).transpose()
-        # stored = M @ gsub, columns in node order
-        return gsub.transpose().solve(stored.transpose()).transpose()
+        nodes = sorted(shards)[: p.k]
+        gsub = self.G.submatrix(range(p.k), [j - 1 for j in nodes])
+        # the row of node j is (M @ g_j)^T, so stored = gsub^T @ M^T
+        stored = Mat.from_rows(self.field, [shards[j] for j in nodes])
+        return gsub.transpose().solve(stored).transpose()
 
     # ---- repair ------------------------------------------------------------
 
-    def repair_symbol(self, helper_shard: ShardVector, failed: int):
-        """The one symbol a helper sends toward a failed node.
+    def repair_symbol(self, helper: int, symbols, failed: int):
+        """The one symbol a helper, storing symbols, sends toward a failed node.
 
         Uses only the helper's stored symbols and the public column g'_f,
         so it cannot depend on the repair group or helper set.
         """
-        if helper_shard.node_id == failed:
+        if helper == failed:
             raise SelfRepair("a node cannot help repair itself")
-        return dot(self.field, helper_shard.symbols, self._gp_cols[failed - 1])
+        return dot(self.field, symbols, self._gp_cols[failed - 1])
 
     def repair_functional(self, helper: int, failed: int, group=None):
         """The repair symbol as a length-B row over vec(M); the group is ignored."""
@@ -327,9 +320,9 @@ class StableCode(StableDeployment):
         return self._pair_row(sender, receiver)
 
     def cooperative_repair(self, ctx: RepairContext, shards, transcript=None):
-        """Regenerate all nodes of ctx.group from the helper shards.
+        """node -> regenerated column for every node of ctx.group.
 
-        shards maps node_id -> ShardVector and must cover ctx.helpers.
+        shards maps node_id -> stored column and must cover ctx.helpers.
         transcript, when given, collects (phase, sender, receiver, symbol)
         for every transferred symbol.
         """
@@ -348,7 +341,7 @@ class StableCode(StableDeployment):
         for fj in ctx.group:
             received = []
             for lam in ctx.helpers:
-                sym = self.repair_symbol(shards[lam], fj)
+                sym = self.repair_symbol(lam, shards[lam], fj)
                 if transcript is not None:
                     transcript.append((1, lam, fj, sym))
                 received.append(sym)
@@ -369,7 +362,7 @@ class StableCode(StableDeployment):
         # phase 3: invert the group's t x t submatrix of G'
         gp_sub = self.Gp.submatrix(range(p.t), [g - 1 for g in ctx.group])
         gp_sub_t_inv = gp_sub.transpose().inverse()
-        out = []
+        out = {}
         for fj in ctx.group:
             w = []
             for fi in ctx.group:
@@ -377,7 +370,7 @@ class StableCode(StableDeployment):
                     w.append(dot(f, solved[fj], self._g_cols[fj - 1]))
                 else:
                     w.append(inbox[fj][fi])
-            out.append(ShardVector(fj, gp_sub_t_inv.mul_vec(tuple(w))))
+            out[fj] = gp_sub_t_inv.mul_vec(tuple(w))
         return out
 
     # ---- internals -------------------------------------------------------------

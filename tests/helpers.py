@@ -17,7 +17,7 @@ def det_oracle(field, mat):
         for i in range(n):
             term = field.mul(term, mat.at(i, perm[i]))
         if inversions % 2:
-            term = field.neg(term)
+            term = field.sub(0, term)
         total = field.add(total, term)
     return total
 

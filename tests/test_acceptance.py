@@ -73,7 +73,7 @@ def test_criterion_1_mds_reconstruction():
         subsets = list(itertools.combinations(range(1, 7), 3))
         assert len(subsets) == 20
         for ids in subsets:
-            assert code.reconstruct([shards[i - 1] for i in ids]) == data
+            assert code.reconstruct({i: shards[i] for i in ids}) == data
 
 
 def test_criterion_2_repair_correctness():
@@ -81,19 +81,18 @@ def test_criterion_2_repair_correctness():
         code = s1()
         p = code.params
         data = random_message(code)
-        originals = {s.node_id: s for s in code.encode(data)}
+        originals = code.encode(data)
         contexts = 0
         for group in itertools.combinations(range(1, 7), 2):
             pool = [i for i in range(1, 7) if i not in group]
             for helpers in itertools.combinations(pool, 3):
                 regen = code.cooperative_repair(RepairContext(group, helpers), originals)
-                for s in regen:
-                    assert s == originals[s.node_id]
+                assert regen == {j: originals[j] for j in group}
                 contexts += 1
         assert contexts == 60
 
         # byte-level: serialized regenerated shard equals the original file
-        def blob(shard):
+        def blob(node, symbols):
             import io
             import tempfile
             from pathlib import Path
@@ -102,17 +101,17 @@ def test_criterion_2_repair_correctness():
                 variant="stable",
                 field_spec=FieldSpec.prime(11),
                 params=p,
-                node_id=shard.node_id,
+                node_id=node,
                 generations=1,
             )
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "x.shard"
-                write_shard(path, meta, list(shard.symbols))
+                write_shard(path, meta, list(symbols))
                 return path.read_bytes()
 
         regen = code.cooperative_repair(RepairContext((2, 5), (1, 3, 4)), originals)
-        for s in regen:
-            assert blob(s) == blob(originals[s.node_id])
+        for node, symbols in regen.items():
+            assert blob(node, symbols) == blob(node, originals[node])
 
 
 def test_criterion_3_stability():
@@ -215,7 +214,7 @@ def test_criterion_9_secure_mode():
         randomness = random_symbols(scheme, RNG, 5)
         shards = encode_secure(scheme, secret, randomness)
         for ids in itertools.combinations(range(1, 7), 3):
-            assert decode_secret(scheme, [shards[i - 1] for i in ids]) == secret
+            assert decode_secret(scheme, {i: shards[i] for i in ids}) == secret
         # negative control: one fewer random symbol breaks the verification
         tampered = SecureScheme(
             code=scheme.code,

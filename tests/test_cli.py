@@ -87,6 +87,13 @@ class TestRepair:
         assert run(["repair", "--shard-dir", shards, "--group", "1,6", "--helpers", "2,3,4"]) == 0
         assert (shards / "node_001.shard").read_bytes() == original
 
+    def test_too_few_helper_shards_are_named(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "node_003.shard").unlink()
+        (shards / "node_004.shard").unlink()
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
+        assert "need 3 helper shards to repair group 2,5, got 2: 1,6" in capsys.readouterr().err
+
     def test_overlapping_group_and_helpers(self, tmp_path, sample_file, capsys):
         # a bad node list is a config error (2), like every other one
         shards = encode_dir(tmp_path, sample_file)
@@ -248,6 +255,14 @@ class TestSweepVerify:
         cfg.write_text(json.dumps(config))
         assert run([*argv, "--config", cfg]) == 2
         assert f"{key} is not an int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["stable", "code-b"])
+    @pytest.mark.parametrize("pair", [[5, 5], [6, 1]])
+    def test_inadmissible_sweep_pairs_are_config_errors(self, tmp_path, capsys, variant, pair):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"pairs": [pair]}}))
+        assert run(["capacity-sweep", "--variant", variant, "--config", cfg]) == 2
+        assert f"l1 + l2 <= k - 1 = 2, got ({pair[0]}, {pair[1]})" in capsys.readouterr().err
 
     def test_empty_sweep_range_is_vacuous_success(self, tmp_path):
         cfg = tmp_path / "cfg.json"

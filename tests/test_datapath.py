@@ -23,7 +23,6 @@ from coopstore.stable import (
     CodeParams,
     RepairContext,
     RepairPlan,
-    ShardVector,
     StableCode,
 )
 from coopstore.striping import (
@@ -47,15 +46,15 @@ def random_symbols(code, nbytes, seed):
 
 def generation_shards(code, payloads, g, nodes):
     a = code.params.alpha
-    return {j: ShardVector(j, payloads[j][g * a : (g + 1) * a]) for j in nodes}
+    return {j: tuple(payloads[j][g * a : (g + 1) * a]) for j in nodes}
 
 
 def reference_encode(code, symbols):
     p = code.params
     per_node = {j: [] for j in range(1, p.n + 1)}
     for gen in stripe_symbols(symbols, p.B):
-        for shard in code.encode(Mat(code.field, p.t, p.k, gen)):
-            per_node[shard.node_id].extend(shard.symbols)
+        for node, column in code.encode(Mat(code.field, p.t, p.k, gen)).items():
+            per_node[node].extend(column)
     return per_node
 
 
@@ -215,7 +214,7 @@ class TestAgainstPerGeneration:
             want = []
             for g in range(gens):
                 shards = generation_shards(code, payloads, g, nodes)
-                want.extend(code.reconstruct(list(shards.values())).data)
+                want.extend(code.reconstruct(shards).data)
             assert list(got) == want == list(symbols), nodes
             assert type(got) is type(payloads[1])
 
@@ -237,8 +236,9 @@ class TestAgainstPerGeneration:
                 transcript = []
                 for g in range(gens):
                     shards = generation_shards(code, payloads, g, helpers)
-                    for s in code.cooperative_repair(ctx, shards, transcript=transcript):
-                        want[s.node_id].extend(s.symbols)
+                    regen = code.cooperative_repair(ctx, shards, transcript=transcript)
+                    for node, column in regen.items():
+                        want[node].extend(column)
                 assert as_lists(got) == want == as_lists({j: payloads[j] for j in group})
                 assert {type(v) for v in got.values()} == {type(payloads[1])}
                 phases = [x[0] for x in transcript]

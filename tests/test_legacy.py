@@ -69,15 +69,16 @@ class TestCodeAEncode:
         params = a1()
         a = rand_vec(GF11, 3, rng)
         shards = code_a_encode(params, a, (0, 0, 0))
-        for s in shards[2:]:
-            assert s.symbols == a
+        assert sorted(shards) == list(range(1, params.n + 1))
+        for node in range(3, params.n + 1):
+            assert shards[node] == a
 
     def test_unit_b_reads_diagonal(self):
         params = a1()
         shards = code_a_encode(params, (0, 0, 0), (1, 0, 0))
         for i in range(1, 4):
             expect = (GF11.pow(2, (i - 1) % 3), 0, 0)
-            assert shards[i + 1].symbols == expect
+            assert shards[i + 2] == expect
 
     def test_r2_matches_direct_evaluation(self, rng):
         params = a1()
@@ -86,7 +87,7 @@ class TestCodeAEncode:
         # D_2 diagonal: omega^((2-1+r) mod 3) = (omega, omega^2, 1)
         diag = (2, 4, 1)
         expect = tuple(GF11.add(x, GF11.mul(w, y)) for x, w, y in zip(a, diag, b))
-        assert shards[3].symbols == expect
+        assert shards[4] == expect
 
 
 class TestCodeARepairFunctionals:
@@ -212,10 +213,10 @@ class TestCodeBRepair:
         data = Mat(GF11, 2, 3, [rng.randrange(11) for _ in range(6)])
         symbols, obs = code_b_repair_data(code, data, (1, 2), (4, 5, 6))
         # the per-generation reference encode over the same deployment
-        shards = {s.node_id: s for s in StableCode.create(code.params, code.field).encode(data)}
+        shards = StableCode.create(code.params, code.field).encode(data)
         for lam in (4, 5, 6):
-            assert symbols[(lam, 1)] == shards[lam].symbols[0]  # first packet
-            assert symbols[(lam, 2)] == shards[lam].symbols[1]
+            assert symbols[(lam, 1)] == shards[lam][0]  # first packet
+            assert symbols[(lam, 2)] == shards[lam][1]
 
     def test_same_node_different_functional_across_groups(self):
         code = b1()

@@ -6,7 +6,7 @@ import random
 import pytest
 from helpers import secrecy_oracle
 
-from coopstore.errors import DuplicateNode, InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
+from coopstore.errors import InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
 from coopstore.eve import EveModel, leakage_observations
 from coopstore import secure
 from coopstore.instances import s1, s1_binary
@@ -100,23 +100,17 @@ class TestPrecode:
         assert r1 != r2
         cells1, cells2 = precode(scheme, secret, r1), precode(scheme, secret, r2)
         assert cells1 != cells2
-        s1_ = decode_secret(scheme, encode_secure(scheme, secret, r1)[:3])
-        s2_ = decode_secret(scheme, encode_secure(scheme, secret, r2)[:3])
+        shards1, shards2 = encode_secure(scheme, secret, r1), encode_secure(scheme, secret, r2)
+        s1_ = decode_secret(scheme, {j: shards1[j] for j in (1, 2, 3)})
+        s2_ = decode_secret(scheme, {j: shards2[j] for j in (1, 2, 3)})
         assert s1_ == s2_ == secret
-
-    def test_repeated_shard_rejected(self, scheme, rng):
-        # reconstruct_batch takes node -> payload, where a repeat would vanish
-        secret, randomness = random_symbols(scheme, rng, 1), random_symbols(scheme, rng, 5)
-        shards = encode_secure(scheme, secret, randomness)
-        with pytest.raises(DuplicateNode):
-            decode_secret(scheme, [shards[0], shards[0], shards[1], shards[2]])
 
     def test_round_trip_every_k_subset(self, scheme, rng):
         secret = random_symbols(scheme, rng, 1)
         randomness = random_symbols(scheme, rng, 5)
         shards = encode_secure(scheme, secret, randomness)
         for ids in itertools.combinations(range(1, 7), 3):
-            assert decode_secret(scheme, [shards[i - 1] for i in ids]) == secret
+            assert decode_secret(scheme, {i: shards[i] for i in ids}) == secret
 
 
 class TestVerifySecrecy:
@@ -226,7 +220,7 @@ PINNED_SWEEPS = {
 }
 # the (1, 1) scheme with one secret symbol more than its capacity
 PINNED_TAMPERED = "a6e6c8757ac7298caaf18dde59b2bd09c6090f26734b62006535091d8fb938bf"
-# [(node_id, symbols)] of encode_secure at (1, 1), secret and randomness drawn
+# [(node, tuple(payload))] of encode_secure at (1, 1), secret and randomness drawn
 # from random.Random(0x5EC2E7) in that order
 PINNED_SHARDS = "fc3eff880a06fff3fe23756b677ae57509afbc8deb2e71332960f45c11cea86a"
 
@@ -251,6 +245,6 @@ class TestPinnedOutputs:
         secret = random_symbols(scheme, rng, scheme.secret_len)
         randomness = random_symbols(scheme, rng, scheme.random_len)
         shards = encode_secure(scheme, secret, randomness)
-        assert _digest([(s.node_id, s.symbols) for s in shards]) == PINNED_SHARDS
-        for ids in itertools.combinations(range(len(shards)), 3):
-            assert decode_secret(scheme, [shards[i] for i in ids]) == secret
+        assert _digest([(node, tuple(payload)) for node, payload in shards.items()]) == PINNED_SHARDS
+        for ids in itertools.combinations(shards, 3):
+            assert decode_secret(scheme, {i: shards[i] for i in ids}) == secret

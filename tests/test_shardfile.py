@@ -191,7 +191,7 @@ class TestShardFile:
 
 
 def test_manifest_round_trip(tmp_path):
-    write_manifest(tmp_path, {"variant": "stable"}, [1, 2, 3])
+    write_manifest(tmp_path, {"variant": "stable"}, [1, 2, 3], {1: "aa", 2: "bb", 3: "cc"})
     doc = read_manifest(tmp_path)
     assert doc["config"]["variant"] == "stable"
     assert doc["shards"]["2"] == shard_filename(2)
@@ -223,10 +223,3 @@ def test_malformed_manifest_is_corrupt(tmp_path, doc):
     (tmp_path / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(CorruptShard, match="manifest.json"):
         manifest_digests(tmp_path)
-
-
-def test_manifest_without_digests_is_version_1(tmp_path):
-    write_manifest(tmp_path, {"variant": "stable"}, [1, 2])
-    doc = read_manifest(tmp_path)
-    assert doc["version"] == 1 and "sha256" not in doc
-    assert manifest_digests(tmp_path) is None

@@ -51,7 +51,8 @@ class TestEncode:
     def test_zero_data_gives_zero_shards(self):
         code = s1()
         shards = code.encode(Mat.zeros(code.field, 2, 3))
-        assert all(set(s.symbols) == {0} for s in shards)
+        assert sorted(shards) == list(range(1, 7))
+        assert all(set(s) == {0} for s in shards.values())
 
     def test_definition_unrolled(self, rng):
         code = s1()
@@ -64,7 +65,7 @@ class TestEncode:
                 expect = 0
                 for c in range(code.params.k):
                     expect = code.field.add(expect, code.field.mul(data.at(i, c), g[c]))
-                assert shards[j].symbols[i] == expect
+                assert shards[j + 1][i] == expect
 
     def test_dimension_mismatch(self):
         code = s1()
@@ -77,8 +78,15 @@ class TestReconstruct:
         code = s1()
         data = random_data(code, rng)
         shards = code.encode(data)
-        picked = [shards[i - 1] for i in (2, 4, 5)]
+        picked = {i: shards[i] for i in (2, 4, 5)}
         assert code.reconstruct(picked) == data
+
+    def test_uses_the_k_lowest_ids(self, rng):
+        code = s1()
+        data = random_data(code, rng)
+        shards = code.encode(data)
+        shards[6] = (0, 0)  # beyond the k lowest ids, so never read
+        assert code.reconstruct(shards) == data
 
     def test_all_20_subsets_agree(self, rng):
         code = s1()
@@ -86,7 +94,7 @@ class TestReconstruct:
         shards = code.encode(data)
         count = 0
         for ids in itertools.combinations(range(1, 7), 3):
-            assert code.reconstruct([shards[i - 1] for i in ids]) == data
+            assert code.reconstruct({i: shards[i] for i in ids}) == data
             count += 1
         assert count == 20
 
@@ -94,7 +102,7 @@ class TestReconstruct:
         code = s1()
         shards = code.encode(random_data(code, rng))
         with pytest.raises(TooFewShards):
-            code.reconstruct(shards[:2])
+            code.reconstruct({1: shards[1], 2: shards[2]})
 
 
 class TestRepairSymbol:
@@ -107,7 +115,7 @@ class TestRepairSymbol:
             for lam in range(1, 7):
                 if lam == f:
                     continue
-                got = code.repair_symbol(shards[lam - 1], f)
+                got = code.repair_symbol(lam, shards[lam], f)
                 g = code.G.col(lam - 1)
                 expect = 0
                 for c in range(code.params.k):
@@ -116,21 +124,19 @@ class TestRepairSymbol:
 
     def test_zero_shard(self):
         code = s1()
-        from coopstore.stable import ShardVector
-
-        assert code.repair_symbol(ShardVector(3, (0, 0)), 1) == 0
+        assert code.repair_symbol(3, (0, 0), 1) == 0
 
     def test_self_repair_rejected(self, rng):
         code = s1()
         shards = code.encode(random_data(code, rng))
         with pytest.raises(SelfRepair):
-            code.repair_symbol(shards[0], 1)
+            code.repair_symbol(1, shards[1], 1)
 
     def test_context_independence_via_transcripts(self, rng):
         # same helper->failed transfer under two different groups
         code = s1()
         data = random_data(code, rng)
-        shards = {s.node_id: s for s in code.encode(data)}
+        shards = code.encode(data)
         f = 3
         t1, t2 = [], []
         ctx1 = repair_context(code, (f, 1), (2, 4, 5))
@@ -154,7 +160,7 @@ class TestRepairFunctional:
                 acc = 0
                 for coef, v in zip(row, vec):
                     acc = code.field.add(acc, code.field.mul(coef, v))
-                assert acc == code.repair_symbol(shards[lam - 1], f)
+                assert acc == code.repair_symbol(lam, shards[lam], f)
 
     def test_row_never_zero(self):
         code = s1()
@@ -175,8 +181,8 @@ class TestCooperativeRepair:
     def test_all_groups_all_helper_sets_exact(self, rng):
         code = s1()
         data = random_data(code, rng)
-        shards = {s.node_id: s for s in code.encode(data)}
-        originals = {s.node_id: s for s in code.encode(data)}
+        shards = code.encode(data)
+        originals = code.encode(data)
         checked = 0
         for group in itertools.combinations(range(1, 7), 2):
             pool = [i for i in range(1, 7) if i not in group]
@@ -184,15 +190,14 @@ class TestCooperativeRepair:
                 regen = code.cooperative_repair(
                     RepairContext(group, helpers), shards
                 )
-                for s in regen:
-                    assert s == originals[s.node_id]
+                assert regen == {j: originals[j] for j in group}
                 checked += 1
         assert checked == 15 * 4
 
     def test_transfer_counts(self, rng):
         code = s1()
         p = code.params
-        shards = {s.node_id: s for s in code.encode(random_data(code, rng))}
+        shards = code.encode(random_data(code, rng))
         transcript = []
         code.cooperative_repair(repair_context(code, (1, 2)), shards, transcript=transcript)
         phase1 = [x for x in transcript if x[0] == 1]
@@ -204,26 +209,26 @@ class TestCooperativeRepair:
 
     def test_zero_data(self):
         code = s1()
-        shards = {s.node_id: s for s in code.encode(Mat.zeros(code.field, 2, 3))}
+        shards = code.encode(Mat.zeros(code.field, 2, 3))
         regen = code.cooperative_repair(repair_context(code, (5, 6)), shards)
-        assert all(set(s.symbols) == {0} for s in regen)
+        assert regen == {5: (0, 0), 6: (0, 0)}
 
     def test_single_failure_degenerate_group(self, rng):
         # t=1 reduces to plain MDS repair with d = k downloads
         params = CodeParams.mscr(n=5, k=3, d=3, t=1, q=11)
         code = StableCode.create(params, prime_field(11))
         data = Mat(code.field, 1, 3, [rng.randrange(11) for _ in range(3)])
-        shards = {s.node_id: s for s in code.encode(data)}
+        shards = code.encode(data)
         transcript = []
         regen = code.cooperative_repair(
             repair_context(code, (2,), (1, 3, 4)), shards, transcript=transcript
         )
-        assert regen[0] == shards[2]
+        assert regen == {2: shards[2]}
         assert len([x for x in transcript if x[0] == 2]) == 0
 
     def test_missing_shard(self, rng):
         code = s1()
-        shards = {s.node_id: s for s in code.encode(random_data(code, rng))}
+        shards = code.encode(random_data(code, rng))
         del shards[4]
         with pytest.raises(MissingShard):
             code.cooperative_repair(repair_context(code, (1, 2), (3, 4, 5)), shards)
