@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,15 +143,7 @@ def _make_code(config):
 
 
 def _echo_config(config, field, params) -> dict:
-    return {
-        **config,
-        "field": {"kind": field.kind, "order": field.order},
-        "params": {
-            "n": params.n, "k": params.k, "d": params.d, "t": params.t,
-            "alpha": params.alpha, "beta": params.beta,
-            "beta_prime": params.beta_prime, "B": params.B, "q": params.q,
-        },
-    }
+    return {**config, "field": {"kind": field.kind, "order": field.order}, "params": asdict(params)}
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +316,10 @@ def cmd_attack(args, clock) -> ReportDoc:
     rng = random.Random(config["seed"])
     variant = config.get("variant")
     if variant == "code-a":
+        # Code A fixes n = d + 2 and k = t = 2, so d is its one params key
+        other = sorted(config.get("params", {}).keys() - {"d"})
+        if other:
+            raise InvalidConfig(f"code-a params take only d, got {', '.join(other)}")
         field = _field_from_config(config)
         d = config.get("params", {}).get("d", DEFAULT_CODE_A["d"])
         omega = config.get("omega", DEFAULT_CODE_A["omega"])

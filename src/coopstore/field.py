@@ -151,9 +151,8 @@ class FieldSpec:
 
     @staticmethod
     def binary(m: int, poly: int | None = None) -> "FieldSpec":
-        if poly is None:
-            poly = DEFAULT_POLY.get(m, 0)
-        return FieldSpec(kind="binary", m=m, poly=poly)
+        """GF(2^m) reduced by poly; None or 0 selects DEFAULT_POLY[m]."""
+        return FieldSpec(kind="binary", m=m, poly=poly or DEFAULT_POLY.get(m, 0))
 
 
 class Field:
@@ -245,11 +244,9 @@ class BinaryField(Field):
 
     kind = "binary"
 
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int, poly: int):
         if not 1 <= m <= MAX_BINARY_DEGREE:
             raise FieldKindUnsupported(f"extension degree {m} outside 1..{MAX_BINARY_DEGREE}")
-        if poly is None:
-            poly = DEFAULT_POLY[m]
         if poly_degree(poly) != m:
             raise ReduciblePolynomial(f"reduction polynomial degree {poly_degree(poly)} != m={m}")
         if not is_irreducible_gf2(poly):
@@ -513,22 +510,12 @@ class ExtensionField(Field):
 
 
 @lru_cache(maxsize=None)
-def _cached_prime(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
-@lru_cache(maxsize=None)
-def _cached_binary(m: int, poly: int) -> BinaryField:
-    return BinaryField(m, poly)
-
-
 def field_create(spec: FieldSpec) -> Field:
     """Validated field handle from a spec; handles are cached and immutable."""
     if spec.kind == "prime":
-        return _cached_prime(spec.p)
+        return PrimeField(spec.p)
     if spec.kind == "binary":
-        poly = spec.poly or DEFAULT_POLY.get(spec.m, 0)
-        return _cached_binary(spec.m, poly)
+        return BinaryField(spec.m, spec.poly)
     raise FieldKindUnsupported(f"unknown field kind {spec.kind!r}")
 
 

@@ -63,6 +63,14 @@ class TestEncodeDecode:
         empty.write_bytes(b"")
         assert run(["encode", "--input", empty, "--out-dir", tmp_path / "s"]) == 2
 
+    def test_decode_of_empty_directory(self, tmp_path, capsys):
+        empty = tmp_path / "shards"
+        empty.mkdir()
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", empty, "--output", out]) == 2
+        assert "no shard files found" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRepair:
     def test_regenerated_files_byte_identical(self, tmp_path, sample_file):
@@ -93,6 +101,26 @@ class TestRepair:
         (shards / "node_004.shard").unlink()
         assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
         assert "need 3 helper shards to repair group 2,5, got 2: 1,6" in capsys.readouterr().err
+
+    def test_transfer_accounting_mismatch_writes_nothing(
+        self, tmp_path, sample_file, capsys, monkeypatch
+    ):
+        # a repair whose phase-1 count is one short of t*d*beta per
+        # generation fails (exit 1) before it writes any shard
+        real = cli.RepairPlan.run
+
+        def one_short(plan, payloads):
+            regenerated, (phase1, phase2) = real(plan, payloads)
+            return regenerated, (phase1 - 1, phase2)
+
+        monkeypatch.setattr(cli.RepairPlan, "run", one_short)
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "node_002.shard").unlink()
+        (shards / "node_005.shard").unlink()
+        assert run(["repair", "--shard-dir", shards, "--group", "2,5"]) == 1
+        assert "transfer accounting" in capsys.readouterr().err
+        assert not (shards / "node_002.shard").exists()
+        assert not (shards / "node_005.shard").exists()
 
     def test_overlapping_group_and_helpers(self, tmp_path, sample_file, capsys):
         # a bad node list is a config error (2), like every other one
@@ -322,6 +350,7 @@ def test_bad_params_are_config_errors(tmp_path, sample_file, capsys):
         ["secure-verify", "--field", "p=11"],
         ["secure-verify", "--params", "n=8,k=4,d=4,t=2"],
         ["attack", "--variant", "code-a", "--params", "d=1"],
+        ["attack", "--variant", "code-a", "--params", "k=9"],
         ["secure-verify", "--l1", "-1"],
         ["capacity-sweep", "--config", overlap],
         ["secure-verify", "--l1", "0", "--l2", "2"],
@@ -434,13 +463,14 @@ def test_bad_seed_variable_is_a_config_error(capsys, monkeypatch):
 class TestShardIdentity:
     """A shard under the wrong file name or from another encoding is named, never decoded."""
 
-    def decode_fails_naming(self, shards, tmp_path, capsys, name, nodes=None):
+    def decode_fails_naming(self, shards, tmp_path, capsys, name, nodes=None, reason=""):
         out = tmp_path / "out.bin"
         argv = ["decode", "--shard-dir", shards, "--output", out]
         if nodes:
             argv += ["--nodes", nodes]
         assert run(argv) == 1
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err and reason in err, err
         assert not out.exists()
 
     def test_copied_shard(self, tmp_path, sample_file, capsys):
@@ -454,14 +484,27 @@ class TestShardIdentity:
         (shards / "node_004.shard").rename(shards / "node_005.shard")
         self.decode_fails_naming(shards, tmp_path, capsys, "node_005.shard")
 
-    def test_foreign_shard_with_other_generation_count(self, tmp_path, sample_file, capsys):
+    def with_foreign_node_3(self, tmp_path, sample_file):
+        """An encoding whose node_003.shard comes from a shorter input."""
         shards = encode_dir(tmp_path, sample_file)
         other_input = tmp_path / "other.bin"
         other_input.write_bytes(bytes(range(100)))
         other = tmp_path / "other"
         assert run(["encode", "--input", other_input, "--out-dir", other]) == 0
         (shards / "node_003.shard").write_bytes((other / "node_003.shard").read_bytes())
-        self.decode_fails_naming(shards, tmp_path, capsys, "node_003.shard")
+        return shards
+
+    def test_foreign_shard_with_other_generation_count(self, tmp_path, sample_file, capsys):
+        # the manifest's sha256 check fires first
+        shards = self.with_foreign_node_3(tmp_path, sample_file)
+        self.decode_fails_naming(shards, tmp_path, capsys, "node_003.shard", reason="sha256")
+
+    def test_foreign_shard_without_manifest(self, tmp_path, sample_file, capsys):
+        # the header comparison against the first shard read names it
+        shards = self.with_foreign_node_3(tmp_path, sample_file)
+        (shards / "manifest.json").unlink()
+        reason = "variant, field, params or generation count differ"
+        self.decode_fails_naming(shards, tmp_path, capsys, "node_003.shard", reason=reason)
 
     def test_repair_refuses_copied_helper(self, tmp_path, sample_file, capsys):
         shards = encode_dir(tmp_path, sample_file)
@@ -760,16 +803,34 @@ class TestTruncatedShard:
         assert ("sha256" if manifest == "v2" else "payload length") in err
         assert not out.exists()
 
+    def test_truncated_header_fails_naming_it(self, tmp_path, sample_file, capsys):
+        shards = encode_dir(tmp_path, sample_file)
+        (shards / "manifest.json").unlink()
+        path = shards / "node_002.shard"
+        path.write_bytes(path.read_bytes()[:20])
+        capsys.readouterr()
+        out = tmp_path / "out.bin"
+        assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", "2,4,6"]) == 1
+        err = capsys.readouterr().err
+        assert "node_002.shard" in err and "truncated header" in err, err
+        assert not out.exists()
+
 
 class TestForeignHeader:
     """A CRC-valid header naming no known variant, field or code is a corrupt shard."""
 
-    FIELDS = ("magic", "version", "variant_tag", "kind", "param", "m", "n")
+    FIELDS = (
+        "magic", "version", "variant_tag", "kind", "param", "m", "n", "k", "d", "t",
+        "alpha", "beta", "beta_prime", "B", "node", "width",
+    )
+    # header field, value written, what the error must say
     CASES = {
-        "variant-tag-9": ("variant_tag", 9),
-        "field-kind-5": ("kind", 5),
-        "p-12": ("param", 12),
-        "n-0": ("n", 0),
+        "variant-tag-9": ("variant_tag", 9, "unknown variant tag 9"),
+        "field-kind-5": ("kind", 5, "unknown field kind 5"),
+        "p-12": ("param", 12, "invalid header"),
+        "n-0": ("n", 0, "invalid header"),
+        "version-2": ("version", 2, "unsupported version 2"),
+        "width-2": ("width", 2, "symbol width 2 != expected 1"),
     }
 
     @pytest.mark.parametrize("nodes", ["2,4,6", "4,6,1,2"], ids=["used", "unused"])
@@ -780,7 +841,7 @@ class TestForeignHeader:
         path = shards / "node_002.shard"
         blob = path.read_bytes()
         values = list(shardfile._HEADER.unpack(blob[: shardfile._HEADER.size]))
-        name, value = self.CASES[case]
+        name, value, reason = self.CASES[case]
         values[self.FIELDS.index(name)] = value
         head = shardfile._HEADER.pack(*values)
         path.write_bytes(head + struct.pack("<I", zlib.crc32(head)) + blob[shardfile.HEADER_SIZE :])
@@ -788,7 +849,7 @@ class TestForeignHeader:
         out = tmp_path / "out.bin"
         assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", nodes]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "node_002.shard" in err, err
+        assert err.startswith("error: ") and "node_002.shard" in err and reason in err, err
         assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from coopstore.eve import (
 )
 from coopstore.field import binary_field, prime_field
 from coopstore.instances import a1, b1, s1
-from coopstore.legacy import CodeAAdapter
+from coopstore.legacy import CodeAAdapter, CodeB
 from coopstore.stable import CodeParams, StableCode
 from helpers import FromScratchAnalysis
 
@@ -53,6 +53,11 @@ def code_a():
 def n9():
     """n=9, k=d=4, t=3 over GF(11): the largest instance CI verifies before n=10."""
     return StableCode.create(CodeParams.mscr(n=9, k=4, d=4, t=3, q=11), prime_field(11))
+
+
+def n11(cls=StableCode):
+    """n=11, k=d=3, t=2 over GF(13): above EXHAUSTIVE_NODE_LIMIT, so sampled."""
+    return cls.create(CodeParams.mscr(n=11, k=3, d=3, t=2, q=13), prime_field(13))
 
 
 def t_over_k():
@@ -447,6 +452,51 @@ class TestAnalysisContext:
             "traversal_span": 6429,
             "helper_uniformity": 129,
         }
+
+
+class TestSampledLemmaSuite:
+    """lemma_suite beyond EXHAUSTIVE_NODE_LIMIT: seeded draws of the subsets."""
+
+    def test_stable_passes(self):
+        code = n11()
+        assert code.params.n > eve.EXHAUSTIVE_NODE_LIMIT
+        res = lemma_suite(code)
+        assert res.all_passed, res.summary()
+        assert {name: chk.checked for name, chk in res.checks.items()} == {
+            "group_volume": 200,
+            "member_volume": 200,
+            "traversal_span": 2046,
+            "helper_uniformity": 66,
+        }
+
+    def test_code_b_fails_l4_l5(self):
+        res = lemma_suite(n11(CodeB))
+        assert res.checks["group_volume"].passed
+        assert res.checks["member_volume"].passed
+        assert not res.checks["traversal_span"].passed
+        assert not res.checks["helper_uniformity"].passed
+
+    def test_draws_follow_the_seed(self, monkeypatch):
+        calls = count_ranks(monkeypatch)
+        drawn = []
+        real = eve._subset_chains
+
+        def recording(*args):
+            for chain in real(*args):
+                drawn.append(chain)
+                yield chain
+
+        monkeypatch.setattr(eve, "_subset_chains", recording)
+        code = n11()
+        runs = []
+        for seed in (1, 1, 2):
+            calls.clear()
+            drawn.clear()
+            lemma_suite(code, seed=seed)
+            runs.append((dict(calls), list(drawn)))
+        assert runs[0] == runs[1]
+        assert runs[1][0] != runs[2][0]
+        assert runs[1][1] != runs[2][1]
 
 
 class TestSpecificVerifications:
