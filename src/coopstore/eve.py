@@ -17,11 +17,13 @@ helpers).  A rank depends only on the rows, never on their names, so
 every analysis (lemma suite, capacity sweep, measured capacity, secrecy
 checks) ranks plain rows in one entropy.RowSpace per call, and
 download_label names a key only where something prints it
-(leakage_observations and the attacks).  The lemma suite ranks in an
-_AnalysisContext, a RowSpace that also fetches each functional row once
-per (kind, helper, failed, group), never per (helper, failed) alone: the
-suite must not assume the stability it checks.  The capacity and secrecy
-sweeps rank through PlacementRows.
+(leakage_observations and the attacks).  A row set is one mask, the OR
+of its rows' handles.  The lemma suite ranks in an _AnalysisContext, a
+RowSpace that keeps one mask per (kind, sender, targets, group) block and
+fetches each functional row once per (kind, helper, failed, group), never
+per (helper, failed) alone: the suite must not assume the stability it
+checks.  The capacity and secrecy sweeps rank through PlacementRows, one
+mask per node.
 """
 
 from __future__ import annotations
@@ -122,10 +124,11 @@ class PlacementRows:
     """The rows of leakage_observations(code, eve), ranked in RowSpaces.
 
     A node of F shows its download_span and granted rows, a node of E its
-    storage rows; each node's rows are built once.  expand maps a row to
-    one row per space (by default the row itself); each distinct row is
-    expanded and interned once.  ranks(eve) gives, per space, the
-    joint_rank of W_E over F's view, whose basis is memoised.
+    storage rows; each node's rows are built once, as one mask per space.
+    expand maps a row to one row per space (by default the row itself);
+    each distinct row is expanded and interned once.  ranks(eve) gives,
+    per space, the joint_rank of W_E over F's view, whose basis is
+    memoised.
     """
 
     def __init__(self, code, spaces, expand=lambda row: (row,)):
@@ -134,7 +137,7 @@ class PlacementRows:
         self._intern = lru_cache(None)(  # row -> its handle in each space
             lambda row: tuple(s.intern(r) for s, r in zip(spaces, expand(row)))
         )
-        self._nodes = {}  # (node, in F) -> its rows' handles
+        self._nodes = {}  # (node, in F) -> its rows' mask in each space
 
     def _node(self, node, downloads):
         key = (node, downloads)
@@ -144,21 +147,27 @@ class PlacementRows:
                 built = download_span(code, node) + [row for _, row in code.granted_rows(node)]
             else:
                 built = [row for _, row in code.storage_rows(node)]
-            self._nodes[key] = [self._intern(row) for row in built]
+            self._nodes[key] = self._union(self._intern(row) for row in built)
         return self._nodes[key]
 
+    def _union(self, masks):
+        """The OR, space by space, of tuples of one mask per space."""
+        out = [0] * len(self.spaces)
+        for m in masks:
+            out = [x | y for x, y in zip(out, m)]
+        return out
+
     def observed(self, eve: EveModel):
-        """(handles of F's rows, handles of E's rows), once eve is validated."""
+        """(F's rows, E's rows) as one mask per space each, once eve is validated."""
         validate_eve(self.code, eve)
-        f_rows = [h for f in eve.F for h in self._node(f, True)]
-        return f_rows, [h for e in eve.E for h in self._node(e, False)]
+        return (
+            self._union(self._node(f, True) for f in eve.F),
+            self._union(self._node(e, False) for e in eve.E),
+        )
 
     def ranks(self, eve: EveModel):
         f_rows, e_rows = self.observed(eve)
-        return [
-            space.joint_rank([h[i] for h in e_rows], [h[i] for h in f_rows])
-            for i, space in enumerate(self.spaces)
-        ]
+        return [space.joint_rank(e, f) for space, e, f in zip(self.spaces, e_rows, f_rows)]
 
 
 def measured_secrecy_capacity(code, eve: EveModel) -> int:
@@ -271,56 +280,72 @@ class LemmaResults:
         }
 
 
+# each block kind's functional row from sender toward receiver under group:
+# repair (S) and exchange (Z) rows, and the context-free nominal ones (S0,
+# Z0), which for unstable codes are the rows under the least repair group
+# holding the receiver (the "declared" repair data)
+_FETCH = {
+    "S": lambda code, i, j, group: code.repair_functional(i, j, group),
+    "Z": lambda code, i, j, group: code.exchange_functional(i, j, group),
+    "S0": lambda code, i, j, group: code.nominal_repair_row(i, j),
+    "Z0": lambda code, i, j, group: code.nominal_exchange_row(i, j),
+}
+
+
 class _AnalysisContext(RowSpace):
     """The RowSpace of one lemma_suite or specific_verifications call.
 
-    It answers the functional protocol the rank identities use, with row
-    handles, so _ctx_repair_rows and the other row builders take it in
-    place of the code.  Each row is fetched once, keyed on everything it
-    may depend on: (kind, helper, failed, group); CodeB's rows depend on
-    the group.  Nominal rows carry group None; storage rows are kept per
-    node as (label, handle) pairs.  finish reports the RowSpace counters,
-    the keys fetched (rows_built) and the distinct rows (rows_unique).
+    blocks(kind, senders, targets, group) is the mask of the row set the
+    rank identities name kind_senders^targets: every sender's row of that
+    kind toward every target but itself, when group is being repaired.
+    Kinds "W" and "D" take no targets: the senders' storage rows (W) and
+    download spans (D, the full traversal tilde S).  It is the OR of one
+    mask per (kind, sender, targets, group) block, each built the first
+    time it is asked for.  Each row is fetched from the code once, keyed
+    on everything it may depend on: (kind, helper, failed, group), never
+    (helper, failed) alone, since CodeB's rows depend on the group and the
+    suite must not assume the stability it checks.  Nominal rows carry
+    group None, and a node's storage rows are fetched as one key.  finish
+    reports the RowSpace counters, the keys fetched (rows_built) and the
+    distinct rows (rows_unique).
     """
 
     def __init__(self, code):
         super().__init__(code.field, code.params.B)
         self.code = code
-        self._rows = {}  # key -> handle, or (label, handle) pairs for storage
+        self._rows = {}  # fetch key -> handle, or a node's storage mask
+        self._blocks = {}  # (kind, sender, targets, group) -> mask
 
-    def _row(self, key, build, *args):
-        handle = self._rows.get(key)
-        if handle is None:
-            handle = self._rows[key] = self.intern(build(*args))
-        return handle
-
-    def repair_functional(self, helper, failed, group):
+    def blocks(self, kind, senders, targets=(), group=None):
         # the hot path of every lemma, so the lookup is written out
-        key = ("S", helper, failed, group)
-        handle = self._rows.get(key)
-        if handle is None:
-            row = self.code.repair_functional(helper, failed, group)
-            handle = self._rows[key] = self.intern(row)
-        return handle
+        memo = self._blocks
+        mask = 0
+        for i in senders:
+            key = (kind, i, targets, group)
+            block = memo.get(key)
+            if block is None:
+                block = memo[key] = self._block(kind, i, targets, group)
+            mask |= block
+        return mask
 
-    def exchange_functional(self, sender, receiver, group):
-        key = ("Z", sender, receiver, group)
-        return self._row(key, self.code.exchange_functional, sender, receiver, group)
-
-    def nominal_repair_row(self, helper, failed):
-        return self._row(("S0", helper, failed, None), self.code.nominal_repair_row, helper, failed)
-
-    def nominal_exchange_row(self, sender, receiver):
-        key = ("Z0", sender, receiver, None)
-        return self._row(key, self.code.nominal_exchange_row, sender, receiver)
-
-    def storage_rows(self, node):
-        key = ("W", node, None, None)
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = [(label, self.intern(row)) for label, row in self.code.storage_rows(node)]
-            self._rows[key] = rows
-        return rows
+    def _block(self, kind, sender, targets, group):
+        code, rows = self.code, self._rows
+        if kind == "D":
+            return self.mask(download_span(code, sender))
+        if kind == "W":  # a node's storage rows, fetched as one key
+            mask = self.mask(row for _, row in code.storage_rows(sender))
+            rows["W", sender, None, None] = mask
+            return mask
+        fetch = _FETCH[kind]
+        mask = 0
+        for j in targets:
+            if j != sender:
+                key = (kind, sender, j, group)
+                handle = rows.get(key)
+                if handle is None:
+                    handle = rows[key] = self.intern(fetch(code, sender, j, group))
+                mask |= handle
+        return mask
 
     def finish(self, res):
         """Copy the counters into the call's results and return them."""
@@ -329,27 +354,6 @@ class _AnalysisContext(RowSpace):
         res.rows_built = len(self._rows)
         res.rows_unique = len(self._bits)
         return res
-
-
-def _ctx_repair_rows(code, senders, targets, group):
-    """S_senders^targets rows when `group` is being repaired."""
-    return [code.repair_functional(i, j, group) for j in targets for i in senders if i != j]
-
-
-def _ctx_exchange_rows(code, senders, target, group):
-    """Z_senders^target rows when `group` is being repaired."""
-    return [code.exchange_functional(j, target, group) for j in senders if j != target]
-
-
-def _nominal_repair_rows(code, senders, targets):
-    """Context-free S rows; for unstable codes these are the rows under the
-    least repair group holding the failed node (the 'declared' repair data)."""
-    return [code.nominal_repair_row(i, j) for j in targets for i in senders if i != j]
-
-
-def _storage(code, nodes):
-    """W_nodes: every stored symbol of the nodes, node by node."""
-    return [row for i in nodes for _, row in code.storage_rows(i)]
 
 
 def _subset_chains(nodes, sizes, rng=None, samples=200):
@@ -419,12 +423,12 @@ def lemma_suite(code, seed=0) -> LemmaResults:
         for c_set, a_set, b_set in _subset_chains(nodes, sizes, rng, SAMPLE_DRAWS):
             chk.checked += 1
             # S_A^C and S_B^C make up S_{A u B}^C; |A| + |B| = d: a valid helper set
-            s_a = _ctx_repair_rows(ctx, a_set, c_set, c_set)
-            s_b = _ctx_repair_rows(ctx, b_set, c_set, c_set)
-            if ctx.rank(s_a + s_b) != p.d * p.t * p.beta:
+            s_a = ctx.blocks("S", a_set, c_set, c_set)
+            s_b = ctx.blocks("S", b_set, c_set, c_set)
+            if ctx.rank(s_a | s_b) != p.d * p.t * p.beta:
                 chk.fail(("H(S_{A u B}^C) != dt*beta", c_set, a_set, b_set))
                 continue
-            if ctx.rank_given(s_b, _storage(ctx, c_set) + s_a) != 0:
+            if ctx.rank_given(s_b, ctx.blocks("W", c_set) | s_a) != 0:
                 chk.fail(("H(S_B^C|W_C,S_A^C) != 0", c_set, a_set, b_set))
 
     # --- member volume ------------------------------------------------------
@@ -435,15 +439,15 @@ def lemma_suite(code, seed=0) -> LemmaResults:
         chk.checked += 1
         group = tuple(sorted((i,) + c_prime))
         # S_{A'}^i and S_{B'}^i make up S_{A' u B'}^i; |A'| + |B'| = d
-        s_a = _ctx_repair_rows(ctx, a_prime, [i], group)
-        s_b = _ctx_repair_rows(ctx, b_prime, [i], group)
-        z = _ctx_exchange_rows(ctx, c_prime, i, group)
-        if ctx.rank(s_a + s_b + z) != (p.d + p.t - 1) * p.beta:
+        s_a = ctx.blocks("S", a_prime, i_set, group)
+        s_b = ctx.blocks("S", b_prime, i_set, group)
+        z = ctx.blocks("Z", c_prime, i_set, group)
+        if ctx.rank(s_a | s_b | z) != (p.d + p.t - 1) * p.beta:
             chk.fail(
                 ("H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta", i, c_prime, a_prime, b_prime)
             )
             continue
-        if ctx.rank_given(s_b + z, _storage(ctx, [i]) + s_a) != 0:
+        if ctx.rank_given(s_b | z, ctx.blocks("W", i_set) | s_a) != 0:
             chk.fail(
                 ("H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0", i, c_prime, a_prime, b_prime)
             )
@@ -451,23 +455,22 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     # --- traversal span -----------------------------------------------------
     chk = res.get("traversal_span")
     allowed_f = sorted(code.supported_failed_nodes)
-    spans = {f: [ctx.intern(row) for row in download_span(code, f)] for f in allowed_f}
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
-            tilde = [row for f in f_set for row in spans[f]]
-            span_ref = _storage(ctx, f_set) + _nominal_repair_rows(ctx, nodes, f_set)
+            tilde = ctx.blocks("D", f_set)
+            span_ref = ctx.blocks("W", f_set) | ctx.blocks("S0", nodes, f_set)
             chk.checked += 1
-            if not (ctx.rank(tilde) == ctx.rank(span_ref) == ctx.rank(tilde + span_ref)):
+            if not (ctx.rank(tilde) == ctx.rank(span_ref) == ctx.rank(tilde | span_ref)):
                 chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
                 continue
             rest = [x for x in nodes if x not in f_set]
             for l1 in range(0, p.k - l2):
                 for e_set in itertools.combinations(rest, l1):
                     pool = [x for x in rest if x not in e_set]
-                    lhs = ctx.rank_given(tilde, _storage(ctx, e_set + f_set))
+                    lhs = ctx.rank_given(tilde, ctx.blocks("W", e_set + f_set))
                     for g_set in itertools.combinations(pool, p.k - l1 - l2):
                         chk.checked += 1
-                        rhs = ctx.rank(_nominal_repair_rows(ctx, g_set, f_set))
+                        rhs = ctx.rank(ctx.blocks("S0", g_set, f_set))
                         if lhs != rhs:
                             chk.fail(
                                 ("H(tilde S^F|W_E,W_F) != H(S_G^F)", f_set, e_set, g_set)
@@ -480,7 +483,7 @@ def lemma_suite(code, seed=0) -> LemmaResults:
             outside = [x for x in nodes if x not in f_set]
             entropies = {}
             for i in outside:
-                entropies[i] = ctx.rank(_nominal_repair_rows(ctx, [i], f_set))
+                entropies[i] = ctx.rank(ctx.blocks("S0", (i,), f_set))
             chk.checked += 1
             if len(set(entropies.values())) != 1:
                 chk.fail(("H(S_i^F) differs across helpers", f_set, entropies))
@@ -578,24 +581,25 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
         capacity.
     """
     p = code.params
-    if l1 + l2 > p.k - 1 or l2 < 1:
-        raise InvalidL("need l2 >= 1 and l1 + l2 <= k - 1 for the canonical check")
+    _check_pair(p, l1, l2)
+    if l2 < 1:
+        raise InvalidL(f"need l2 >= 1 for the canonical check, got {l2}")
     res = LemmaResults()
     ctx = _AnalysisContext(code)
     e_set = tuple(range(1, l1 + 1))
     f_set = tuple(range(l1 + 1, l1 + l2 + 1))
     nodes = list(range(1, p.n + 1))
-    tilde = [ctx.intern(row) for f in f_set for row in download_span(code, f)]
-    w_f = _storage(ctx, f_set)
-    s_f = _nominal_repair_rows(ctx, nodes, f_set)
+    tilde = ctx.blocks("D", f_set)
+    w_f = ctx.blocks("W", f_set)
+    s_f = ctx.blocks("S0", nodes, f_set)
 
     # downloads span
     chk = res.get("downloads_span")
     chk.checked += 1
-    ref = w_f + s_f
-    if not (ctx.rank(tilde) == ctx.rank(ref) == ctx.rank(tilde + ref)):
+    ref = w_f | s_f
+    if not (ctx.rank(tilde) == ctx.rank(ref) == ctx.rank(tilde | ref)):
         chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
-    z_f = [ctx.nominal_exchange_row(j, i) for i in f_set for j in nodes if j != i]
+    z_f = ctx.blocks("Z0", nodes, f_set)
     chk.checked += 1
     if ctx.rank_given(z_f, w_f) != 0 or ctx.rank_given(w_f, z_f) != 0:
         chk.fail(("span(Z^F) != span(W_F)", f_set))
@@ -603,12 +607,12 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     # leak decomposition
     chk = res.get("leak_decomposition")
     chk.checked += 1
-    w_ef = _storage(ctx, e_set + f_set)
+    w_ef = ctx.blocks("W", e_set + f_set)
     mid = [x for x in range(1, p.k + 1) if x not in e_set + f_set]
-    s_mid = _nominal_repair_rows(ctx, mid, f_set)
+    s_mid = ctx.blocks("S0", mid, f_set)
     tail = [x for x in nodes if x > p.k and x not in f_set]
-    s_tail = _nominal_repair_rows(ctx, tail, f_set)
-    lhs = ctx.rank(w_ef + s_f)
+    s_tail = ctx.blocks("S0", tail, f_set)
+    lhs = ctx.rank(w_ef | s_f)
     rhs = ctx.rank(w_ef) + ctx.rank(s_mid)
     if lhs != rhs:
         chk.fail(("H(W_{EuF}, S^F) != H(W_{EuF}) + H(S_mid^F)", lhs, rhs))
@@ -616,15 +620,15 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     if ctx.rank_given(s_mid, w_ef) != ctx.rank(s_mid):
         chk.fail(("H(S_mid^F|W) != H(S_mid^F)",))
     chk.checked += 1
-    if ctx.rank_given(s_tail, w_ef + s_mid) != 0:
+    if ctx.rank_given(s_tail, w_ef | s_mid) != 0:
         chk.fail(("tail repair rows add entropy beyond W and the k-set",))
 
     # leak totals
     chk = res.get("leak_totals")
-    leaked = ctx.rank(_storage(ctx, e_set) + tilde)
+    leaked = ctx.rank(ctx.blocks("W", e_set) | tilde)
     per_helper = {}
     for g in range(l1 + l2 + 1, p.k + 1):
-        per_helper[g] = ctx.rank(_nominal_repair_rows(ctx, [g], f_set))
+        per_helper[g] = ctx.rank(ctx.blocks("S0", (g,), f_set))
     chk.checked += 1
     if leaked != (l1 + l2) * p.alpha + sum(per_helper.values()):
         chk.fail(("leak total != (l1+l2)alpha + sum H(S_g^F)", leaked, per_helper))

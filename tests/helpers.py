@@ -237,20 +237,31 @@ def secrecy_oracle(scheme, eve):
 class FromScratchAnalysis:
     """eve's per-call analysis context without its memos: the reference.
 
-    Every row comes straight from the code and every row set is ranked from
-    scratch, as the lemma suite and the placement verifications did before
-    rows and ranks were memoised per call.  Swapped in for
+    A row set is a frozenset of plain rows, joined with |.  Every row comes
+    straight from the code and every row set is ranked from scratch
+    through rank_rows, as the lemma suite and the placement verifications
+    did before rows and ranks were memoised per call.  Swapped in for
     eve._AnalysisContext, it must leave every summary unchanged.
     """
 
     def __init__(self, code):
         self.code = code
 
-    def __getattr__(self, name):
-        return getattr(self.code, name)
+    def blocks(self, kind, senders, targets=(), group=None):
+        from coopstore.eve import repair_download_rows
 
-    def intern(self, row):
-        return row
+        code = self.code
+        if kind == "W":
+            return frozenset(row for i in senders for _, row in code.storage_rows(i))
+        if kind == "D":  # the full traversal, not its span
+            return frozenset(row for i in senders for _, row in repair_download_rows(code, i))
+        fetch = {
+            "S": lambda i, j: code.repair_functional(i, j, group),
+            "Z": lambda i, j: code.exchange_functional(i, j, group),
+            "S0": code.nominal_repair_row,
+            "Z0": code.nominal_exchange_row,
+        }[kind]
+        return frozenset(fetch(i, j) for j in targets for i in senders if i != j)
 
     def rank(self, rows):
         from coopstore.entropy import rank_rows
@@ -258,7 +269,7 @@ class FromScratchAnalysis:
         return rank_rows(self.code.field, self.code.params.B, rows)
 
     def rank_given(self, rows, given):
-        return self.rank(rows + given) - self.rank(given)
+        return self.rank(rows | given) - self.rank(given)
 
     def finish(self, res):
         return res

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopstore import kernels
 from coopstore.entropy import (
     ObservationSet,
     RowSpace,
@@ -171,7 +172,8 @@ class TestRowSpace:
         for _ in range(60):
             rows = rng.sample(pool, rng.randint(0, 4))
             given = rng.sample(pool, rng.randint(0, 4))
-            r, g = [space.intern(x) for x in rows], [space.intern(x) for x in given]
+            r, g = space.mask(rows), space.mask(given)
+            assert set(space.rows(r)) == set(rows)
             joint = rank_rows(field, 5, rows + given)
             assert space.rank(r) == rank_rows(field, 5, rows)
             assert space.rank_given(r, g) == joint - rank_rows(field, 5, given)
@@ -180,12 +182,37 @@ class TestRowSpace:
     def test_joint_rank_keeps_only_given_basis(self):
         space = RowSpace(GF3, 3)
         e, f = space.intern((1, 0, 0)), space.intern((0, 1, 0))
-        assert space.joint_rank([e], [f]) == 2
-        assert space.joint_rank([e], [f]) == 2
+        assert space.joint_rank(e, f) == 2
+        assert space.joint_rank(e, f) == 2
         # f's basis was eliminated once and then found; e | f never kept
         assert (space.lookups, space.eliminations) == (2, 1)
-        assert space.rank([e, f]) == 2
+        assert space.rank(e | f) == 2
         assert (space.lookups, space.eliminations) == (3, 2)
+
+    def test_rank_given_extends_the_larger_known_basis(self, monkeypatch):
+        space = RowSpace(GF3, 4)
+        x = space.mask([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        y = space.mask([(1, 1, 0, 0), (0, 0, 0, 1)])
+        assert space.rank(x) == 3
+        assert (space.lookups, space.eliminations) == (1, 1)
+        reduced = []
+        real = kernels.echelon
+
+        def recording(basis, rows, ncols, field):
+            reduced.append((len(basis), len(rows)))
+            return real(basis, rows, ncols, field)
+
+        monkeypatch.setattr(kernels, "echelon", recording)
+        # x's basis (3 rows) is longer than y's (2): the joint basis starts
+        # from x's and reduces only y's rows, not x's again
+        assert space.rank_given(x, y) == 4 - 2
+        assert (space.lookups, space.eliminations) == (3, 3)
+        assert reduced == [(0, 2), (3, 2)]
+        # the other way round, y's basis is the shorter: given's is kept
+        # and found, and the joint basis is found in the memo
+        assert space.rank_given(y, x) == 4 - 3
+        assert (space.lookups, space.eliminations) == (5, 3)
+        assert len(reduced) == 2
 
 
 def obs_strategy(field, b):

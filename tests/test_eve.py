@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from coopstore import eve, kernels
-from coopstore.entropy import entropy_symbols, rank_rows
+from coopstore.entropy import RowSpace, entropy_symbols, rank_rows
 from coopstore.errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
 from coopstore.eve import (
     NOT_COVERED,
@@ -83,14 +83,6 @@ def count_ranks(monkeypatch):
 
         monkeypatch.setattr(kernels, name, counted)
     return calls
-
-
-class RowsAsHandles:
-    """A stand-in row space whose handle of a row is the row itself."""
-
-    @staticmethod
-    def intern(row):
-        return row
 
 
 def all_summaries(code):
@@ -203,15 +195,16 @@ class TestDownloadSpan:
     )
     def test_observed_rows_are_the_distinct_full_view(self, make, placements):
         # every placement: the bare rows the analysis ranks, node by node
-        # (PlacementRows), against the labelled reference view
+        # (PlacementRows' masks), against the labelled reference view
         code = make()
-        view = PlacementRows(code, (RowsAsHandles,))
+        space = RowSpace(code.field, code.params.B)
+        view = PlacementRows(code, (space,))
         cells = capacity_table(code)
         assert len(cells) == placements
         for cell in cells:
             eve = EveModel(E=cell.E, F=cell.F)
-            f_rows, e_rows = view.observed(eve)
-            assert {row for (row,) in f_rows + e_rows} == set(
+            (f_rows,), (e_rows,) = view.observed(eve)
+            assert set(space.rows(f_rows | e_rows)) == set(
                 leakage_observations(code, eve).unique_rows()
             )
 
@@ -279,14 +272,13 @@ class TestCapacityTable:
     def test_capacity_from_single_helper_entropy(self):
         # measured == (k - l1 - l2)(alpha - H(S_g^F)) for any g in G
         code = s1()
-        from coopstore.eve import _nominal_repair_rows
-
         for f_set in itertools.combinations(range(1, 7), 1):
             for e_set in itertools.combinations([x for x in range(1, 7) if x not in f_set], 1):
                 eve = EveModel(E=e_set, F=f_set)
                 rest = [x for x in range(1, 7) if x not in e_set + f_set]
                 g = rest[0]
-                h_g = rank_rows(code.field, 6, _nominal_repair_rows(code, [g], f_set))
+                s_g = [code.nominal_repair_row(g, f) for f in f_set]
+                h_g = rank_rows(code.field, 6, s_g)
                 expect = (3 - 2) * (2 - h_g)
                 assert measured_secrecy_capacity(code, eve) == expect
 
@@ -302,33 +294,32 @@ class TestLemmaSuite:
 
     def test_l2_specific_subset_full_rank(self):
         # rank of repair data toward C={1,2} from A={3}, B={4,5} is dt*beta=6
-        code = s1()
-        from coopstore.eve import _ctx_repair_rows
-
-        rows = _ctx_repair_rows(code, (3, 4, 5), (1, 2), (1, 2))
-        assert rank_rows(code.field, 6, rows) == 6
+        ctx = eve._AnalysisContext(s1())
+        assert ctx.rank(ctx.blocks("S", (3, 4, 5), (1, 2), (1, 2))) == 6
 
     @pytest.mark.parametrize("make", [s1, b1], ids=["s1", "b1"])
     def test_context_rows_match_row_ctx(self, make):
-        # the bare rows the lemma suite ranks are the transfer primitives'
-        # rows, and the code's keyed download_rows, on every context of
-        # every node
-        from coopstore.eve import _ctx_exchange_rows, _ctx_repair_rows
-
+        # the block masks the lemma suite ranks hold the transfer
+        # primitives' rows, and one sender's block toward one node is the
+        # code's keyed download_rows row, on every context of every node
         code = make()
+        ctx = eve._AnalysisContext(code)
         nodes = range(1, code.params.n + 1)
         for node in nodes:
             for group, helpers in code.contexts(node):
-                assert _ctx_repair_rows(code, helpers, group, group) == [
+                assert ctx.blocks("S", helpers, group, group) == ctx.mask(
                     code.repair_functional(i, j, group) for j in group for i in helpers
-                ]
+                )
                 senders = [j for j in group if j != node]
-                z_rows = _ctx_exchange_rows(code, group, node, group)
-                assert z_rows == [code.exchange_functional(j, node, group) for j in senders]
-                s_rows = _ctx_repair_rows(code, helpers, [node], group)
-                assert code.download_rows(node, group, helpers) == [
-                    (("S", i), row) for i, row in zip(helpers, s_rows)
-                ] + [(("Z", j), row) for j, row in zip(senders, z_rows)]
+                assert ctx.blocks("Z", group, (node,), group) == ctx.mask(
+                    code.exchange_functional(j, node, group) for j in senders
+                )
+                keyed = code.download_rows(node, group, helpers)
+                assert [key for key, _ in keyed] == [("S", i) for i in helpers] + [
+                    ("Z", j) for j in senders
+                ]
+                for (kind, sender), row in keyed:
+                    assert ctx.blocks(kind, (sender,), (node,), group) == ctx.intern(row)
 
     def test_traversal_span_counts_and_witnesses(self):
         # pinned before conditional_entropy moved out of the G loop
@@ -414,8 +405,8 @@ class TestAnalysisContext:
 
     @pytest.mark.parametrize(
         "make",
-        [s1, b1, n8, n8_gf16, n8_gf17, t_over_k],
-        ids=["s1", "b1", "n8", "n8-gf16", "n8-gf17", "t-over-k"],
+        [s1, b1, n8, n8_gf16, n8_gf17, t_over_k, n11, lambda: n11(CodeB)],
+        ids=["s1", "b1", "n8", "n8-gf16", "n8-gf17", "t-over-k", "n11", "n11-code-b"],
     )
     def test_summaries_equal_from_scratch_reference(self, make, monkeypatch):
         code = make()
@@ -451,6 +442,12 @@ class TestAnalysisContext:
             "member_volume": 15120,
             "traversal_span": 6429,
             "helper_uniformity": 129,
+        }
+        assert res.counters() == {
+            "lookups": 69405,
+            "eliminations": 13903,
+            "rows_built": 2097,
+            "rows_unique": 75,
         }
 
 
@@ -522,6 +519,14 @@ class TestSpecificVerifications:
         with pytest.raises(InvalidL):
             specific_verifications(s1(), 0, 3)
 
+    @pytest.mark.parametrize("l1,l2", [(-1, 2), (1, 0)])
+    def test_invalid_pair_rejected_before_any_rank(self, l1, l2, monkeypatch):
+        # (-1, 2) puts node 0, which does not exist, into the canonical F
+        calls = count_ranks(monkeypatch)
+        with pytest.raises(InvalidL):
+            specific_verifications(s1(), l1, l2)
+        assert calls == {}
+
 
 class TestBandwidthComparison:
     def test_s1_values(self):
@@ -558,13 +563,11 @@ class TestStorageRecoverability:
     def test_repair_data_alone_does_not(self):
         # the caveat that separates cooperative codes from single-repair
         # ones: H(W_i | S^i) > 0 here, so the suite must never assert it zero
-        from coopstore.eve import _nominal_repair_rows, _storage
-
         code = s1()
         nodes = list(range(1, 7))
         for i in nodes:
-            w_i = _storage(code, [i])
-            s_i = _nominal_repair_rows(code, nodes, [i])
+            w_i = [row for _, row in code.storage_rows(i)]
+            s_i = [code.nominal_repair_row(h, i) for h in nodes if h != i]
             assert rank_rows(code.field, 6, w_i + s_i) - rank_rows(code.field, 6, s_i) == 1
 
 
