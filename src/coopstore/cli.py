@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -154,13 +155,14 @@ def _echo_config(config, field, params) -> dict:
 class _Stopwatch:
     """Milliseconds per data-path layer and for the whole command: timings_ms.
 
-    main starts one per command; the analysis commands leave the layers at 0.
+    main starts one per command before parsing its arguments and names the
+    command once they are parsed; the analysis commands leave the layers at 0.
     """
 
     LAYERS = ("striping", "shard_read", "algebra", "shard_write")
 
-    def __init__(self, command):
-        self.command = command
+    def __init__(self):
+        self.command = None
         self.ms = dict.fromkeys(self.LAYERS, 0.0)
         self.start = time.perf_counter()
 
@@ -509,7 +511,13 @@ def cmd_secure_verify(args, clock) -> ReportDoc:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    parse_args keeps no state in the parser between calls (each call fills a
+    new Namespace), so main reuses it rather than rebuilding it per command.
+    """
     parser = argparse.ArgumentParser(
         prog="coopstore",
         description="cooperative regenerating storage codes with exact secrecy verification",
@@ -576,8 +584,9 @@ def main(argv=None) -> int:
     CoopstoreError other than a ConfigError was raised, 2 on a ConfigError
     or an OSError.
     """
+    clock = _Stopwatch()
     args = build_parser().parse_args(argv)
-    clock = _Stopwatch(args.command)
+    clock.command = args.command
     try:
         report = args.func(args, clock)
         report.timings_ms = clock.timings()

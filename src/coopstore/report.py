@@ -37,7 +37,8 @@ class ReportDoc:
         }
 
     def write_json(self, path) -> None:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        # one line: without indent, json.dumps takes its C encoder
+        text = json.dumps(self.to_dict(), sort_keys=True) + "\n"
         write_atomic(path, text.encode())
 
 

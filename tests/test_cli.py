@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import struct
+import time
 import zlib
 
 import pytest
@@ -11,6 +12,7 @@ from coopstore import cli, errors, shardfile
 from coopstore.cli import main
 from coopstore.eve import lemma_suite, specific_verifications
 from coopstore.instances import s1
+from coopstore.report import ReportDoc
 
 
 def run(argv):
@@ -401,9 +403,10 @@ class TestEveryCommandReport:
 
     LAYERS = {"striping", "shard_read", "algebra", "shard_write"}
 
-    def test_report_command_timings_and_exit_status(self, tmp_path, sample_file):
+    @staticmethod
+    def every_command(tmp_path, sample_file):
         shards = tmp_path / "shards"
-        runs = [
+        return [
             ["encode", "--input", sample_file, "--out-dir", shards],
             ["decode", "--shard-dir", shards, "--output", tmp_path / "out.bin"],
             ["repair", "--shard-dir", shards, "--group", "2,5", "--helpers", "1,3,4"],
@@ -413,6 +416,9 @@ class TestEveryCommandReport:
             ["verify", "--variant", "code-b"],
             ["secure-verify", "--l1", "0", "--l2", "1"],
         ]
+
+    def test_report_command_timings_and_exit_status(self, tmp_path, sample_file):
+        runs = self.every_command(tmp_path, sample_file)
         statuses = []
         for i, argv in enumerate(runs):
             report = tmp_path / f"r{i}.json"
@@ -428,6 +434,41 @@ class TestEveryCommandReport:
             "encode", "decode", "repair", "attack", "capacity-sweep", "verify", "secure-verify"
         }
         assert statuses == [0, 0, 0, 0, 0, 0, 1, 0]
+
+    def test_report_is_one_line_with_sorted_keys(self, tmp_path, sample_file, monkeypatch):
+        written = []
+        real = ReportDoc.write_json
+
+        def spy(self, path):
+            written.append(self.to_dict())
+            real(self, path)
+
+        monkeypatch.setattr(ReportDoc, "write_json", spy)
+
+        def sorted_object(pairs):
+            keys = [key for key, _ in pairs]
+            assert keys == sorted(keys)
+            return dict(pairs)
+
+        for i, argv in enumerate(self.every_command(tmp_path, sample_file)):
+            report = tmp_path / f"r{i}.json"
+            run(argv + ["--report", report])
+            text = report.read_text()
+            assert text.endswith("\n") and text.count("\n") == 1, argv
+            assert json.loads(text, object_pairs_hook=sorted_object) == written[-1], argv
+        assert len(written) == 8
+
+    def test_command_total_includes_argument_parsing(self, tmp_path, monkeypatch):
+        real = cli.build_parser
+
+        def slow_parser():
+            time.sleep(0.02)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", slow_parser)
+        report = tmp_path / "r.json"
+        assert run(["attack", "--variant", "code-a", "--report", report]) == 0
+        assert json.loads(report.read_text())["timings_ms"]["attack"] >= 20
 
     def test_verify_reports_rank_memo_counters(self, tmp_path):
         # summed over the lemma suite and, for the stable code, every
@@ -451,6 +492,57 @@ class TestEveryCommandReport:
             "rows_built": sum(r.rows_built for r in calls),
             "rows_unique": sum(r.rows_unique for r in calls),
         }
+
+
+class TestCachedParser:
+    """main reuses one parser; each parse must equal one by a freshly built parser."""
+
+    # each subcommand with its options given, then left out in the next call
+    ARGV = [
+        ["encode", "--input", "a.bin", "--out-dir", "s", "--params", "n=8,k=3,d=3,t=2",
+         "--field", "m=8", "--seed", "3", "--variant", "stable", "--report", "r.json"],
+        ["encode", "--input", "a.bin", "--out-dir", "s"],
+        ["decode", "--shard-dir", "s", "--output", "o.bin", "--nodes", "2,4,6", "--report", "r.json"],
+        ["decode", "--shard-dir", "s", "--output", "o.bin"],
+        ["repair", "--shard-dir", "s", "--group", "2,5", "--helpers", "1,3,4", "--report", "r.json"],
+        ["repair", "--shard-dir", "s", "--group", "2,5"],
+        ["attack", "--variant", "code-a", "--omega", "2", "--seed", "5", "--config", "c.json"],
+        ["attack", "--variant", "code-b"],
+        ["capacity-sweep", "--csv", "c.csv", "--variant", "code-b", "--seed", "4"],
+        ["capacity-sweep"],
+        ["verify", "--variant", "code-b", "--params", "n=8,k=4,d=4,t=2", "--report", "r.json"],
+        ["verify"],
+        ["secure-verify", "--l1", "0", "--l2", "2", "--field", "m=4", "--seed", "9"],
+        ["secure-verify"],
+        ["decode", "--output", "o.bin"],
+        ["no-such-command"],
+        ["repair", "--shard-dir", "s", "--group", "2,5"],
+    ]
+
+    @staticmethod
+    def parsed(parser, argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return ("exit", exc.code)
+
+    def test_reused_parser_parses_as_a_fresh_one(self, capsys):
+        cached = cli.build_parser()
+        for argv in self.ARGV:
+            assert self.parsed(cached, argv) == self.parsed(cli.build_parser.__wrapped__(), argv)
+        assert cli.build_parser() is cached
+        plain = self.parsed(cached, ["secure-verify"])
+        assert (plain["l1"], plain["l2"]) == (1, 1)
+        assert self.parsed(cached, ["decode"]) == ("exit", 2)
+
+    def test_default_helpers_after_explicit_ones(self, tmp_path, sample_file):
+        shards = encode_dir(tmp_path, sample_file)
+        reports = [tmp_path / "explicit.json", tmp_path / "default.json"]
+        base = ["repair", "--shard-dir", shards, "--group", "2,5"]
+        assert run(base + ["--helpers", "3,4,6", "--report", reports[0]]) == 0
+        assert run(base + ["--report", reports[1]]) == 0
+        helpers = [json.loads(path.read_text())["results"]["helpers"] for path in reports]
+        assert helpers == [[3, 4, 6], [1, 3, 4]]
 
 
 def test_bad_seed_variable_is_a_config_error(capsys, monkeypatch):
