@@ -5,6 +5,8 @@ or config error (see main).
 Flags override config-file fields; COOPSTORE_SEED is the seed fallback.
 decode and repair parse node lists and leave which shard files to read, and
 whether to trust them, to shardfile.ShardDir.
+encode, decode and repair load only the data path: each analysis command
+imports eve, entropy, legacy or secure when it runs.
 """
 
 from __future__ import annotations
@@ -14,29 +16,16 @@ import contextlib
 import functools
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .entropy import brute_force_entropy, entropy_symbols, observations
 from .errors import ConfigError, CoopstoreError, InvalidConfig, TooFewShards
-from .eve import (
-    EveModel,
-    bandwidth_comparison,
-    capacity_cell,
-    capacity_table,
-    lemma_suite,
-    specific_verifications,
-)
 from .field import FieldSpec, field_create, prime_field
-from .legacy import CodeB, code_a_attack, code_a_init, code_b_attack
 from .matrix import Mat, lincomb_branch
 from .report import ReportDoc, capacity_rows, text_table, write_capacity_csv
-from .secure import scheme_create, verify_secrecy_sweep
 from .shardfile import (
     ShardDir,
     ShardMeta,
@@ -139,6 +128,8 @@ def _make_code(config):
     if variant == "stable":
         return StableCode.create(params, field)
     if variant == "code-b":
+        from .legacy import CodeB
+
         return CodeB.create(params, field)
     raise InvalidConfig(f"variant {variant!r} not supported here")
 
@@ -314,6 +305,10 @@ def _check_ids(option, ids, n, least, most):
 
 
 def cmd_attack(args, clock) -> ReportDoc:
+    import random
+
+    from .legacy import code_a_attack, code_a_init, code_b_attack
+
     config = _load_config(args)
     rng = random.Random(config["seed"])
     variant = config.get("variant")
@@ -371,6 +366,8 @@ def _int_lists(value, length=None) -> bool:
 
 
 def cmd_capacity_sweep(args, clock) -> ReportDoc:
+    from .eve import EveModel, capacity_cell, capacity_table
+
     config = _load_config(args)
     code = _make_code(config)
     report = ReportDoc(command="capacity-sweep", config=config)
@@ -411,6 +408,12 @@ def cmd_capacity_sweep(args, clock) -> ReportDoc:
 
 
 def cmd_verify(args, clock) -> ReportDoc:
+    import random
+    from fractions import Fraction
+
+    from .entropy import brute_force_entropy, entropy_symbols, observations
+    from .eve import bandwidth_comparison, lemma_suite, specific_verifications
+
     config = _load_config(args)
     code = _make_code(config)
     p = code.params
@@ -477,6 +480,8 @@ def cmd_verify(args, clock) -> ReportDoc:
 
 
 def cmd_secure_verify(args, clock) -> ReportDoc:
+    from .secure import scheme_create, verify_secrecy_sweep
+
     config = _load_config(args)
     if "field" not in config:
         config["field"] = {"m": 4}

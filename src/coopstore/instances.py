@@ -1,4 +1,4 @@
-"""Canonical desk-scale instances used by tests, the CLI, and reports.
+"""Canonical desk-scale instances used by the tests and the package docstring's example.
 
 S1        stable code, q=11, n=6, k=d=3, t=2  (alpha=2, beta=1, B=6)
 S1-binary same shape over GF(16); the variant secure precoding runs on

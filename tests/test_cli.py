@@ -1,14 +1,18 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
-from coopstore import cli, errors, shardfile
+from coopstore import cli, errors, eve, legacy, shardfile
 from coopstore.cli import main
 from coopstore.eve import lemma_suite, specific_verifications
 from coopstore.instances import s1
@@ -167,13 +171,13 @@ class TestAttack:
 
     def test_code_b_partial_leak_fails(self, monkeypatch):
         # recovery alone does not pass: the leak must also be total
-        real = cli.code_b_attack
+        real = legacy.code_b_attack
 
         def partial(code, data):
             result = real(code, data)
             return dataclasses.replace(result, leaked_entropy=code.params.B - 1)
 
-        monkeypatch.setattr(cli, "code_b_attack", partial)
+        monkeypatch.setattr(legacy, "code_b_attack", partial)
         assert run(["attack", "--variant", "code-b"]) == 1
 
     def test_inadmissible_omega_is_config_error(self):
@@ -387,15 +391,47 @@ def test_config_errors_are_the_unusable_settings():
 
 def test_verify_seed_reaches_the_lemma_suite(monkeypatch):
     seeds = []
-    real = cli.lemma_suite
+    real = eve.lemma_suite
 
     def spy(code, seed=0):
         seeds.append(seed)
         return real(code, seed=seed)
 
-    monkeypatch.setattr(cli, "lemma_suite", spy)
+    monkeypatch.setattr(eve, "lemma_suite", spy)
     assert run(["verify", "--seed", "7"]) == 0
     assert seeds == [7]
+
+
+DATA_PATH_ONLY = """
+import sys
+from pathlib import Path
+from coopstore import cli
+
+work = Path(sys.argv[1])
+(work / "input.bin").write_bytes(bytes(range(256)) * 4)
+shards = str(work / "shards")
+for argv in (
+    ["encode", "--input", str(work / "input.bin"), "--out-dir", shards],
+    ["decode", "--shard-dir", shards, "--output", str(work / "out.bin")],
+    ["repair", "--shard-dir", shards, "--group", "2,5"],
+):
+    assert cli.main(argv) == 0, argv
+print("\\n".join(sorted(m for m in sys.modules if m.startswith("coopstore."))))
+"""
+
+
+def test_data_path_commands_load_no_analysis_module(tmp_path):
+    # a fresh interpreter, since this one has loaded every module already
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", DATA_PATH_ONLY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = {line for line in done.stdout.splitlines() if line.startswith("coopstore.")}
+    assert "coopstore.stable" in loaded
+    analysis = {"coopstore.eve", "coopstore.legacy", "coopstore.secure", "coopstore.entropy"}
+    assert loaded.isdisjoint(analysis), sorted(loaded & analysis)
 
 
 class TestEveryCommandReport:
