@@ -1,4 +1,4 @@
-"""On-disk shard format: fixed 52-byte header + fixed-width symbol payload.
+"""On-disk shard format: fixed 52-byte header + one-byte symbol payload.
 
 Layout (all little-endian):
 
@@ -13,11 +13,14 @@ Layout (all little-endian):
     26      2     alpha    28  2  beta      30  2  beta'
     32      4     B (symbols per generation)
     36      2     node id
-    38      2     symbol width in bytes
+    38      2     symbol width in bytes, always 1
     40      8     generation count
     48      4     CRC32 of bytes [0, 48)
     52      ...   payload: generations * alpha symbols, row-major by
-                  generation, each symbol `width` bytes little-endian
+                  generation, one byte each
+
+Shards hold fields of at most 256 elements (striping.MAX_FIELD_ORDER):
+encode refuses a larger field, and a header naming one is corrupt.
 
 Files are bit-exact deterministic for a given (input, config).
 
@@ -38,6 +41,7 @@ from pathlib import Path
 from .errors import ConfigError, CorruptShard, InvalidConfig, IoError
 from .field import FieldSpec, field_create
 from .stable import CodeParams
+from .striping import MAX_FIELD_ORDER
 
 MAGIC = b"CRCS"
 VERSION = 1
@@ -57,9 +61,7 @@ class ShardMeta:
     node_id: int
     generations: int
 
-    @property
-    def symbol_width(self) -> int:
-        return max(1, (self.params.q - 1).bit_length() + 7 >> 3)
+    symbol_width = 1  # bytes per symbol; perfbench/layers.py reads it
 
 
 def _header_bytes(meta: ShardMeta) -> bytes:
@@ -94,19 +96,13 @@ def write_shard(path, meta: ShardMeta, symbols, sha256=None) -> str:
     """Write a shard atomically; returns the sha256 hex digest of the file.
 
     symbols: flat sequence, generations * alpha entries, generation-major.
-    At width 1, bytes or a bytearray is written as it is, without a copy.
+    bytes or a bytearray is written as it is, without a copy.
     With sha256 given, a file whose digest differs is refused unwritten.
     """
     expect = meta.generations * meta.params.alpha
     if len(symbols) != expect:
         raise InvalidConfig(f"payload needs {expect} symbols, got {len(symbols)}")
-    w = meta.symbol_width
-    if w > 1:
-        payload = b"".join([v.to_bytes(w, "little") for v in symbols])
-    elif isinstance(symbols, (bytes, bytearray)):
-        payload = symbols
-    else:
-        payload = bytes(symbols)
+    payload = symbols if isinstance(symbols, (bytes, bytearray)) else bytes(symbols)
     head = _header_bytes(meta)
     hasher = hashlib.sha256(head)
     hasher.update(payload)
@@ -124,7 +120,8 @@ def write_atomic(path, *chunks) -> None:
     """Write the chunks to a temporary file beside path, then rename it over path.
 
     An interrupted write leaves the previous file intact and no temporary
-    file behind.  Every file the package writes goes through here.
+    file behind.  Every file the package writes goes through here.  An
+    OSError names path, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -133,16 +130,17 @@ def write_atomic(path, *chunks) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
 def read_shard(path, sha256=None):
-    """-> (ShardMeta, flat symbols); validates magic, CRC, length and values.
+    """-> (ShardMeta, payload bytes); validates magic, CRC, length and values.
 
-    The symbols are the payload bytes themselves at width 1, else a list of
-    ints.  With sha256 given, the whole file must have that digest.
+    With sha256 given, the whole file must have that digest.
     """
     head, payload = _read(path, whole=True)
     if sha256 is not None:
@@ -151,20 +149,13 @@ def read_shard(path, sha256=None):
         if hasher.hexdigest() != sha256:
             raise CorruptShard(f"{path}: sha256 differs from manifest.json")
     meta = _parse_header(path, head)
-    w = meta.symbol_width
-    expect = meta.generations * meta.params.alpha * w
+    expect = meta.generations * meta.params.alpha
     if len(payload) != expect:
         raise CorruptShard(f"{path}: payload length {len(payload)} != {expect}")
-    q = meta.params.q
-    if w == 1:
-        symbols = payload
-        outside = payload.translate(None, bytes(range(q)))
-    else:
-        symbols = [int.from_bytes(payload[off : off + w], "little") for off in range(0, expect, w)]
-        outside = [v for v in symbols if v >= q]
+    outside = payload.translate(None, bytes(range(meta.params.q)))
     if outside:
         raise CorruptShard(f"{path}: symbol value {outside[0]} outside the field")
-    return meta, symbols
+    return meta, payload
 
 
 def read_shard_meta(path) -> ShardMeta:
@@ -214,6 +205,13 @@ def _parse_header(path, blob) -> ShardMeta:
         raise CorruptShard(f"{path}: unknown variant tag {variant_tag}")
     if kind not in (0, 1):
         raise CorruptShard(f"{path}: unknown field kind {kind}")
+    q = param if kind == 0 else 1 << m
+    if q > MAX_FIELD_ORDER:
+        raise CorruptShard(
+            f"{path}: GF({q}) is above the {MAX_FIELD_ORDER}-element bound of a shard"
+        )
+    if width != ShardMeta.symbol_width:
+        raise CorruptShard(f"{path}: symbol width {width} != expected {ShardMeta.symbol_width}")
     if kind == 0:
         spec = FieldSpec.prime(param)
     else:
@@ -226,16 +224,13 @@ def _parse_header(path, blob) -> ShardMeta:
         )
     except ConfigError as exc:
         raise CorruptShard(f"{path}: invalid header: {exc}") from exc
-    meta = ShardMeta(
+    return ShardMeta(
         variant=TAG_VARIANTS[variant_tag],
         field_spec=spec,
         params=params,
         node_id=node_id,
         generations=generations,
     )
-    if width != meta.symbol_width:
-        raise CorruptShard(f"{path}: symbol width {width} != expected {meta.symbol_width}")
-    return meta
 
 
 def shard_filename(node_id: int) -> str:

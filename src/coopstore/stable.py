@@ -209,9 +209,11 @@ class StableDeployment:
     # A node payload holds gens * t symbols, generation-major, so payload[i::t]
     # is its packet-i stream (one symbol per generation).  In the message
     # symbol stream, entry (i, c) of every generation's data matrix is the
-    # stream symbols[i*k + c :: B].  Streams are bytes when q <= 256 and int
-    # lists otherwise; every payload and stream built here has its input's
-    # type (see matrix.lincomb), and an int tuple gives lists.
+    # stream symbols[i*k + c :: B].  The file data path's streams are bytes
+    # (it takes fields of at most 256 elements); the secure store's tower
+    # field and the reference tests pass int lists.  Every payload and
+    # stream built here has its input's type (see matrix.lincomb), and an
+    # int tuple gives lists.
 
     def encode_batch(self, symbols):
         """node -> payload for a message stream of whole generations."""

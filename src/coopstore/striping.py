@@ -1,14 +1,15 @@
 """Byte stream <-> field symbols <-> fixed-size generations.
 
 Bytes map to symbols through s-bit chunks, s = floor(log2 q), LSB-first,
-so every field can carry arbitrary data exactly.  The conversion runs a
-block of lcm(s, 8) bits at a time (3 bytes <-> 8 symbols at GF(11)), so
-it is linear in the input size.  When q <= 256 a symbol stream is bytes,
-one symbol per byte as in a width-1 shard, converted lane by lane through
-bytes.translate; larger fields use int lists.  The stream is prefixed with its 8-byte
-little-endian byte length and zero-filled at the tail up to a whole
-number of B-symbol generations; decoding reads the prefix and cuts the
-fill.  Each generation is one t x k data matrix, row-major.
+so every field can carry arbitrary data exactly.  The data path takes
+fields of at most 256 elements, so a symbol stream is bytes, one symbol
+per byte as in a shard payload.  The conversion runs a block of
+lcm(s, 8) bits at a time (3 bytes <-> 8 symbols at GF(11)), lane by lane
+through bytes.translate, so it is linear in the input size.  The stream
+is prefixed with its 8-byte little-endian byte length and zero-filled at
+the tail up to a whole number of B-symbol generations; decoding reads
+the prefix and cuts the fill.  Each generation is one t x k data matrix,
+row-major.
 
 Every packed symbol is below 2^s, so a decoded stream holding a wider
 symbol, or a length prefix past its end, is corrupt (CorruptShard).  That
@@ -24,6 +25,8 @@ from functools import lru_cache
 from .errors import CorruptShard, InvalidConfig
 
 LENGTH_PREFIX_BYTES = 8
+# one symbol per byte: n <= 255 always fits, since the codes need q >= n + 1
+MAX_FIELD_ORDER = 256
 
 
 def symbol_bits(q: int) -> int:
@@ -37,36 +40,12 @@ def _block(q: int):
     return bits // 8, bits // s, s
 
 
-def _merge(fields, count: int, width: int) -> list[int]:
-    """OR each run of count fields into one int, field j shifted by j*width."""
-    out = list(fields[0::count])
-    for j in range(1, count):
-        shift = j * width
-        out = [v | x << shift for v, x in zip(out, fields[j::count])]
-    return out
-
-
-def _split(values, count: int, width: int) -> list[int]:
-    """Inverse of _merge for fields below 2^width: count fields per value."""
-    mask = (1 << width) - 1
-    out = [0] * (len(values) * count)
-    for j in range(count):
-        shift = j * width
-        out[j::count] = [v >> shift & mask for v in values]
-    return out
-
-
-def bytes_to_symbols(data: bytes, q: int):
-    """The s-bit chunks of data, LSB-first, a block of lcm(s, 8) bits at a time.
-
-    bytes when q <= 256 (see _lanes_to_symbols), else a list of ints.
-    """
+def bytes_to_symbols(data: bytes, q: int) -> bytes:
+    """The s-bit chunks of data, LSB-first, a block of lcm(s, 8) bits at a time."""
     nbytes, nsyms, s = _block(q)
     count = -(-len(data) * 8 // s)
     data = bytes(data) + bytes(-len(data) % nbytes)
-    if q <= 256:
-        return _lanes_to_symbols(data, nbytes, nsyms, s)[:count]
-    return _split(_merge(data, nbytes, 8), nsyms, s)[:count]
+    return _lanes_to_symbols(data, nbytes, nsyms, s)[:count]
 
 
 def _lanes_to_symbols(data: bytes, nbytes: int, nsyms: int, s: int) -> bytes:
@@ -88,21 +67,16 @@ def _lanes_to_symbols(data: bytes, nbytes: int, nsyms: int, s: int) -> bytes:
     return bytes(out)
 
 
-def symbols_to_bytes(symbols, q: int, nbytes: int) -> bytes:
+def symbols_to_bytes(symbols: bytes, q: int, nbytes: int) -> bytes:
     """The first nbytes bytes of the bit string that has symbol i at bit i*s.
 
     A symbol of 2^s or more cannot come from bytes_to_symbols: CorruptShard.
     """
     block_bytes, nsyms, s = _block(q)
-    as_bytes = isinstance(symbols, (bytes, bytearray))
-    wide = symbols.translate(None, bytes(range(1 << s))) if as_bytes else [v for v in symbols if v >> s]
+    wide = symbols.translate(None, bytes(range(1 << s)))
     if wide:
         raise CorruptShard(f"corrupt stream: decoded symbol {wide[0]} is wider than {s} bits")
-    fill = -len(symbols) % nsyms
-    if as_bytes:
-        stream = _lanes_to_bytes(bytes(symbols) + bytes(fill), block_bytes, nsyms, s)
-    else:
-        stream = bytes(_split(_merge(list(symbols) + [0] * fill, nsyms, s), block_bytes, 8))
+    stream = _lanes_to_bytes(bytes(symbols) + bytes(-len(symbols) % nsyms), block_bytes, nsyms, s)
     return stream[:nbytes] + bytes(max(0, nbytes - len(stream)))
 
 
@@ -133,22 +107,24 @@ def _shift_table(shift: int, bits: int) -> bytes:
     return bytes((x << shift if shift >= 0 else x >> -shift) & mask for x in range(256))
 
 
-def pack_payload(data: bytes, q: int, block: int):
+def pack_payload(data: bytes, q: int, block: int) -> bytes:
     """Length-prefixed symbol stream, zero-filled to a multiple of block.
 
-    bytes when q <= 256, else a list of ints (as bytes_to_symbols).
+    The one check of which fields the data path takes on the write side
+    (shardfile._parse_header is the read side's): at most 256 elements.
     """
+    if q > MAX_FIELD_ORDER:
+        raise InvalidConfig(
+            f"encode takes fields of at most {MAX_FIELD_ORDER} elements, not GF({q})"
+        )
     if not data:
         raise InvalidConfig("refusing to encode an empty input")
     framed = len(data).to_bytes(LENGTH_PREFIX_BYTES, "little") + data
     symbols = bytes_to_symbols(framed, q)
-    fill = (-len(symbols)) % block
-    if isinstance(symbols, bytes):
-        return symbols + bytes(fill)
-    return symbols + [0] * fill
+    return symbols + bytes(-len(symbols) % block)
 
 
-def unpack_payload(symbols, q: int) -> bytes:
+def unpack_payload(symbols: bytes, q: int) -> bytes:
     s = symbol_bits(q)
     total_bytes = len(symbols) * s // 8
     if total_bytes < LENGTH_PREFIX_BYTES:

@@ -15,6 +15,7 @@ import pytest
 from coopstore import cli, errors, eve, legacy, shardfile
 from coopstore.cli import main
 from coopstore.eve import lemma_suite, specific_verifications
+from coopstore.field import DEFAULT_POLY
 from coopstore.instances import s1
 from coopstore.report import ReportDoc
 
@@ -686,6 +687,28 @@ class TestAtomicWrites:
         assert out.read_bytes() == b"previous output"
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decode", "--shard-dir", "shards", "--output", "missing/x.bin"],
+            ["decode", "--shard-dir", "shards", "--output", "out.bin", "--report", "missing/x.bin"],
+            ["capacity-sweep", "--csv", "missing/x.bin"],
+        ],
+        ids=["output", "report", "csv"],
+    )
+    def test_missing_directory_names_the_requested_file(
+        self, tmp_path, sample_file, capsys, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        encode_dir(tmp_path, sample_file)
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "io error: [Errno 2] No such file or directory: 'missing/x.bin'\n", err
+        after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.name != "out.bin")
+        assert after == before
+
     @pytest.mark.parametrize("extra", [[], ["--csv", "table.csv"]])
     def test_interrupted_report_write_keeps_old_files(self, tmp_path, monkeypatch, extra):
         monkeypatch.chdir(tmp_path)
@@ -735,10 +758,28 @@ class TestManifestDigests:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
-    def test_payload_byte_flip(self, tmp_path, sample_file, capsys):
-        shards = encode_dir(tmp_path, sample_file)
-        _flip_payload_byte(shards / "node_002.shard")
-        self.decode_fails_naming(shards, tmp_path, capsys, "node_002.shard", "2,4,6")
+    @pytest.mark.parametrize("field, q", [("p=11", 11), ("m=8", 256)], ids=["p=11", "m=8"])
+    def test_payload_byte_flip(self, tmp_path, sample_file, capsys, field, q):
+        """Any changed byte of a used shard, header or payload, fails decode with no output.
+
+        The manifest digests are the only check that sees every such change:
+        at GF(2^8) every payload byte value is a field symbol.
+        """
+        shards = encode_dir(tmp_path, sample_file, ["--field", field])
+        rng = random.Random(f"flip {field}")
+        for node in (2, 4, 6):
+            path = shards / f"node_{node:03d}.shard"
+            clean = path.read_bytes()
+            header = rng.sample(range(shardfile.HEADER_SIZE), 4)
+            payload = rng.sample(range(shardfile.HEADER_SIZE, len(clean)), 8)
+            for pos in header + payload:
+                blob = bytearray(clean)
+                # payload bytes stay in the field; header bytes take any other value
+                span = q if pos >= shardfile.HEADER_SIZE else 256
+                blob[pos] = (blob[pos] + rng.randrange(1, span)) % span
+                path.write_bytes(blob)
+                self.decode_fails_naming(shards, tmp_path, capsys, path.name, "2,4,6")
+            path.write_bytes(clean)
 
     def test_foreign_shard_of_same_shape(self, tmp_path, sample_file, capsys):
         shards = encode_dir(tmp_path, sample_file)
@@ -845,7 +886,7 @@ class TestDataPathReports:
 
     @pytest.mark.parametrize(
         "field, branch",
-        [("p=11", "bytes-table"), ("m=8", "bytes-table"), ("p=131", "int-list"), ("p=257", "int-list")],
+        [("p=11", "bytes-table"), ("m=8", "bytes-table"), ("p=131", "int-list")],
     )
     def test_layer_timings_sum_within_total(self, tmp_path, sample_file, field, branch):
         """Each layer is timed inside the command, so their sum cannot pass its total."""
@@ -945,40 +986,88 @@ class TestTruncatedShard:
 
 
 class TestForeignHeader:
-    """A CRC-valid header naming no known variant, field or code is a corrupt shard."""
+    """A CRC-valid header naming no known variant, field or code is a corrupt shard.
+
+    So is one naming a field of more than 256 elements, which no shard can
+    hold: a directory an earlier version wrote at q > 256 does not decode.
+    """
 
     FIELDS = (
         "magic", "version", "variant_tag", "kind", "param", "m", "n", "k", "d", "t",
         "alpha", "beta", "beta_prime", "B", "node", "width",
     )
-    # header field, value written, what the error must say
+    # header fields and the values written, what the error must say
     CASES = {
-        "variant-tag-9": ("variant_tag", 9, "unknown variant tag 9"),
-        "field-kind-5": ("kind", 5, "unknown field kind 5"),
-        "p-12": ("param", 12, "invalid header"),
-        "n-0": ("n", 0, "invalid header"),
-        "version-2": ("version", 2, "unsupported version 2"),
-        "width-2": ("width", 2, "symbol width 2 != expected 1"),
+        "variant-tag-9": ({"variant_tag": 9}, "unknown variant tag 9"),
+        "field-kind-5": ({"kind": 5}, "unknown field kind 5"),
+        "p-12": ({"param": 12}, "invalid header"),
+        "n-0": ({"n": 0}, "invalid header"),
+        "version-2": ({"version": 2}, "unsupported version 2"),
+        "width-2": ({"width": 2}, "symbol width 2 != expected 1"),
+    }
+    WIDE = {
+        "p-257": ({"param": 257}, "GF(257) is above the 256-element bound"),
+        "p-257-width-2": ({"param": 257, "width": 2}, "GF(257) is above the 256-element bound"),
+        "m-9": (
+            {"kind": 1, "m": 9, "param": DEFAULT_POLY[9]},
+            "GF(512) is above the 256-element bound",
+        ),
     }
 
-    @pytest.mark.parametrize("nodes", ["2,4,6", "4,6,1,2"], ids=["used", "unused"])
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_foreign_header_fails_naming_it(self, tmp_path, sample_file, capsys, case, nodes):
-        shards = encode_dir(tmp_path, sample_file)
+    def rewrite_header(self, shards, case):
+        """node_002's header with the case's fields changed, under a valid CRC."""
         (shards / "manifest.json").unlink()
         path = shards / "node_002.shard"
         blob = path.read_bytes()
         values = list(shardfile._HEADER.unpack(blob[: shardfile._HEADER.size]))
-        name, value, reason = self.CASES[case]
-        values[self.FIELDS.index(name)] = value
+        changes, reason = {**self.CASES, **self.WIDE}[case]
+        for name, value in changes.items():
+            values[self.FIELDS.index(name)] = value
         head = shardfile._HEADER.pack(*values)
         path.write_bytes(head + struct.pack("<I", zlib.crc32(head)) + blob[shardfile.HEADER_SIZE :])
+        return reason
+
+    @pytest.mark.parametrize("nodes", ["2,4,6", "4,6,1,2"], ids=["used", "unused"])
+    @pytest.mark.parametrize("case", [*CASES, *WIDE])
+    def test_foreign_header_fails_naming_it(self, tmp_path, sample_file, capsys, case, nodes):
+        shards = encode_dir(tmp_path, sample_file)
+        reason = self.rewrite_header(shards, case)
         capsys.readouterr()
         out = tmp_path / "out.bin"
         assert run(["decode", "--shard-dir", shards, "--output", out, "--nodes", nodes]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "node_002.shard" in err and reason in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(WIDE))
+    def test_repair_from_wide_field_header_fails_naming_it(
+        self, tmp_path, sample_file, capsys, case
+    ):
+        shards = encode_dir(tmp_path, sample_file)
+        reason = self.rewrite_header(shards, case)
+        for j in (1, 5):
+            (shards / f"node_00{j}.shard").unlink()
+        capsys.readouterr()
+        assert run(["repair", "--shard-dir", shards, "--group", "1,5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "node_002.shard" in err and reason in err, err
+        assert not any((shards / f"node_00{j}.shard").exists() for j in (1, 5))
+
+
+class TestWideFieldEncode:
+    """Encode takes fields of at most 256 elements: a larger one is a config error."""
+
+    @pytest.mark.parametrize(
+        "field, name", [("p=257", "GF(257)"), ("m=9", "GF(512)"), ("m=16", "GF(65536)")]
+    )
+    def test_exits_2_writing_nothing(self, tmp_path, sample_file, capsys, field, name):
+        out = tmp_path / "shards"
+        out.mkdir()
+        capsys.readouterr()
+        assert run(["encode", "--input", sample_file, "--out-dir", out, "--field", field]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: encode takes fields of at most 256 elements, not {name}\n", err
+        assert not list(out.iterdir())
 
 
 class TestStaleShards:

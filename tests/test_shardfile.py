@@ -157,7 +157,7 @@ class TestShardFile:
         with pytest.raises(CorruptShard, match="symbol value 200 outside the field"):
             read_shard(path)
 
-    def test_two_byte_symbols_round_trip(self, tmp_path):
+    def test_header_naming_more_than_256_elements_is_corrupt(self, tmp_path):
         params = CodeParams.mscr(n=6, k=3, d=3, t=2, q=257)
         meta = ShardMeta(
             variant="stable",
@@ -167,9 +167,11 @@ class TestShardFile:
             generations=2,
         )
         path = tmp_path / "x.shard"
-        write_shard(path, meta, [256, 0, 1, 255])
-        assert len(path.read_bytes()) == HEADER_SIZE + 8
-        assert read_shard(path) == (meta, [256, 0, 1, 255])
+        write_shard(path, meta, [255, 0, 1, 255])
+        assert len(path.read_bytes()) == HEADER_SIZE + 4  # one byte per symbol, always
+        for read in (read_shard, read_shard_meta):
+            with pytest.raises(CorruptShard, match=r"x.shard: GF\(257\) is above the 256-element"):
+                read(path)
 
     def test_digest_returned_and_checked(self, tmp_path):
         path = tmp_path / "x.shard"
