@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -587,12 +588,15 @@ def main(argv=None) -> int:
 
     Exit status: 0 when the report passes, 1 when a check in it failed or a
     CoopstoreError other than a ConfigError was raised, 2 on a ConfigError
-    or an OSError.
+    or an OSError.  A --report whose directory is missing fails before the
+    command runs, so a failed run leaves no new output or shards behind.
     """
     clock = _Stopwatch()
     args = build_parser().parse_args(argv)
     clock.command = args.command
     try:
+        if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.report)
         report = args.func(args, clock)
         report.timings_ms = clock.timings()
         if args.report:

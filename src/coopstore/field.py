@@ -7,7 +7,8 @@ of m-bit digits: towers add by XOR and multiply, scale, invert and apply
 the Frobenius through small tables built when the field is constructed
 (see ExtensionField).  Field objects carry the arithmetic; 0 and 1 are the
 identities in every representation.  All values are immutable and field
-objects are safe to share between threads.
+objects are safe to share between threads (a tower's ladder cache at worst
+builds a ladder twice).
 
 Published reduction polynomials for GF(2^m), m = 1..24 (bit mask includes
 the leading term; e.g. x^4 + x + 1 -> 0b10011):
@@ -41,6 +42,8 @@ from .errors import (
 
 MAX_PRIME = 1 << 31
 MAX_BINARY_DEGREE = 24
+# packed-row ladders an ExtensionField keeps (see ExtensionField.ladder)
+LADDER_LIMIT = 4096
 
 
 def _poly_bits(*exponents: int) -> int:
@@ -336,7 +339,11 @@ class ExtensionField(Field):
       byte of the int, built from the images of the bit basis;
     - inverse goes through the norm (Itoh and Tsujii, Inf. Comput. 1988):
       with P = a^q * a^(q^2) * ... * a^(q^(r-1)), the product a * P is the
-      norm N(a), a base element, and a^-1 = N(a)^-1 * P.
+      norm N(a), a base element, and a^-1 = N(a)^-1 * P;
+    - a whole packed row of elements (kernels.pack) times y is one
+      shift-and-fold of its int, and ladder keeps a row's first r powers
+      of y, so kernels.echelon multiplies a row by an element with one
+      translate per nonzero digit.
 
     Used for the rank-metric precoder's field tower.
     """
@@ -366,6 +373,7 @@ class ExtensionField(Field):
         self._mask = self.order - 1
         self._nbytes = (self._top + 7) // 8
         self._shifts = tuple(range(self._top - m, -1, -m))
+        self._digit_shifts = self._shifts[::-1]  # digit i of an element at bit i * m
         self._scale = self._scale_tables()
         # t * y^r = t * (reduction without its leading term), characteristic 2
         low = self.from_coords(self.reduction[:degree])
@@ -373,6 +381,10 @@ class ExtensionField(Field):
         if not self._reduction_irreducible():
             raise ReduciblePolynomial("tower reduction polynomial is reducible over the base")
         self._frob = self._frobenius_tables()
+        # (coefficient, digit shift) of y^r mod f, for ladder's fold
+        self._fold_terms = tuple((c, i * m) for i, c in enumerate(self.reduction[:degree]) if c)
+        self._ladders = {}  # (packed row, ncols) -> ladder(row, ncols)
+        self._row_masks = {}  # ncols -> ladder's (keep, low) masks of a packed row
 
     def _scale_tables(self) -> list[bytes]:
         """Per base constant c, the 256-byte table of c times each byte's digits."""
@@ -423,6 +435,48 @@ class ExtensionField(Field):
         """Multiply by an embedded base element: one table lookup per byte."""
         table = self._scale[base_elem]
         return int.from_bytes(a.to_bytes(self._nbytes, "little").translate(table), "little")
+
+    # --- packed rows (kernels.pack) ---
+    def ladder(self, row: int, ncols: int) -> tuple[bytes, ...]:
+        """(row, y*row, ..., y^(r-1)*row) for a packed row of ncols elements, as bytes.
+
+        A packed row is one int with _nbytes bytes per element, column 0
+        most significant.  For an element v with base digits v_i, v*row is
+        the XOR over the nonzero v_i of rung i translated through
+        _scale[v_i].  Each rung is one shift-and-fold of the one before on
+        the whole int: every element's top digit t leaves, the other digits
+        move up one, and t comes back as t * (y^r mod f), one translate per
+        coefficient of f below y^r other than 0 and 1.
+
+        Ladders are kept per (row, ncols), at most LADDER_LIMIT at a time,
+        so a basis row kept between echelon calls builds its ladder once.
+        """
+        key = (row, ncols)
+        rungs = self._ladders.get(key)
+        if rungs is not None:
+            return rungs
+        m, top_digit, nbytes = self._m, self._top - self._m, self._nbytes * ncols
+        masks = self._row_masks.get(ncols)
+        if masks is None:
+            lane = 8 * self._nbytes
+            every = ((1 << (lane * ncols)) - 1) // ((1 << lane) - 1)  # bit 0 of each element
+            masks = self._row_masks[ncols] = (every * ((1 << top_digit) - 1), every * self._digit)
+        keep, low = masks  # the digits below the top one; the lowest digit
+        scale, from_bytes = self._scale, int.from_bytes
+        rungs = [row.to_bytes(nbytes, "big")]
+        for _ in range(self.degree - 1):
+            top = (row >> top_digit) & low
+            row = (row & keep) << m
+            if top:
+                top_bytes = top.to_bytes(nbytes, "big")
+                for c, shift in self._fold_terms:
+                    folded = top if c == 1 else from_bytes(top_bytes.translate(scale[c]), "big")
+                    row ^= folded << shift
+            rungs.append(row.to_bytes(nbytes, "big"))
+        if len(self._ladders) >= LADDER_LIMIT:
+            self._ladders.clear()
+        rungs = self._ladders[key] = tuple(rungs)
+        return rungs
 
     # --- arithmetic ---
     def add(self, a, b):

@@ -7,21 +7,27 @@ multiplicative identity): prime fields, GF(2^m) and towers alike.
 echelon(basis, rows, ncols, field) reduces rows into an echelon basis and
 returns the grown basis, so a caller can keep a basis and extend it later
 instead of eliminating the rows it holds again; rank is the length of a
-basis grown from nothing, or from a kept basis.  On a lane field (GF(p)
-with p <= 16, GF(2^m) with m <= 8) a row is one int with one byte lane
-per column, column 0 most significant (pack), and a row operation is
-whole-row integer arithmetic plus one bytes.translate, the per-constant
-tables of Plank, Greenan and Miller (FAST 2013) that matrix.lincomb uses:
+basis grown from nothing, or from a kept basis.  On a lane field a row is
+one int of w-byte lanes, one lane per column, column 0 most significant
+(pack), and a row operation is whole-row integer arithmetic plus
+bytes.translate, the per-constant tables of Plank, Greenan and Miller
+(FAST 2013) that matrix.lincomb uses.  Which field takes which branch:
 
-- GF(p): row + (p - v) * b, then the mod-p table.  A lane holds at most
-  (p - 1) + (p - 1)^2 <= 255 before the translate, so nothing carries
-  into the next lane.
-- GF(2^m): row XOR (b translated through the product table of v).
+- GF(p), p <= 16 (w = 1), _echelon_mod: row + (p - v) * b, then the
+  mod-p table.  A lane holds at most (p - 1) + (p - 1)^2 <= 255 before
+  the translate, so nothing carries into the next lane.
+- GF(2^m), m <= 8 (w = 1), and every tower (w = the bytes of its digit
+  pack), _echelon_xor: row XOR v * b, where v * b is the XOR over the
+  nonzero base digits v_i of v of (y^i * b) translated through the
+  product table of v_i.  The pivot's ladder y^i * b comes from
+  ExtensionField.ladder, a shift-and-fold on the packed int; a GF(2^m)
+  element is a single digit, so its ladder is b alone.
+- GF(p), p > 16, and GF(2^m), m > 8, _echelon_generic: tuples of
+  elements through the field's own sub/mul/inv.
 
-The leading column and its value come from bit_length().  On every other
-field (GF(p) with p > 16, larger GF(2^m), towers) echelon and rank reduce
-tuples of elements through the field's own sub/mul/inv.  _rank_generic,
-a flat row-major loop, is the reference for every field.
+The leading column and its value come from bit_length().  _rank_generic,
+a flat row-major loop through the field's own methods, is the reference
+for every field.
 
 solve(A, B) runs on echelon as well, the one row reduction here: it
 eliminates the rows of [A | B], then reduces that basis, last row first,
@@ -40,13 +46,22 @@ def backend_name(field) -> str:
 
 def lanes(field) -> bool:
     """Whether echelon and rank run this field on byte-lane rows."""
-    return (field.kind == "prime" and field.order <= 16) or (
-        field.kind == "binary" and field.order <= 256
+    return (
+        (field.kind == "prime" and field.order <= 16)
+        or (field.kind == "binary" and field.order <= 256)
+        or field.kind == "tower"
     )
 
 
 def pack(field, row):
-    """A row as echelon takes it: an int of byte lanes on a lane field, else a tuple."""
+    """A row as echelon takes it: an int of byte lanes on a lane field, else a tuple.
+
+    A tower element takes its digit pack's _nbytes bytes, most significant
+    first; every other lane field's element takes one byte.
+    """
+    if field.kind == "tower":
+        w = field._nbytes
+        return int.from_bytes(b"".join(x.to_bytes(w, "big") for x in row), "big")
     return int.from_bytes(bytes(row), "big") if lanes(field) else tuple(row)
 
 
@@ -61,9 +76,11 @@ def echelon(basis, rows, ncols, field):
     """
     if len(basis) >= ncols:
         return basis
-    if lanes(field):
-        return _echelon_lanes(basis, rows, ncols, field)
-    return _echelon_generic(basis, rows, ncols, field)
+    if not lanes(field):
+        return _echelon_generic(basis, rows, ncols, field)
+    if field.kind == "prime":
+        return _echelon_mod(basis, rows, ncols, field)
+    return _echelon_xor(basis, rows, ncols, field)
 
 
 def rank(data, nrows, ncols, field, basis=()):
@@ -72,22 +89,17 @@ def rank(data, nrows, ncols, field, basis=()):
     return len(echelon(basis, rows, ncols, field))
 
 
-def _echelon_lanes(basis, rows, ncols, field):
-    """echelon on byte-lane ints: GF(p), p <= 16, and GF(2^m), m <= 8."""
-    binary = field.kind == "binary"
+def _echelon_mod(basis, rows, ncols, field):
+    """echelon on byte-lane ints over GF(p), p <= 16: row + (p - v) * b, then the mod-p table."""
     p = field.order
-    mod = None if binary else mod_table(p)
-    times = product_tables(field)
+    mod, times = mod_table(p), product_tables(field)
     from_bytes = int.from_bytes
     pivots = [(b.bit_length() - 1, b) for b in basis]  # (leading lane's shift, row)
     for row in rows:
         for s, b in pivots:
             v = (row >> s) & 255
             if v:
-                if binary:
-                    row ^= from_bytes(b.to_bytes(ncols, "big").translate(times[v]), "big")
-                else:
-                    row = from_bytes((row + (p - v) * b).to_bytes(ncols, "big").translate(mod), "big")
+                row = from_bytes((row + (p - v) * b).to_bytes(ncols, "big").translate(mod), "big")
                 if not row:
                     break
         else:
@@ -102,6 +114,69 @@ def _echelon_lanes(basis, rows, ncols, field):
             if len(pivots) == ncols:
                 break
     return tuple(b for _, b in pivots)
+
+
+def _echelon_xor(basis, rows, ncols, field):
+    """echelon on packed ints over GF(2^m), m <= 8, and towers: row XOR v * b.
+
+    A pivot is (leading lane's shift, row, ladder).  A tower's ladder holds
+    the row's bytes times y^i for each digit i of an element
+    (ExtensionField.ladder), and v * row is the XOR, over the nonzero
+    digits v_i of v, of rung i translated through v_i's product table.  A
+    GF(2^m) element is one digit, so its ladder is the row's bytes alone
+    and v * row is one translate.
+    """
+    tower = field.kind == "tower"
+    if tower:
+        w, scale, ladder = field._nbytes, field._scale, field.ladder
+        digits, digit_mask = field._digit_shifts, field._digit
+    else:
+        w, scale = 1, product_tables(field)
+    lane, nbytes = 8 * w, ncols * w
+    lane_mask = (1 << lane) - 1
+    from_bytes = int.from_bytes
+    # a basis row leads with 1, the lowest bit of its leading lane
+    if tower:
+        pivots = [(b.bit_length() - 1, b, ladder(b, ncols)) for b in basis]
+    else:
+        pivots = [(b.bit_length() - 1, b, b.to_bytes(nbytes, "big")) for b in basis]
+    for row in rows:
+        for s, b, rungs in pivots:
+            v = (row >> s) & lane_mask
+            if v:
+                if tower:
+                    for shift, rung in zip(digits, rungs):
+                        d = (v >> shift) & digit_mask
+                        if d:
+                            row ^= from_bytes(rung.translate(scale[d]), "big")
+                else:
+                    row ^= from_bytes(rungs.translate(scale[v]), "big")
+                if not row:
+                    break
+        else:
+            if not row:
+                continue
+            s = (row.bit_length() - 1) // lane * lane
+            v = row >> s
+            if tower:
+                rungs = ladder(row, ncols)
+                if v != 1:
+                    u, row = field.inv(v), 0
+                    for shift, rung in zip(digits, rungs):
+                        d = (u >> shift) & digit_mask
+                        if d:
+                            row ^= from_bytes(rung.translate(scale[d]), "big")
+                    rungs = ladder(row, ncols)
+            else:
+                rungs = row.to_bytes(nbytes, "big")
+                if v != 1:
+                    rungs = rungs.translate(scale[field.inv(v)])
+                    row = from_bytes(rungs, "big")
+            pivots.append((s, row, rungs))
+            pivots.sort(reverse=True)
+            if len(pivots) == ncols:
+                break
+    return tuple(b for _, b, _ in pivots)
 
 
 def _echelon_generic(basis, rows, ncols, field):
@@ -190,6 +265,10 @@ def solve(a_data, n, b_data, bcols, field):
 
 def _unpack(field, row, ncols):
     """A packed row (see pack) as a tuple of ncols elements."""
+    if field.kind == "tower":
+        w = field._nbytes
+        raw = row.to_bytes(ncols * w, "big")
+        return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w))
     return tuple(row.to_bytes(ncols, "big")) if lanes(field) else row
 
 

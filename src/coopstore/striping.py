@@ -34,7 +34,16 @@ def symbol_bits(q: int) -> int:
 
 
 def _block(q: int):
-    """(bytes, symbols, symbol bits) of one block of lcm(s, 8) bits."""
+    """(bytes, symbols, symbol bits) of one block of lcm(s, 8) bits.
+
+    The one check of which fields the data path takes on the write side
+    (shardfile._parse_header is the read side's): at most 256 elements,
+    one symbol per byte.  Both converters, and so pack_payload, start here.
+    """
+    if q > MAX_FIELD_ORDER:
+        raise InvalidConfig(
+            f"encode takes fields of at most {MAX_FIELD_ORDER} elements, not GF({q})"
+        )
     s = symbol_bits(q)
     bits = math.lcm(s, 8)
     return bits // 8, bits // s, s
@@ -110,13 +119,8 @@ def _shift_table(shift: int, bits: int) -> bytes:
 def pack_payload(data: bytes, q: int, block: int) -> bytes:
     """Length-prefixed symbol stream, zero-filled to a multiple of block.
 
-    The one check of which fields the data path takes on the write side
-    (shardfile._parse_header is the read side's): at most 256 elements.
+    A field above MAX_FIELD_ORDER is refused by bytes_to_symbols (_block).
     """
-    if q > MAX_FIELD_ORDER:
-        raise InvalidConfig(
-            f"encode takes fields of at most {MAX_FIELD_ORDER} elements, not GF({q})"
-        )
     if not data:
         raise InvalidConfig("refusing to encode an empty input")
     framed = len(data).to_bytes(LENGTH_PREFIX_BYTES, "little") + data

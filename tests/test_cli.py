@@ -692,9 +692,10 @@ class TestAtomicWrites:
         [
             ["decode", "--shard-dir", "shards", "--output", "missing/x.bin"],
             ["decode", "--shard-dir", "shards", "--output", "out.bin", "--report", "missing/x.bin"],
+            ["encode", "--input", "input.bin", "--out-dir", "more", "--report", "missing/x.bin"],
             ["capacity-sweep", "--csv", "missing/x.bin"],
         ],
-        ids=["output", "report", "csv"],
+        ids=["output", "report", "encode-report", "csv"],
     )
     def test_missing_directory_names_the_requested_file(
         self, tmp_path, sample_file, capsys, monkeypatch, argv
@@ -706,8 +707,8 @@ class TestAtomicWrites:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err == "io error: [Errno 2] No such file or directory: 'missing/x.bin'\n", err
-        after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.name != "out.bin")
-        assert after == before
+        after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert after == before  # no output, shard directory or temporary file
 
     @pytest.mark.parametrize("extra", [[], ["--csv", "table.csv"]])
     def test_interrupted_report_write_keeps_old_files(self, tmp_path, monkeypatch, extra):

@@ -210,6 +210,14 @@ class TestStriping:
         with pytest.raises(InvalidConfig, match=rf"at most 256 elements, not GF\({q}\)"):
             pack_payload(b"x", q, 6)
 
+    @pytest.mark.parametrize("q", [257, 512])
+    def test_converters_refuse_fields_above_256(self, q):
+        # 257 would fit 8-bit symbols, 512 a 9-bit one; neither is a byte field
+        with pytest.raises(InvalidConfig, match=rf"at most 256 elements, not GF\({q}\)"):
+            bytes_to_symbols(b"abc", q)
+        with pytest.raises(InvalidConfig, match=rf"at most 256 elements, not GF\({q}\)"):
+            symbols_to_bytes(bytes(8), q, 3)
+
 
 @pytest.mark.parametrize("q", [11, 16, 131, 256, 257])
 class TestAgainstPerGeneration:

@@ -1,11 +1,14 @@
 """The rank and echelon kernels against the generic field-method loop,
 and solve against the permutation-expansion determinant."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
 from coopstore import kernels
+from coopstore.errors import ReduciblePolynomial
 from coopstore.field import ExtensionField, binary_field, prime_field
 from coopstore.matrix import Mat
 from coopstore.secure import PUBLISHED_TOWERS
@@ -71,6 +74,24 @@ def test_prime_rank_edge_cases(p):
         assert kernels._rank_generic(data, nrows, ncols, field) == expect
 
 
+@functools.cache
+def _first_tower(m, degree):
+    """The tower of degree `degree` over GF(2^m) whose reduction polynomial
+    is the first that ExtensionField accepts.
+
+    Candidates are the coefficients below the leading one, constant term
+    first as ExtensionField takes them, in itertools.product order; the
+    constant term starts at 1, since with 0 the polynomial has the factor y.
+    """
+    base = binary_field(m)
+    for low in itertools.product(range(1, base.order), *[range(base.order)] * (degree - 1)):
+        try:
+            return ExtensionField(base, degree, low + (1,))
+        except ReduciblePolynomial:
+            continue
+    raise AssertionError(f"no irreducible tower of degree {degree} over GF(2^{m})")
+
+
 ECHELON_FIELDS = {
     "GF(2)": lambda: prime_field(2),
     "GF(3)": lambda: prime_field(3),
@@ -79,7 +100,12 @@ ECHELON_FIELDS = {
     "GF(2^4)": lambda: binary_field(4),
     "GF(2^8)": lambda: binary_field(8),
     "GF(17)": lambda: prime_field(17),
+    # towers, on the XOR lanes: one byte per element, two, and the published three
+    "GF(4^3)": lambda: _first_tower(2, 3),
+    "GF(256^2)": lambda: _first_tower(8, 2),
+    "GF(16^6)": lambda: ExtensionField(binary_field(4), 6, PUBLISHED_TOWERS[(16, 6)]),
 }
+TOWERS = ["GF(4^3)", "GF(256^2)", "GF(16^6)"]
 
 
 def _generic_rank(field, rows, ncols):
@@ -110,6 +136,24 @@ def test_echelon_matches_generic_rank(name):
         # and the basis spans exactly the rows
         assert _generic_rank(field, rows + unpacked, ncols) == expect
     assert deficient > 50
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_tower_lanes_equal_generic_basis(name):
+    # the XOR-lane basis, unpacked, is the tuple-row kernel's basis exactly
+    field = ECHELON_FIELDS[name]()
+    assert kernels.lanes(field)
+    rng = random.Random("tower basis " + name)
+    for _ in range(200):
+        ncols = rng.randint(1, 10)
+        given = _random_rows(rng, field, rng.randint(0, 6), ncols)
+        rows = _random_rows(rng, field, rng.randint(0, 10), ncols) + given[:2]
+        base = kernels.echelon((), [kernels.pack(field, r) for r in given], ncols, field)
+        grown = kernels.echelon(base, [kernels.pack(field, r) for r in rows], ncols, field)
+        generic = kernels._echelon_generic((), given, ncols, field)
+        assert tuple(_unpack(field, b, ncols) for b in base) == generic
+        generic = kernels._echelon_generic(generic, rows, ncols, field)
+        assert tuple(_unpack(field, b, ncols) for b in grown) == generic
 
 
 @pytest.mark.parametrize("name", list(ECHELON_FIELDS))
@@ -176,7 +220,7 @@ SOLVE_FIELDS = {
 def test_solve_matches_det_oracle(name):
     # None exactly when det A = 0, else A X = B in the field's own arithmetic
     field = SOLVE_FIELDS[name]()
-    assert kernels.lanes(field) == (name in ("GF(2)", "GF(11)", "GF(16)", "GF(2^8)"))
+    assert kernels.lanes(field) == (name in ("GF(2)", "GF(11)", "GF(16)", "GF(2^8)", "tower"))
     rng = random.Random("solve " + name)
     add, mul = field.add, field.mul
     singular = solved = consistent_singular = 0
@@ -208,6 +252,8 @@ def test_solve_matches_det_oracle(name):
 
 
 def _unpack(field, row, ncols):
-    if kernels.lanes(field):
-        return tuple(row.to_bytes(ncols, "big"))
-    return tuple(row)
+    if not kernels.lanes(field):
+        return tuple(row)
+    w = field._nbytes if field.kind == "tower" else 1
+    raw = row.to_bytes(ncols * w, "big")
+    return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w))
