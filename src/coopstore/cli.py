@@ -17,6 +17,7 @@ import errno
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict
@@ -583,20 +584,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_report_path(path):
+    """Raise, naming path, the OSError that writing a file there would give
+    when its parent is missing or not a directory, or it is a directory."""
+    directory = os.path.dirname(path) or "."
+    try:
+        is_dir = stat.S_ISDIR(os.stat(directory).st_mode)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    if not is_dir:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def main(argv=None) -> int:
     """Run one command; its report gets the timings and goes to --report.
 
     Exit status: 0 when the report passes, 1 when a check in it failed or a
     CoopstoreError other than a ConfigError was raised, 2 on a ConfigError
-    or an OSError.  A --report whose directory is missing fails before the
-    command runs, so a failed run leaves no new output or shards behind.
+    or an OSError.  A --report whose directory is missing or not a
+    directory, or that names a directory, fails before the command runs
+    and leaves no new output or shards; any other failure to write the
+    report (an unwritable directory, say) comes after them.
     """
     clock = _Stopwatch()
     args = build_parser().parse_args(argv)
     clock.command = args.command
     try:
-        if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.report)
+        if args.report:
+            _check_report_path(args.report)
         report = args.func(args, clock)
         report.timings_ms = clock.timings()
         if args.report:

@@ -340,10 +340,11 @@ class ExtensionField(Field):
     - inverse goes through the norm (Itoh and Tsujii, Inf. Comput. 1988):
       with P = a^q * a^(q^2) * ... * a^(q^(r-1)), the product a * P is the
       norm N(a), a base element, and a^-1 = N(a)^-1 * P;
-    - a whole packed row of elements (kernels.pack) times y is one
-      shift-and-fold of its int, and ladder keeps a row's first r powers
-      of y, so kernels.echelon multiplies a row by an element with one
-      translate per nonzero digit.
+    - a whole packed row of elements (kernels.pack, nbytes bytes per
+      element) times y is one shift-and-fold of its int.  ladder gives a
+      row times y^0 .. y^(r-1), and times_ladder turns that into the row
+      times any element with one translate per nonzero digit, which is
+      how kernels.echelon runs tower rows.
 
     Used for the rank-metric precoder's field tower.
     """
@@ -371,9 +372,8 @@ class ExtensionField(Field):
         self._digit = base.order - 1
         self._top = degree * m
         self._mask = self.order - 1
-        self._nbytes = (self._top + 7) // 8
+        self.nbytes = (self._top + 7) // 8  # bytes of an element's digit pack
         self._shifts = tuple(range(self._top - m, -1, -m))
-        self._digit_shifts = self._shifts[::-1]  # digit i of an element at bit i * m
         self._scale = self._scale_tables()
         # t * y^r = t * (reduction without its leading term), characteristic 2
         low = self.from_coords(self.reduction[:degree])
@@ -383,8 +383,7 @@ class ExtensionField(Field):
         self._frob = self._frobenius_tables()
         # (coefficient, digit shift) of y^r mod f, for ladder's fold
         self._fold_terms = tuple((c, i * m) for i, c in enumerate(self.reduction[:degree]) if c)
-        self._ladders = {}  # (packed row, ncols) -> ladder(row, ncols)
-        self._row_masks = {}  # ncols -> ladder's (keep, low) masks of a packed row
+        self._ladders = {}  # (basis row, ncols) -> ladder(row, ncols)
 
     def _scale_tables(self) -> list[bytes]:
         """Per base constant c, the 256-byte table of c times each byte's digits."""
@@ -410,9 +409,9 @@ class ExtensionField(Field):
         for _ in range(r):
             images.extend(self.scale(1 << i, y_j) for i in range(m))
             y_j = self.mul(y_j, y_q)
-        images.extend([0] * (8 * self._nbytes - len(images)))
+        images.extend([0] * (8 * self.nbytes - len(images)))
         tables = []
-        for k in range(self._nbytes):
+        for k in range(self.nbytes):
             table = [0]
             for img in images[8 * k : 8 * k + 8]:
                 table += [v ^ img for v in table]
@@ -434,49 +433,63 @@ class ExtensionField(Field):
     def scale(self, base_elem: int, a: int) -> int:
         """Multiply by an embedded base element: one table lookup per byte."""
         table = self._scale[base_elem]
-        return int.from_bytes(a.to_bytes(self._nbytes, "little").translate(table), "little")
+        return int.from_bytes(a.to_bytes(self.nbytes, "little").translate(table), "little")
 
     # --- packed rows (kernels.pack) ---
     def ladder(self, row: int, ncols: int) -> tuple[bytes, ...]:
         """(row, y*row, ..., y^(r-1)*row) for a packed row of ncols elements, as bytes.
 
-        A packed row is one int with _nbytes bytes per element, column 0
-        most significant.  For an element v with base digits v_i, v*row is
-        the XOR over the nonzero v_i of rung i translated through
-        _scale[v_i].  Each rung is one shift-and-fold of the one before on
-        the whole int: every element's top digit t leaves, the other digits
-        move up one, and t comes back as t * (y^r mod f), one translate per
-        coefficient of f below y^r other than 0 and 1.
+        A packed row is one int with nbytes bytes per element, column 0
+        most significant.  Each rung is one shift-and-fold of the one before
+        on the whole int: every element's top digit t leaves, the other
+        digits move up one, and t comes back as t * (y^r mod f), one
+        translate per coefficient of f below y^r other than 0 and 1.
 
-        Ladders are kept per (row, ncols), at most LADDER_LIMIT at a time,
-        so a basis row kept between echelon calls builds its ladder once.
+        A row whose leading element is 1, as every echelon basis row is,
+        keeps its ladder (at most LADDER_LIMIT at a time): a basis that a
+        caller passes back to kernels.echelon needs the same ladders again.
         """
         key = (row, ncols)
         rungs = self._ladders.get(key)
         if rungs is not None:
             return rungs
-        m, top_digit, nbytes = self._m, self._top - self._m, self._nbytes * ncols
-        masks = self._row_masks.get(ncols)
-        if masks is None:
-            lane = 8 * self._nbytes
-            every = ((1 << (lane * ncols)) - 1) // ((1 << lane) - 1)  # bit 0 of each element
-            masks = self._row_masks[ncols] = (every * ((1 << top_digit) - 1), every * self._digit)
-        keep, low = masks  # the digits below the top one; the lowest digit
+        m, top_digit, lane = self._m, self._top - self._m, 8 * self.nbytes
+        size = self.nbytes * ncols
+        every = ((1 << (lane * ncols)) - 1) // ((1 << lane) - 1)  # bit 0 of each element
+        keep, low = every * ((1 << top_digit) - 1), every * self._digit
         scale, from_bytes = self._scale, int.from_bytes
-        rungs = [row.to_bytes(nbytes, "big")]
+        basis_row = row >> (max(row.bit_length() - 1, 0) // lane * lane) == 1
+        rungs = [row.to_bytes(size, "big")]
         for _ in range(self.degree - 1):
-            top = (row >> top_digit) & low
+            top = (row >> top_digit) & low  # each element's top digit, moved to its lowest
             row = (row & keep) << m
             if top:
-                top_bytes = top.to_bytes(nbytes, "big")
+                top_bytes = top.to_bytes(size, "big")
                 for c, shift in self._fold_terms:
                     folded = top if c == 1 else from_bytes(top_bytes.translate(scale[c]), "big")
                     row ^= folded << shift
-            rungs.append(row.to_bytes(nbytes, "big"))
-        if len(self._ladders) >= LADDER_LIMIT:
-            self._ladders.clear()
-        rungs = self._ladders[key] = tuple(rungs)
+            rungs.append(row.to_bytes(size, "big"))
+        rungs = tuple(rungs)
+        if basis_row:
+            if len(self._ladders) >= LADDER_LIMIT:
+                self._ladders.clear()
+            self._ladders[key] = rungs
         return rungs
+
+    def times_ladder(self, v: int, rungs: tuple[bytes, ...]) -> int:
+        """v * row, packed, for the row whose ladder is rungs.
+
+        The XOR over the nonzero base digits v_i of v of rung i translated
+        through v_i's product table: one translate per nonzero digit.
+        """
+        m, digit, scale, from_bytes = self._m, self._digit, self._scale, int.from_bytes
+        out = 0
+        for rung in rungs:
+            d = v & digit
+            if d:
+                out ^= from_bytes(rung.translate(scale[d]), "big")
+            v >>= m
+        return out
 
     # --- arithmetic ---
     def add(self, a, b):
@@ -485,7 +498,7 @@ class ExtensionField(Field):
     sub = add
 
     def mul(self, a, b):
-        times_a = a.to_bytes(self._nbytes, "little").translate
+        times_a = a.to_bytes(self.nbytes, "little").translate
         from_bytes = int.from_bytes
         m, top, mask, digit = self._m, self._top, self._mask, self._digit
         fold, tables = self._fold, self._scale
@@ -517,7 +530,7 @@ class ExtensionField(Field):
     def frobenius(self, a: int) -> int:
         """a^(base order): the base-field-fixing automorphism."""
         out = 0
-        for table, byte in zip(self._frob, a.to_bytes(self._nbytes, "little")):
+        for table, byte in zip(self._frob, a.to_bytes(self.nbytes, "little")):
             out ^= table[byte]
         return out
 

@@ -13,15 +13,19 @@ one int of w-byte lanes, one lane per column, column 0 most significant
 bytes.translate, the per-constant tables of Plank, Greenan and Miller
 (FAST 2013) that matrix.lincomb uses.  Which field takes which branch:
 
-- GF(p), p <= 16 (w = 1), _echelon_mod: row + (p - v) * b, then the
+- GF(p), p <= 16 (w = 1), _echelon_lanes: row + (p - v) * b, then the
   mod-p table.  A lane holds at most (p - 1) + (p - 1)^2 <= 255 before
   the translate, so nothing carries into the next lane.
-- GF(2^m), m <= 8 (w = 1), and every tower (w = the bytes of its digit
-  pack), _echelon_xor: row XOR v * b, where v * b is the XOR over the
-  nonzero base digits v_i of v of (y^i * b) translated through the
-  product table of v_i.  The pivot's ladder y^i * b comes from
-  ExtensionField.ladder, a shift-and-fold on the packed int; a GF(2^m)
-  element is a single digit, so its ladder is b alone.
+- GF(2^m), m <= 8 (w = 1), _echelon_lanes: row XOR (b translated
+  through the product table of v).
+- Towers (w = the field's nbytes), _echelon_tower: row XOR v * b, where
+  v * b is the XOR over the nonzero base digits v_i of v of (y^i * b)
+  translated through the product table of v_i.  The pivot's ladder
+  y^i * b comes from ExtensionField.ladder, and ExtensionField.times_ladder
+  forms v * b from it.  GF(2^m) would fit this loop as the one-digit
+  case, but its echelon calls then take about 1.5 times as long with a
+  call per row operation, 1.9 times with the digit loop inline
+  (benchmarks/tower_lanes_ab.md), so it keeps its one translate.
 - GF(p), p > 16, and GF(2^m), m > 8, _echelon_generic: tuples of
   elements through the field's own sub/mul/inv.
 
@@ -56,11 +60,11 @@ def lanes(field) -> bool:
 def pack(field, row):
     """A row as echelon takes it: an int of byte lanes on a lane field, else a tuple.
 
-    A tower element takes its digit pack's _nbytes bytes, most significant
-    first; every other lane field's element takes one byte.
+    A tower element takes its nbytes bytes, most significant first; every
+    other lane field's element takes one byte.
     """
     if field.kind == "tower":
-        w = field._nbytes
+        w = field.nbytes
         return int.from_bytes(b"".join(x.to_bytes(w, "big") for x in row), "big")
     return int.from_bytes(bytes(row), "big") if lanes(field) else tuple(row)
 
@@ -76,11 +80,11 @@ def echelon(basis, rows, ncols, field):
     """
     if len(basis) >= ncols:
         return basis
-    if not lanes(field):
-        return _echelon_generic(basis, rows, ncols, field)
-    if field.kind == "prime":
-        return _echelon_mod(basis, rows, ncols, field)
-    return _echelon_xor(basis, rows, ncols, field)
+    if field.kind == "tower":
+        return _echelon_tower(basis, rows, ncols, field)
+    if lanes(field):
+        return _echelon_lanes(basis, rows, ncols, field)
+    return _echelon_generic(basis, rows, ncols, field)
 
 
 def rank(data, nrows, ncols, field, basis=()):
@@ -89,17 +93,22 @@ def rank(data, nrows, ncols, field, basis=()):
     return len(echelon(basis, rows, ncols, field))
 
 
-def _echelon_mod(basis, rows, ncols, field):
-    """echelon on byte-lane ints over GF(p), p <= 16: row + (p - v) * b, then the mod-p table."""
+def _echelon_lanes(basis, rows, ncols, field):
+    """echelon on byte-lane ints: GF(p), p <= 16, and GF(2^m), m <= 8."""
+    binary = field.kind == "binary"
     p = field.order
-    mod, times = mod_table(p), product_tables(field)
+    mod = None if binary else mod_table(p)
+    times = product_tables(field)
     from_bytes = int.from_bytes
     pivots = [(b.bit_length() - 1, b) for b in basis]  # (leading lane's shift, row)
     for row in rows:
         for s, b in pivots:
             v = (row >> s) & 255
             if v:
-                row = from_bytes((row + (p - v) * b).to_bytes(ncols, "big").translate(mod), "big")
+                if binary:
+                    row ^= from_bytes(b.to_bytes(ncols, "big").translate(times[v]), "big")
+                else:
+                    row = from_bytes((row + (p - v) * b).to_bytes(ncols, "big").translate(mod), "big")
                 if not row:
                     break
         else:
@@ -116,41 +125,21 @@ def _echelon_mod(basis, rows, ncols, field):
     return tuple(b for _, b in pivots)
 
 
-def _echelon_xor(basis, rows, ncols, field):
-    """echelon on packed ints over GF(2^m), m <= 8, and towers: row XOR v * b.
+def _echelon_tower(basis, rows, ncols, field):
+    """echelon on packed tower rows: row XOR v * b, v * b from b's ladder.
 
-    A pivot is (leading lane's shift, row, ladder).  A tower's ladder holds
-    the row's bytes times y^i for each digit i of an element
-    (ExtensionField.ladder), and v * row is the XOR, over the nonzero
-    digits v_i of v, of rung i translated through v_i's product table.  A
-    GF(2^m) element is one digit, so its ladder is the row's bytes alone
-    and v * row is one translate.
+    A pivot is (leading lane's shift, row, ladder).  An element fills the
+    low bits of its lane, so field.order - 1 masks it out of the lane.
     """
-    tower = field.kind == "tower"
-    if tower:
-        w, scale, ladder = field._nbytes, field._scale, field.ladder
-        digits, digit_mask = field._digit_shifts, field._digit
-    else:
-        w, scale = 1, product_tables(field)
-    lane, nbytes = 8 * w, ncols * w
-    lane_mask = (1 << lane) - 1
-    from_bytes = int.from_bytes
+    lane, mask = 8 * field.nbytes, field.order - 1
+    ladder, times = field.ladder, field.times_ladder
     # a basis row leads with 1, the lowest bit of its leading lane
-    if tower:
-        pivots = [(b.bit_length() - 1, b, ladder(b, ncols)) for b in basis]
-    else:
-        pivots = [(b.bit_length() - 1, b, b.to_bytes(nbytes, "big")) for b in basis]
+    pivots = [(b.bit_length() - 1, b, ladder(b, ncols)) for b in basis]
     for row in rows:
         for s, b, rungs in pivots:
-            v = (row >> s) & lane_mask
+            v = (row >> s) & mask
             if v:
-                if tower:
-                    for shift, rung in zip(digits, rungs):
-                        d = (v >> shift) & digit_mask
-                        if d:
-                            row ^= from_bytes(rung.translate(scale[d]), "big")
-                else:
-                    row ^= from_bytes(rungs.translate(scale[v]), "big")
+                row ^= times(v, rungs)
                 if not row:
                     break
         else:
@@ -158,21 +147,9 @@ def _echelon_xor(basis, rows, ncols, field):
                 continue
             s = (row.bit_length() - 1) // lane * lane
             v = row >> s
-            if tower:
-                rungs = ladder(row, ncols)
-                if v != 1:
-                    u, row = field.inv(v), 0
-                    for shift, rung in zip(digits, rungs):
-                        d = (u >> shift) & digit_mask
-                        if d:
-                            row ^= from_bytes(rung.translate(scale[d]), "big")
-                    rungs = ladder(row, ncols)
-            else:
-                rungs = row.to_bytes(nbytes, "big")
-                if v != 1:
-                    rungs = rungs.translate(scale[field.inv(v)])
-                    row = from_bytes(rungs, "big")
-            pivots.append((s, row, rungs))
+            if v != 1:
+                row = times(field.inv(v), ladder(row, ncols))
+            pivots.append((s, row, ladder(row, ncols)))
             pivots.sort(reverse=True)
             if len(pivots) == ncols:
                 break
@@ -266,7 +243,7 @@ def solve(a_data, n, b_data, bcols, field):
 def _unpack(field, row, ncols):
     """A packed row (see pack) as a tuple of ncols elements."""
     if field.kind == "tower":
-        w = field._nbytes
+        w = field.nbytes
         raw = row.to_bytes(ncols * w, "big")
         return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w))
     return tuple(row.to_bytes(ncols, "big")) if lanes(field) else row

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -688,17 +689,33 @@ class TestAtomicWrites:
         assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code",
         [
-            ["decode", "--shard-dir", "shards", "--output", "missing/x.bin"],
-            ["decode", "--shard-dir", "shards", "--output", "out.bin", "--report", "missing/x.bin"],
-            ["encode", "--input", "input.bin", "--out-dir", "more", "--report", "missing/x.bin"],
-            ["capacity-sweep", "--csv", "missing/x.bin"],
+            (["decode", "--shard-dir", "shards", "--output", "missing/x.bin"], errno.ENOENT),
+            (
+                ["decode", "--shard-dir", "shards", "--output", "out.bin", "--report", "missing/x.bin"],
+                errno.ENOENT,
+            ),
+            (
+                ["encode", "--input", "input.bin", "--out-dir", "more", "--report", "missing/x.bin"],
+                errno.ENOENT,
+            ),
+            (["capacity-sweep", "--csv", "missing/x.bin"], errno.ENOENT),
+            # a parent that is a file, and a report path that is a directory
+            (
+                ["decode", "--shard-dir", "shards", "--output", "out.bin"]
+                + ["--report", "shards/manifest.json/x.bin"],
+                errno.ENOTDIR,
+            ),
+            (
+                ["decode", "--shard-dir", "shards", "--output", "out.bin", "--report", "shards"],
+                errno.EISDIR,
+            ),
         ],
-        ids=["output", "report", "encode-report", "csv"],
+        ids=["output", "report", "encode-report", "csv", "report-under-a-file", "report-is-a-directory"],
     )
     def test_missing_directory_names_the_requested_file(
-        self, tmp_path, sample_file, capsys, monkeypatch, argv
+        self, tmp_path, sample_file, capsys, monkeypatch, argv, code
     ):
         monkeypatch.chdir(tmp_path)
         encode_dir(tmp_path, sample_file)
@@ -706,7 +723,7 @@ class TestAtomicWrites:
         capsys.readouterr()
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err == "io error: [Errno 2] No such file or directory: 'missing/x.bin'\n", err
+        assert err == f"io error: [Errno {code}] {os.strerror(code)}: '{argv[-1]}'\n", err
         after = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         assert after == before  # no output, shard directory or temporary file
 

@@ -129,7 +129,7 @@ def test_echelon_matches_generic_rank(name):
         assert packed == before
         deficient += expect < min(nrows, ncols)
         # every basis row has leading entry 1, in strictly increasing columns
-        unpacked = [_unpack(field, b, ncols) for b in basis]
+        unpacked = [kernels._unpack(field, b, ncols) for b in basis]
         leads = [next(c for c, v in enumerate(u) if v) for u in unpacked]
         assert all(u[c] == 1 for u, c in zip(unpacked, leads))
         assert leads == sorted(set(leads))
@@ -151,9 +151,9 @@ def test_tower_lanes_equal_generic_basis(name):
         base = kernels.echelon((), [kernels.pack(field, r) for r in given], ncols, field)
         grown = kernels.echelon(base, [kernels.pack(field, r) for r in rows], ncols, field)
         generic = kernels._echelon_generic((), given, ncols, field)
-        assert tuple(_unpack(field, b, ncols) for b in base) == generic
+        assert tuple(kernels._unpack(field, b, ncols) for b in base) == generic
         generic = kernels._echelon_generic(generic, rows, ncols, field)
-        assert tuple(_unpack(field, b, ncols) for b in grown) == generic
+        assert tuple(kernels._unpack(field, b, ncols) for b in grown) == generic
 
 
 @pytest.mark.parametrize("name", list(ECHELON_FIELDS))
@@ -250,10 +250,3 @@ def test_solve_matches_det_oracle(name):
         solved += 1
     assert singular >= 20 and solved >= 20 and consistent_singular >= 10
 
-
-def _unpack(field, row, ncols):
-    if not kernels.lanes(field):
-        return tuple(row)
-    w = field._nbytes if field.kind == "tower" else 1
-    raw = row.to_bytes(ncols * w, "big")
-    return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w))
