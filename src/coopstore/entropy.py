@@ -97,7 +97,9 @@ class RowSpace:
     a hit is one dict lookup, and a miss (one kernels.echelon call) reduces
     only the mask's bits outside the basis it starts from.  joint_rank,
     for row sets asked once (one placement's whole view), extends given's
-    basis in one kernels.rank call and keeps nothing.  lookups counts the
+    basis in one kernels.rank call and keeps nothing; joint_basis extends
+    it the same way in one kernels.echelon call and hands out the basis,
+    for a caller that reads more than its length.  lookups counts the
     memo's lookups, eliminations its misses.  A space lives as long as the
     call that made it.
     """
@@ -180,6 +182,16 @@ class RowSpace:
             return len(base)
         data = [v for row in plain for v in row]
         return kernels.rank(data, len(plain), self.ncols, self.field, basis=base)
+
+    def joint_basis(self, rows, given):
+        """The echelon basis of rows stacked on given, both masks: given's
+        memoised basis extended by rows' packed rows outside it, not kept."""
+        base = self._basis(given)
+        extra = rows & ~given
+        if not extra:
+            return base
+        packed = [self._packed[bit] for bit in _handles(extra)]
+        return kernels.echelon(base, packed, self.ncols, self.field)
 
 
 def _handles(mask):

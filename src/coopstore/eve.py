@@ -22,8 +22,8 @@ of its rows' handles.  The lemma suite ranks in an _AnalysisContext, a
 RowSpace that keeps one mask per (kind, sender, targets, group) block and
 fetches each functional row once per (kind, helper, failed, group), never
 per (helper, failed) alone: the suite must not assume the stability it
-checks.  The capacity and secrecy sweeps rank through PlacementRows, one
-mask per node.
+checks.  The capacity and secrecy sweeps rank through PlacementRows: one
+RowSpace, one mask per node in it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in eve by name
 from .entropy import ObservationSet, RowSpace, entropy_symbols, observations  # noqa: F401
@@ -121,23 +122,21 @@ def leakage_observations(code, eve: EveModel) -> ObservationSet:
 
 
 class PlacementRows:
-    """The rows of leakage_observations(code, eve), ranked in RowSpaces.
+    """The rows of leakage_observations(code, eve), ranked in one RowSpace.
 
     A node of F shows its download_span and granted rows, a node of E its
-    storage rows; each node's rows are built once, as one mask per space.
-    expand maps a row to one row per space (by default the row itself);
-    each distinct row is expanded and interned once.  ranks(eve) gives,
-    per space, the joint_rank of W_E over F's view, whose basis is
-    memoised.
+    storage rows; each node's rows are built once, as one mask in space.
+    expand maps a row to the row the space holds (by default the row
+    itself); each distinct row is expanded and interned once.  rank(eve)
+    is the joint_rank of W_E over F's view, and basis(eve) their
+    joint_basis; F's basis is memoised.
     """
 
-    def __init__(self, code, spaces, expand=lambda row: (row,)):
+    def __init__(self, code, space, expand=lambda row: row):
         self.code = code
-        self.spaces = spaces
-        self._intern = lru_cache(None)(  # row -> its handle in each space
-            lambda row: tuple(s.intern(r) for s, r in zip(spaces, expand(row)))
-        )
-        self._nodes = {}  # (node, in F) -> its rows' mask in each space
+        self.space = space
+        self._intern = lru_cache(None)(lambda row: space.intern(expand(row)))
+        self._nodes = {}  # (node, in F) -> its rows' mask
 
     def _node(self, node, downloads):
         key = (node, downloads)
@@ -147,27 +146,24 @@ class PlacementRows:
                 built = download_span(code, node) + [row for _, row in code.granted_rows(node)]
             else:
                 built = [row for _, row in code.storage_rows(node)]
-            self._nodes[key] = self._union(self._intern(row) for row in built)
+            self._nodes[key] = reduce(or_, map(self._intern, built), 0)
         return self._nodes[key]
 
-    def _union(self, masks):
-        """The OR, space by space, of tuples of one mask per space."""
-        out = [0] * len(self.spaces)
-        for m in masks:
-            out = [x | y for x, y in zip(out, m)]
-        return out
-
     def observed(self, eve: EveModel):
-        """(F's rows, E's rows) as one mask per space each, once eve is validated."""
+        """(F's rows, E's rows) as one mask each, once eve is validated."""
         validate_eve(self.code, eve)
         return (
-            self._union(self._node(f, True) for f in eve.F),
-            self._union(self._node(e, False) for e in eve.E),
+            reduce(or_, (self._node(f, True) for f in eve.F), 0),
+            reduce(or_, (self._node(e, False) for e in eve.E), 0),
         )
 
-    def ranks(self, eve: EveModel):
+    def rank(self, eve: EveModel):
         f_rows, e_rows = self.observed(eve)
-        return [space.joint_rank(e, f) for space, e, f in zip(self.spaces, e_rows, f_rows)]
+        return self.space.joint_rank(e_rows, f_rows)
+
+    def basis(self, eve: EveModel):
+        f_rows, e_rows = self.observed(eve)
+        return self.space.joint_basis(e_rows, f_rows)
 
 
 def measured_secrecy_capacity(code, eve: EveModel) -> int:
@@ -557,11 +553,11 @@ def capacity_table(code, pairs=None):
 def _capacity_cells(code, eves):
     """capacity_cell of each placement, all ranked in one RowSpace."""
     p = code.params
-    view = PlacementRows(code, (RowSpace(code.field, p.B),))
+    view = PlacementRows(code, RowSpace(code.field, p.B))
     stable = code.variant == "stable"
     cells = []
     for eve in eves:
-        (leaked,) = view.ranks(eve)
+        leaked = view.rank(eve)
         predicted = predicted_secrecy_capacity(p, eve.l1, eve.l2) if stable else NOT_COVERED
         cells.append(CapacityCell(eve.l1, eve.l2, eve.E, eve.F, p.B - leaked, predicted))
     return cells

@@ -315,6 +315,10 @@ class BinaryField(Field):
             raise ValueError(f"{v} is not an element mask of GF(2^{self.m})")
         return v
 
+    def frobenius(self, a: int) -> int:
+        """a^2: the automorphism fixing GF(2)."""
+        return self.mul(a, a)
+
     def __repr__(self):
         return f"GF(2^{self.m})"
 

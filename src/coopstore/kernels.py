@@ -29,7 +29,9 @@ bytes.translate, the per-constant tables of Plank, Greenan and Miller
 - GF(p), p > 16, and GF(2^m), m > 8, _echelon_generic: tuples of
   elements through the field's own sub/mul/inv.
 
-The leading column and its value come from bit_length().  _rank_generic,
+The leading column and its value come from bit_length(); leading_in
+counts a basis's rows that lead in its first c columns, the rank of the
+basis cut to them.  _rank_generic,
 a flat row-major loop through the field's own methods, is the reference
 for every field.
 
@@ -91,6 +93,21 @@ def rank(data, nrows, ncols, field, basis=()):
     """Rank of a flat row-major matrix of field elements stacked on an echelon basis."""
     rows = [pack(field, data[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
     return len(echelon(basis, rows, ncols, field))
+
+
+def leading_in(basis, ncols, c, field):
+    """How many rows of an echelon basis lead in its first c columns.
+
+    That count is the rank of the basis's span cut to those columns: the
+    rows leading there keep distinct leading columns when cut, so they stay
+    independent, and every other row cuts to zero.  On a lane field a row
+    leads in the first c columns exactly when its bit_length() passes the
+    ncols - c lanes after them.
+    """
+    if lanes(field):
+        floor = (ncols - c) * 8 * (field.nbytes if field.kind == "tower" else 1)
+        return sum(b.bit_length() > floor for b in basis)
+    return sum(_lead(b) < c for b in basis)
 
 
 def _echelon_lanes(basis, rows, ncols, field):

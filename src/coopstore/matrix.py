@@ -295,11 +295,14 @@ def moore_matrix(field, points, rows: int, frobenius_base: int) -> Mat:
     if rows > len(pts):
         raise DimensionMismatch("more rows than points")
     _check_independent_over_base(field, pts, frobenius_base)
+    # the check admits frobenius_base only as the base field's order, so
+    # x -> x^frobenius_base is field.frobenius
+    frobenius = field.frobenius
     out = []
     cur = list(pts)
     for _ in range(rows):
         out.append(tuple(cur))
-        cur = [field.pow(c, frobenius_base) for c in cur]
+        cur = [frobenius(c) for c in cur]
     return Mat.from_rows(field, out)
 
 

@@ -7,11 +7,14 @@ extension symbol.  Storage-code coefficients live in the base field F_q and
 act on cells coordinate-wise, so every symbol an eavesdropper sees is an
 ext-linear functional of the secret-plus-randomness vector.  Secrecy is then
 an exact rank fact checked per instance, by two ranks over the extension
-field: the observed functionals must have no component outside the
-randomness positions (zero mutual information with the secret).
+field, both read off one echelon basis of the observed functionals: they
+must have no component outside the randomness positions (zero mutual
+information with the secret).
 
 The B cells are one generation of the data matrix, stored and recovered
 through the tower code's encode_batch / reconstruct_batch, like files.
+That code (SecureScheme.code_ext) is built on first use, so a secrecy
+check, which ranks over the symbol-field code alone, never builds it.
 
 The tower F_{(2^4)^6} is fixed by the published reduction polynomial
 y^6 + y^3 + (x^3 + 1) over GF(16), with GF(16) = GF(2)[x]/(x^4 + x + 1).
@@ -20,6 +23,9 @@ y^6 + y^3 + (x^3 + 1) over GF(16), with GF(16) = GF(2)[x]/(x^4 + x + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+from . import kernels
 
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in secure by name
 from .entropy import RowSpace, entropy_symbols  # noqa: F401
@@ -44,7 +50,6 @@ PUBLISHED_TOWERS = {
 @dataclass(frozen=True)
 class SecureScheme:
     code: StableCode  # the symbol-field code (functional/analysis layer)
-    code_ext: StableCode  # same code lifted to the extension field (data layer)
     ext: ExtensionField
     gabidulin: Mat  # B x B Moore generator over ext
     secret_len: int
@@ -55,6 +60,13 @@ class SecureScheme:
     @property
     def B(self):
         return self.code.params.B
+
+    @cached_property
+    def code_ext(self) -> StableCode:
+        """The same code lifted to the extension field (data layer), built on first use."""
+        p = self.code.params
+        ext_params = CodeParams.mscr(n=p.n, k=p.k, d=p.d, t=p.t, q=self.ext.order, beta=p.beta)
+        return StableCode.create(ext_params, self.ext)
 
 
 def scheme_create(code: StableCode, l1: int, l2: int) -> SecureScheme:
@@ -73,11 +85,8 @@ def scheme_create(code: StableCode, l1: int, l2: int) -> SecureScheme:
     ext = ExtensionField(code.field, p.B, PUBLISHED_TOWERS[key])
     basis = [ext.from_coords([1 if s == i else 0 for s in range(p.B)]) for i in range(p.B)]
     gab = moore_matrix(ext, basis, p.B, code.field.order)
-    ext_params = CodeParams.mscr(n=p.n, k=p.k, d=p.d, t=p.t, q=ext.order, beta=p.beta)
-    code_ext = StableCode.create(ext_params, ext)
     return SecureScheme(
         code=code,
-        code_ext=code_ext,
         ext=ext,
         gabidulin=gab,
         secret_len=capacity,
@@ -137,10 +146,12 @@ class SecrecyCheck:
 
 
 def _expand(scheme: SecureScheme, lam):
-    """w(lam) = Gab @ lam^T over ext for an observed cell row lam, and w(lam)[secret_len:].
+    """w(lam) = Gab @ lam^T over ext for an observed cell row lam, randomness positions first.
 
     A cell row lam observes sum_j lam_j c_j with c = u @ Gab, which equals
-    u . w(lam): one extension symbol, linear in u over ext.
+    u . w(lam): one extension symbol, linear in u over ext.  The row is
+    w[secret_len:] + w[:secret_len], so W cut to the randomness positions
+    is W cut to its first random_len columns.
     """
     ext = scheme.ext
     gab = scheme.gabidulin
@@ -151,14 +162,13 @@ def _expand(scheme: SecureScheme, lam):
             if coef:
                 acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
         w.append(acc)
-    return tuple(w), tuple(w[scheme.secret_len :])
+    return tuple(w[scheme.secret_len :] + w[: scheme.secret_len])
 
 
 def _observed_rows(scheme: SecureScheme) -> PlacementRows:
-    """Each observed cell row's w(lam) in two RowSpaces over ext: over all
-    B positions, and over the randomness positions secret_len..B-1."""
-    spaces = (RowSpace(scheme.ext, scheme.B), RowSpace(scheme.ext, scheme.random_len))
-    return PlacementRows(scheme.code, spaces, lambda lam: _expand(scheme, lam))
+    """Each observed cell row's w(lam), randomness positions first, in one RowSpace over ext."""
+    space = RowSpace(scheme.ext, scheme.B)
+    return PlacementRows(scheme.code, space, lambda lam: _expand(scheme, lam))
 
 
 def verify_secrecy(scheme: SecureScheme, eve: EveModel, observed=None) -> SecrecyCheck:
@@ -173,21 +183,29 @@ def verify_secrecy(scheme: SecureScheme, eve: EveModel, observed=None) -> Secrec
         H(observations) = b * rank_ext(W)            (in log-q symbols).
 
     The secret and the randomness are independent and uniform, so
-    H(observations | secret) is b times the ext-rank of W restricted to the
-    randomness positions secret_len..B-1, which gives
+    H(observations | secret) is b times the ext-rank of W_rand, W cut to
+    the randomness positions secret_len..B-1, which gives
 
         I(secret; observations) = b * rank_ext(W) - b * rank_ext(W_rand),
         H(randomness | secret, observations) = b * random_len - b * rank_ext(W_rand).
+
+    Both ranks come from one echelon basis of W, whose rows hold the
+    randomness positions first: rank_ext(W) is its length, and
+    rank_ext(W_rand) is the number of its rows that lead in the first
+    random_len columns (kernels.leading_in).  Those rows stay independent
+    when cut to the randomness positions, and every other row cuts to zero.
 
     The pass condition is zero mutual information; coverage by the
     randomness (H(observations) <= H(randomness)) and a determined
     randomness are reported as diagnostics.
 
-    Both ranks come from observed (what _observed_rows returns), made here
+    The basis comes from observed (what _observed_rows returns), made here
     when not given; verify_secrecy_sweep shares one across its placements.
     """
+    basis = (observed or _observed_rows(scheme)).basis(eve)
     b = scheme.ext.degree
-    h_e, h_e_given_s = (b * r for r in (observed or _observed_rows(scheme)).ranks(eve))
+    h_e = b * len(basis)
+    h_e_given_s = b * kernels.leading_in(basis, scheme.B, scheme.random_len, scheme.ext)
     h_r = b * scheme.random_len
     return SecrecyCheck(
         eve=eve,
@@ -203,7 +221,8 @@ def verify_secrecy_sweep(scheme: SecureScheme):
     """verify_secrecy over every (E, F) placement at the scheme's (l1, l2).
 
     Every placement ranks in one _observed_rows, so each node's view is
-    built, and each distinct observed cell row expanded, once per sweep.
+    built, each distinct observed cell row expanded, and each F's basis
+    eliminated, once per sweep.
     """
     observed = _observed_rows(scheme)
     return [

@@ -218,7 +218,6 @@ def test_criterion_9_secure_mode():
         # negative control: one fewer random symbol breaks the verification
         tampered = SecureScheme(
             code=scheme.code,
-            code_ext=scheme.code_ext,
             ext=scheme.ext,
             gabidulin=scheme.gabidulin,
             secret_len=2,

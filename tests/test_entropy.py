@@ -178,6 +178,7 @@ class TestRowSpace:
             assert space.rank(r) == rank_rows(field, 5, rows)
             assert space.rank_given(r, g) == joint - rank_rows(field, 5, given)
             assert space.joint_rank(r, g) == joint
+            assert len(space.joint_basis(r, g)) == joint
 
     def test_joint_rank_keeps_only_given_basis(self):
         space = RowSpace(GF3, 3)

@@ -198,12 +198,12 @@ class TestDownloadSpan:
         # (PlacementRows' masks), against the labelled reference view
         code = make()
         space = RowSpace(code.field, code.params.B)
-        view = PlacementRows(code, (space,))
+        view = PlacementRows(code, space)
         cells = capacity_table(code)
         assert len(cells) == placements
         for cell in cells:
             eve = EveModel(E=cell.E, F=cell.F)
-            (f_rows,), (e_rows,) = view.observed(eve)
+            f_rows, e_rows = view.observed(eve)
             assert set(space.rows(f_rows | e_rows)) == set(
                 leakage_observations(code, eve).unique_rows()
             )

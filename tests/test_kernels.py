@@ -205,6 +205,24 @@ def test_echelon_stops_reading_at_full_rank(name):
     assert len(kernels.echelon(half, rows(identity[2:]), ncols, field)) == ncols
 
 
+@pytest.mark.parametrize("name", list(ECHELON_FIELDS))
+def test_leading_in_is_the_rank_of_the_cut(name):
+    # the rows of an echelon basis that lead in its first c columns count
+    # the rank of the rows cut to those columns, at every cut
+    field = ECHELON_FIELDS[name]()
+    rng = random.Random("lead " + name)
+    deficient = 0
+    for _ in range(100):
+        nrows, ncols = rng.randint(0, 10), rng.randint(1, 8)
+        rows = _random_rows(rng, field, nrows, ncols)
+        basis = kernels.echelon((), [kernels.pack(field, r) for r in rows], ncols, field)
+        deficient += len(basis) < min(nrows, ncols)
+        for c in range(ncols + 1):
+            cut = [r[:c] for r in rows]
+            assert kernels.leading_in(basis, ncols, c, field) == _generic_rank(field, cut, c)
+    assert deficient > 10
+
+
 SOLVE_FIELDS = {
     "GF(2)": lambda: prime_field(2),
     "GF(11)": lambda: prime_field(11),

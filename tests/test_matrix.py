@@ -10,7 +10,7 @@ from coopstore.errors import (
     FieldTooSmall,
     Singular,
 )
-from coopstore.field import binary_field, prime_field
+from coopstore.field import ExtensionField, binary_field, prime_field
 from coopstore.matrix import (
     Mat,
     moore_matrix,
@@ -163,6 +163,26 @@ class TestMooreMatrix:
     def test_dependent_points_rejected(self, gf16):
         with pytest.raises(DependentPoints):
             moore_matrix(gf16, [1, 2, 3], 3, 2)  # 3 = 1 xor 2
+
+    @pytest.mark.parametrize(
+        "make, base_order, points",
+        [
+            # F_{(2^4)^6}, y^6 + y^3 + (x^3 + 1), as secure mode uses it; points y^i
+            (lambda: ExtensionField(binary_field(4), 6, (9, 0, 0, 1, 0, 0, 1)), 16,
+             [1 << (4 * i) for i in range(6)]),
+            # GF(4^3) by y^3 + y + 1, irreducible over GF(2) and so over GF(4)
+            (lambda: ExtensionField(binary_field(2), 3, (1, 1, 0, 1)), 4,
+             [1 << (2 * i) for i in range(3)]),
+            (lambda: binary_field(4), 2, [1, 2, 4, 8]),
+        ],
+        ids=["GF(16^6)", "GF(4^3)", "GF(16)/GF(2)"],
+    )
+    def test_frobenius_rows_equal_powers(self, make, base_order, points):
+        # rows stepped by field.frobenius equal the entries points[j]^(q^i)
+        field = make()
+        m = moore_matrix(field, points, len(points), base_order)
+        expect = [tuple(field.pow(x, base_order**i) for x in points) for i in range(len(points))]
+        assert m.rows() == expect
 
 
 def test_matmul_shapes(gf7):

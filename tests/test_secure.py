@@ -8,7 +8,7 @@ from helpers import secrecy_oracle
 
 from coopstore.errors import InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
 from coopstore.eve import EveModel, leakage_observations
-from coopstore import secure
+from coopstore import cli, kernels, secure
 from coopstore.instances import s1, s1_binary
 from coopstore.secure import (
     SecureScheme,
@@ -20,6 +20,7 @@ from coopstore.secure import (
     verify_secrecy,
     verify_secrecy_sweep,
 )
+from coopstore.stable import StableCode
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,20 @@ class TestSchemeCreate:
     def test_prime_field_rejected(self):
         with pytest.raises(FieldKindUnsupported):
             scheme_create(s1(), 1, 1)
+
+    def test_one_command_builds_one_code(self, monkeypatch):
+        # secure-verify ranks over the symbol-field code alone; the tower
+        # code is built only when encode_secure or decode_secret asks for it
+        created = []
+        real = StableCode.create.__func__
+
+        def spy(cls, params, field):
+            created.append(field)
+            return real(cls, params, field)
+
+        monkeypatch.setattr(StableCode, "create", classmethod(spy))
+        assert cli.main(["secure-verify", "--l1", "1", "--l2", "1"]) == 0
+        assert len(created) == 1 and created[0].kind == "binary"
 
     def test_generators_agree_across_layers(self, scheme):
         # the analysis layer (GF(16)) and data layer (tower) share the same
@@ -144,6 +159,22 @@ class TestVerifySecrecy:
         for chk in checks:
             assert verify_secrecy(scheme, chk.eve) == chk
 
+    def test_sweep_eliminates_once_per_placement(self, monkeypatch):
+        # one tower elimination per placement (30) and one per memoised F
+        # basis (6): both secrecy ranks come from one echelon basis (ranking
+        # W and W cut to the randomness positions apart takes twice as many)
+        calls = []
+        real = kernels._echelon_tower
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        scheme = scheme_create(s1_binary(), 1, 1)
+        monkeypatch.setattr(kernels, "_echelon_tower", spy)
+        assert len(verify_secrecy_sweep(scheme)) == 30
+        assert len(calls) == 36
+
     def test_empty_eve_trivially_passes(self, scheme):
         chk = verify_secrecy(scheme, EveModel())
         assert chk.passed and chk.observed_rank == 0
@@ -157,7 +188,6 @@ class TestVerifySecrecy:
         # one fewer random symbol: the observed rows can no longer be covered
         tampered = SecureScheme(
             code=scheme.code,
-            code_ext=scheme.code_ext,
             ext=scheme.ext,
             gabidulin=scheme.gabidulin,
             secret_len=scheme.secret_len + 1,
