@@ -491,6 +491,12 @@ def cmd_secure_verify(args, clock) -> ReportDoc:
     report = ReportDoc(command="secure-verify", config=config)
     l1, l2 = args.l1, args.l2
     scheme = scheme_create(code, l1, l2)
+    tower = scheme.ext
+    config["tower"] = {
+        "base_order": tower.base.order,
+        "degree": tower.degree,
+        "reduction": list(tower.reduction),  # low degree first
+    }
     report.results["secret_symbols"] = scheme.secret_len
     report.results["random_symbols"] = scheme.random_len
     checks = verify_secrecy_sweep(scheme)

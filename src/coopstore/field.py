@@ -27,6 +27,14 @@ the leading term; e.g. x^4 + x + 1 -> 0b10011):
     m=12: x^12+x^6+x^4+x+1        m=24: x^24+x^7+x^2+x+1
 
 These fixed defaults keep shard files bit-exact across installations.
+
+Published tower reductions over GF(2^m) bases (PUBLISHED_TOWERS, keyed by
+base order and extension degree, coefficients low degree first):
+
+    GF(16)^6: y^6 + y^3 + (x^3 + 1), with GF(16) = GF(2)[x]/(x^4 + x + 1)
+
+field_create builds every field, towers included, once per FieldSpec and
+keeps it for the life of the process.
 """
 
 from __future__ import annotations
@@ -78,6 +86,11 @@ DEFAULT_POLY = {
     22: _poly_bits(22, 1, 0),
     23: _poly_bits(23, 5, 0),
     24: _poly_bits(24, 7, 2, 1, 0),
+}
+
+# (base order, extension degree) -> tower reduction polynomial, low degree first
+PUBLISHED_TOWERS = {
+    (16, 6): (9, 0, 0, 1, 0, 0, 1),  # y^6 + y^3 + (x^3+1)
 }
 
 
@@ -141,12 +154,21 @@ def is_irreducible_gf2(poly: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Declarative description of a field: prime GF(p) or binary GF(2^m)."""
+    """Declarative description of a field: prime GF(p), binary GF(2^m) or a tower.
 
-    kind: str  # "prime" | "binary"
+    A tower spec names its base's spec, its degree and its reduction
+    polynomial (low degree first); FieldSpec.tower resolves that polynomial
+    from PUBLISHED_TOWERS, so equal towers have equal specs and
+    field_create builds each once.
+    """
+
+    kind: str  # "prime" | "binary" | "tower"
     p: int = 0
     m: int = 0
     poly: int = 0
+    base: "FieldSpec | None" = None
+    degree: int = 0
+    reduction: tuple[int, ...] = ()
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
@@ -156,6 +178,16 @@ class FieldSpec:
     def binary(m: int, poly: int | None = None) -> "FieldSpec":
         """GF(2^m) reduced by poly; None or 0 selects DEFAULT_POLY[m]."""
         return FieldSpec(kind="binary", m=m, poly=poly or DEFAULT_POLY.get(m, 0))
+
+    @staticmethod
+    def tower(base: "FieldSpec", degree: int) -> "FieldSpec":
+        """The degree-`degree` tower over a binary base, reduced by its PUBLISHED_TOWERS entry."""
+        if base.kind != "binary":
+            raise FieldKindUnsupported("extension towers are built over GF(2^m) bases only")
+        key = (1 << base.m, degree)
+        if key not in PUBLISHED_TOWERS:
+            raise FieldKindUnsupported(f"no published tower for q={key[0]}, degree={degree}")
+        return FieldSpec(kind="tower", base=base, degree=degree, reduction=PUBLISHED_TOWERS[key])
 
 
 class Field:
@@ -350,7 +382,9 @@ class ExtensionField(Field):
       times any element with one translate per nonzero digit, which is
       how kernels.echelon runs tower rows.
 
-    Used for the rank-metric precoder's field tower.
+    Used for the rank-metric precoder's field tower.  Build it through
+    field_create(FieldSpec.tower(base, degree)): the process then keeps one
+    tower per spec, and its tables and its ladder memo outlive a command.
     """
 
     kind = "tower"
@@ -370,7 +404,7 @@ class ExtensionField(Field):
         self.degree = degree
         self.reduction = tuple(reduction)
         self.order = base.order**degree
-        self.spec = ("tower", base.spec, degree, self.reduction)
+        self.spec = FieldSpec(kind="tower", base=base.spec, degree=degree, reduction=self.reduction)
         m = base.m
         self._m = m
         self._digit = base.order - 1
@@ -452,6 +486,8 @@ class ExtensionField(Field):
         A row whose leading element is 1, as every echelon basis row is,
         keeps its ladder (at most LADDER_LIMIT at a time): a basis that a
         caller passes back to kernels.echelon needs the same ladders again.
+        The memo lives as long as the field, which field_create keeps for
+        the process, so later commands reuse the ladders of earlier ones.
         """
         key = (row, ncols)
         rungs = self._ladders.get(key)
@@ -493,6 +529,20 @@ class ExtensionField(Field):
             if d:
                 out ^= from_bytes(rung.translate(scale[d]), "big")
             v >>= m
+        return out
+
+    def combine(self, coefs, rows) -> int:
+        """sum_j coefs[j] * rows[j], packed, for base-field coefs and packed rows as bytes.
+
+        The XOR over the nonzero coefs[j] of rows[j] translated through its
+        product table: one translate per nonzero coefficient, as
+        times_ladder does per digit.
+        """
+        scale, from_bytes = self._scale, int.from_bytes
+        out = 0
+        for c, row in zip(coefs, rows):
+            if c:
+                out ^= from_bytes(row.translate(scale[c]), "big")
         return out
 
     # --- arithmetic ---
@@ -582,11 +632,20 @@ class ExtensionField(Field):
 
 @lru_cache(maxsize=None)
 def field_create(spec: FieldSpec) -> Field:
-    """Validated field handle from a spec; handles are cached and immutable."""
+    """Validated field handle from a spec, built once per spec and kept for the process.
+
+    Handles are immutable apart from a tower's ladder memo (see
+    ExtensionField.ladder), which therefore outlives a command: every
+    command of a process that asks for the same tower shares its tables
+    and its kept ladders.  The tower's irreducibility test runs once, at
+    the first request.
+    """
     if spec.kind == "prime":
         return PrimeField(spec.p)
     if spec.kind == "binary":
         return BinaryField(spec.m, spec.poly)
+    if spec.kind == "tower":
+        return ExtensionField(field_create(spec.base), spec.degree, spec.reduction)
     raise FieldKindUnsupported(f"unknown field kind {spec.kind!r}")
 
 

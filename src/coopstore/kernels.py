@@ -71,6 +71,15 @@ def pack(field, row):
     return int.from_bytes(bytes(row), "big") if lanes(field) else tuple(row)
 
 
+def unpack(field, row, ncols):
+    """A packed row (see pack) as a tuple of ncols elements."""
+    if field.kind == "tower":
+        w = field.nbytes
+        raw = row.to_bytes(ncols * w, "big")
+        return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w))
+    return tuple(row.to_bytes(ncols, "big")) if lanes(field) else row
+
+
 def echelon(basis, rows, ncols, field):
     """The echelon basis of basis plus rows, as a tuple of packed rows.
 
@@ -249,21 +258,12 @@ def solve(a_data, n, b_data, bcols, field):
         for i in range(n)
     ]
     basis = echelon((), rows, w, field)
-    if len(basis) < n or (n and not any(_unpack(field, basis[-1], w)[:n])):
+    if len(basis) < n or (n and not any(unpack(field, basis[-1], w)[:n])):
         return None
     reduced = ()
     for row in reversed(basis):
         reduced = echelon(reduced, [row], w, field)
-    return [v for row in reduced for v in _unpack(field, row, w)[n:]]
-
-
-def _unpack(field, row, ncols):
-    """A packed row (see pack) as a tuple of ncols elements."""
-    if field.kind == "tower":
-        w = field.nbytes
-        raw = row.to_bytes(ncols * w, "big")
-        return tuple(int.from_bytes(raw[i : i + w], "big") for i in range(0, len(raw), w))
-    return tuple(row.to_bytes(ncols, "big")) if lanes(field) else row
+    return [v for row in reduced for v in unpack(field, row, w)[n:]]
 
 
 @lru_cache(maxsize=None)

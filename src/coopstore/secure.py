@@ -16,14 +16,23 @@ through the tower code's encode_batch / reconstruct_batch, like files.
 That code (SecureScheme.code_ext) is built on first use, so a secrecy
 check, which ranks over the symbol-field code alone, never builds it.
 
-The tower F_{(2^4)^6} is fixed by the published reduction polynomial
-y^6 + y^3 + (x^3 + 1) over GF(16), with GF(16) = GF(2)[x]/(x^4 + x + 1).
+The tower is field_create(FieldSpec.tower(symbol field, B)): on S1,
+F_{(2^4)^6}, fixed by the published reduction polynomial y^6 + y^3 +
+(x^3 + 1) over GF(16), with GF(16) = GF(2)[x]/(x^4 + x + 1) (see
+field.PUBLISHED_TOWERS).  field_create keeps the tower for the process,
+and the Moore generator is built once per tower, so a process that runs
+several commands builds, and tests for irreducibility and independence,
+each only once, and the tower's kept ladders serve every command.
+
+Eve's observed rows are expanded on the generator's columns, packed once
+per scheme in kernels.pack's layout (randomness positions first): a row
+is one translate per nonzero coefficient (ExtensionField.combine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import kernels
 
@@ -37,14 +46,12 @@ from .eve import (
     placements,
     predicted_secrecy_capacity,
 )
-from .field import ExtensionField
+from .field import ExtensionField, FieldSpec, field_create
+
+# the table lives in field; this re-export exists only for perfbench's provenance
+from .field import PUBLISHED_TOWERS  # noqa: F401
 from .matrix import Mat, moore_matrix
 from .stable import CodeParams, StableCode
-
-# (base order, extension degree) -> reduction polynomial, low degree first
-PUBLISHED_TOWERS = {
-    (16, 6): (9, 0, 0, 1, 0, 0, 1),  # y^6 + y^3 + (x^3+1)
-}
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,29 @@ class SecureScheme:
         ext_params = CodeParams.mscr(n=p.n, k=p.k, d=p.d, t=p.t, q=self.ext.order, beta=p.beta)
         return StableCode.create(ext_params, self.ext)
 
+    @cached_property
+    def columns(self) -> tuple[bytes, ...]:
+        """The generator's columns, randomness positions first, each packed as bytes.
+
+        Column j holds Gab[i][j] for i = secret_len..B-1, then 0..secret_len-1,
+        in kernels.pack's layout, so _expand combines them into a packed row.
+        """
+        order = list(range(self.secret_len, self.B)) + list(range(self.secret_len))
+        size = self.B * self.ext.nbytes
+        gab = self.gabidulin
+        return tuple(
+            kernels.pack(self.ext, [gab.at(i, j) for i in order]).to_bytes(size, "big")
+            for j in range(self.B)
+        )
+
+
+@lru_cache(maxsize=None)
+def _gabidulin(ext: ExtensionField) -> Mat:
+    """The B x B Moore generator on the tower's coordinate basis, built once per tower."""
+    b = ext.degree
+    basis = [ext.from_coords([1 if s == i else 0 for s in range(b)]) for i in range(b)]
+    return moore_matrix(ext, basis, b, ext.base.order)
+
 
 def scheme_create(code: StableCode, l1: int, l2: int) -> SecureScheme:
     """Size the secret from the closed-form capacity and build the mixer."""
@@ -79,16 +109,11 @@ def scheme_create(code: StableCode, l1: int, l2: int) -> SecureScheme:
         raise NotCoveredRegime(f"no closed-form capacity for (l1={l1}, l2={l2})")
     if capacity == 0:
         raise NotCoveredRegime(f"capacity is 0 at (l1={l1}, l2={l2}); nothing to store")
-    key = (code.field.order, p.B)
-    if key not in PUBLISHED_TOWERS:
-        raise FieldKindUnsupported(f"no published tower for q={key[0]}, degree={key[1]}")
-    ext = ExtensionField(code.field, p.B, PUBLISHED_TOWERS[key])
-    basis = [ext.from_coords([1 if s == i else 0 for s in range(p.B)]) for i in range(p.B)]
-    gab = moore_matrix(ext, basis, p.B, code.field.order)
+    ext = field_create(FieldSpec.tower(code.field.spec, p.B))
     return SecureScheme(
         code=code,
         ext=ext,
-        gabidulin=gab,
+        gabidulin=_gabidulin(ext),
         secret_len=capacity,
         random_len=p.B - capacity,
         l1=l1,
@@ -151,18 +176,11 @@ def _expand(scheme: SecureScheme, lam):
     A cell row lam observes sum_j lam_j c_j with c = u @ Gab, which equals
     u . w(lam): one extension symbol, linear in u over ext.  The row is
     w[secret_len:] + w[:secret_len], so W cut to the randomness positions
-    is W cut to its first random_len columns.
+    is W cut to its first random_len columns.  w(lam) is sum_j lam_j times
+    Gab's column j, so it is the packed columns (SecureScheme.columns)
+    combined by lam, unpacked to the tuple RowSpace.intern takes.
     """
-    ext = scheme.ext
-    gab = scheme.gabidulin
-    w = []
-    for i in range(scheme.B):
-        acc = 0
-        for j, coef in enumerate(lam):
-            if coef:
-                acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
-        w.append(acc)
-    return tuple(w[scheme.secret_len :] + w[: scheme.secret_len])
+    return kernels.unpack(scheme.ext, scheme.ext.combine(lam, scheme.columns), scheme.B)
 
 
 def _observed_rows(scheme: SecureScheme) -> PlacementRows:

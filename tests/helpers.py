@@ -148,6 +148,24 @@ class TowerOracle:
         return self.pow(a, self.base.order)
 
 
+def expand_oracle(scheme, lam):
+    """w(lam) one ExtensionField.scale call per generator entry: the reference for secure._expand.
+
+    w_i = sum_j lam_j * Gab[i][j], read entry by entry off scheme.gabidulin,
+    with the randomness positions first: w[secret_len:] + w[:secret_len].
+    """
+    ext = scheme.ext
+    gab = scheme.gabidulin
+    w = []
+    for i in range(scheme.B):
+        acc = 0
+        for j, coef in enumerate(lam):
+            if coef:
+                acc = ext.add(acc, ext.scale(coef, gab.at(i, j)))
+        w.append(acc)
+    return tuple(w[scheme.secret_len :] + w[: scheme.secret_len])
+
+
 def _coordinate_rows_oracle(scheme, cell_rows):
     """Expand cell-functionals (over F_q) to rows over the u-coordinates.
 

@@ -331,6 +331,10 @@ class TestSweepVerify:
         assert run(["secure-verify", "--l1", "1", "--l2", "1", "--report", report]) == 0
         doc = json.loads(report.read_text())
         assert doc["results"]["secret_symbols"] == 1
+        # the tower: base order, degree and reduction, low degree first
+        assert doc["config"]["tower"] == {
+            "base_order": 16, "degree": 6, "reduction": [9, 0, 0, 1, 0, 0, 1]
+        }
         assert len(doc["results"]["placements"]) == 30
         assert all(p["mutual_information"] == 0 for p in doc["results"]["placements"])
 

@@ -22,9 +22,8 @@ from coopstore.errors import (
     MissingShard,
     TooFewShards,
 )
-from coopstore.field import ExtensionField, binary_field, prime_field
+from coopstore.field import PUBLISHED_TOWERS, ExtensionField, binary_field, prime_field
 from coopstore.matrix import Mat, dot, lincomb, lincomb_branch
-from coopstore.secure import PUBLISHED_TOWERS
 from coopstore.stable import (
     CodeParams,
     RepairContext,

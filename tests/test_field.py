@@ -12,6 +12,7 @@ from coopstore.errors import (
 )
 from coopstore.field import (
     DEFAULT_POLY,
+    PUBLISHED_TOWERS,
     ExtensionField,
     FieldSpec,
     binary_field,
@@ -168,6 +169,21 @@ class TestTowerField:
     def test_prime_base_rejected(self):
         with pytest.raises(FieldKindUnsupported):
             ExtensionField(prime_field(11), 2, (1, 1, 1))
+
+    def test_published_tower_built_once_per_spec(self):
+        spec = FieldSpec.tower(FieldSpec.binary(4), 6)
+        assert spec.reduction == self.REDUCTION == PUBLISHED_TOWERS[(16, 6)]
+        tower = field_create(spec)
+        assert field_create(FieldSpec.tower(FieldSpec.binary(4), 6)) is tower
+        # a tower built directly is the same field, with the same spec
+        assert tower == self.make() and tower.spec == self.make().spec == spec
+        assert tower.base is field_create(FieldSpec.binary(4))
+
+    def test_unpublished_tower_rejected(self):
+        with pytest.raises(FieldKindUnsupported, match=r"^no published tower for q=16, degree=12$"):
+            FieldSpec.tower(FieldSpec.binary(4), 12)
+        with pytest.raises(FieldKindUnsupported):
+            FieldSpec.tower(FieldSpec.prime(11), 2)
 
     def test_base_without_whole_digits_per_byte_rejected(self):
         # GF(2^9) digits are wider than a byte; GF(2^3) digits straddle bytes

@@ -9,9 +9,8 @@ import pytest
 
 from coopstore import kernels
 from coopstore.errors import ReduciblePolynomial
-from coopstore.field import ExtensionField, binary_field, prime_field
+from coopstore.field import PUBLISHED_TOWERS, ExtensionField, binary_field, prime_field
 from coopstore.matrix import Mat
-from coopstore.secure import PUBLISHED_TOWERS
 
 from helpers import det_oracle
 
@@ -129,7 +128,7 @@ def test_echelon_matches_generic_rank(name):
         assert packed == before
         deficient += expect < min(nrows, ncols)
         # every basis row has leading entry 1, in strictly increasing columns
-        unpacked = [kernels._unpack(field, b, ncols) for b in basis]
+        unpacked = [kernels.unpack(field, b, ncols) for b in basis]
         leads = [next(c for c, v in enumerate(u) if v) for u in unpacked]
         assert all(u[c] == 1 for u, c in zip(unpacked, leads))
         assert leads == sorted(set(leads))
@@ -151,9 +150,9 @@ def test_tower_lanes_equal_generic_basis(name):
         base = kernels.echelon((), [kernels.pack(field, r) for r in given], ncols, field)
         grown = kernels.echelon(base, [kernels.pack(field, r) for r in rows], ncols, field)
         generic = kernels._echelon_generic((), given, ncols, field)
-        assert tuple(kernels._unpack(field, b, ncols) for b in base) == generic
+        assert tuple(kernels.unpack(field, b, ncols) for b in base) == generic
         generic = kernels._echelon_generic(generic, rows, ncols, field)
-        assert tuple(kernels._unpack(field, b, ncols) for b in grown) == generic
+        assert tuple(kernels.unpack(field, b, ncols) for b in grown) == generic
 
 
 @pytest.mark.parametrize("name", list(ECHELON_FIELDS))

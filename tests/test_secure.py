@@ -4,11 +4,12 @@ import itertools
 import random
 
 import pytest
-from helpers import secrecy_oracle
+from helpers import expand_oracle, secrecy_oracle
 
 from coopstore.errors import InvalidEveModel, LengthMismatch, NotCoveredRegime, FieldKindUnsupported
 from coopstore.eve import EveModel, leakage_observations
-from coopstore import cli, kernels, secure
+from coopstore import cli, field, kernels, secure
+from coopstore.field import ExtensionField
 from coopstore.instances import s1, s1_binary
 from coopstore.secure import (
     SecureScheme,
@@ -63,6 +64,37 @@ class TestSchemeCreate:
         monkeypatch.setattr(StableCode, "create", classmethod(spy))
         assert cli.main(["secure-verify", "--l1", "1", "--l2", "1"]) == 0
         assert len(created) == 1 and created[0].kind == "binary"
+
+    def test_two_commands_build_one_tower(self, monkeypatch):
+        # field_create keeps the tower for the process and the Moore generator
+        # is built once per tower, so a second secure-verify builds neither
+        # (nor runs the irreducibility or independence checks again)
+        field.field_create.cache_clear()
+        secure._gabidulin.cache_clear()
+        towers, generators = [], []
+        real_init, real_moore = ExtensionField.__init__, secure.moore_matrix
+
+        def init_spy(self, *args):
+            towers.append(args)
+            real_init(self, *args)
+
+        def moore_spy(*args):
+            generators.append(args)
+            return real_moore(*args)
+
+        monkeypatch.setattr(ExtensionField, "__init__", init_spy)
+        monkeypatch.setattr(secure, "moore_matrix", moore_spy)
+        assert cli.main(["secure-verify", "--l1", "1", "--l2", "1"]) == 0
+        assert cli.main(["secure-verify", "--l1", "0", "--l2", "1"]) == 0
+        assert len(towers) == 1 and len(generators) == 1
+        assert scheme_create(s1_binary(), 2, 0).ext is field.field_create(
+            field.FieldSpec.tower(field.FieldSpec.binary(4), 6)
+        )
+
+    def test_unpublished_tower_exits_2(self, capsys):
+        # n=9, k=d=4, t=3 has B = 12, and no tower of degree 12 is published
+        assert cli.main(["secure-verify", "--params", "n=9,k=4,d=4,t=3"]) == 2
+        assert capsys.readouterr().err == "error: no published tower for q=16, degree=12\n"
 
     def test_generators_agree_across_layers(self, scheme):
         # the analysis layer (GF(16)) and data layer (tower) share the same
@@ -162,7 +194,9 @@ class TestVerifySecrecy:
     def test_sweep_eliminates_once_per_placement(self, monkeypatch):
         # one tower elimination per placement (30) and one per memoised F
         # basis (6): both secrecy ranks come from one echelon basis (ranking
-        # W and W cut to the randomness positions apart takes twice as many)
+        # W and W cut to the randomness positions apart takes twice as many).
+        # The tower and its kept ladders outlive a sweep, but its bases do
+        # not: a second sweep in the same process eliminates as many times.
         calls = []
         real = kernels._echelon_tower
 
@@ -170,10 +204,11 @@ class TestVerifySecrecy:
             calls.append(args)
             return real(*args)
 
-        scheme = scheme_create(s1_binary(), 1, 1)
         monkeypatch.setattr(kernels, "_echelon_tower", spy)
-        assert len(verify_secrecy_sweep(scheme)) == 30
-        assert len(calls) == 36
+        for _ in range(2):
+            calls.clear()
+            assert len(verify_secrecy_sweep(scheme_create(s1_binary(), 1, 1))) == 30
+            assert len(calls) == 36
 
     def test_empty_eve_trivially_passes(self, scheme):
         chk = verify_secrecy(scheme, EveModel())
@@ -199,6 +234,39 @@ class TestVerifySecrecy:
         assert all(not c.coverable for c in checks)
         assert all(c.mutual_information > 0 for c in checks)
         assert not any(c.passed for c in checks)
+
+
+class TestPackedExpand:
+    """_expand on the packed generator columns against the scale loop in helpers."""
+
+    @pytest.mark.parametrize(
+        "l1,l2,tampered",
+        [(1, 0, False), (2, 0, False), (0, 1, False), (1, 1, False), (1, 1, True)],
+    )
+    def test_matches_scale_loop(self, l1, l2, tampered):
+        scheme = scheme_create(s1_binary(), l1, l2)
+        if tampered:
+            # the TestPinnedOutputs negative control: one secret symbol more
+            scheme = dataclasses.replace(
+                scheme, secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
+            )
+        b, q = scheme.B, scheme.code.field.order
+        rng = random.Random(0xE4A9D + 100 * l1 + 10 * l2 + tampered)
+        rows = [tuple(rng.randrange(q) for _ in range(b)) for _ in range(100)]
+        # sparse rows, then every base constant at every position, then zero
+        rows += [tuple(rng.randrange(q) if rng.random() < 0.3 else 0 for _ in range(b)) for _ in range(50)]
+        rows += [tuple(c if j == i else 0 for j in range(b)) for i in range(b) for c in range(1, q)]
+        rows.append((0,) * b)
+        for lam in rows:
+            assert secure._expand(scheme, lam) == expand_oracle(scheme, lam), lam
+
+    def test_columns_follow_secret_len(self, scheme):
+        # the packed columns put the randomness positions first, so a scheme
+        # with another secret_len packs its own
+        moved = dataclasses.replace(scheme, secret_len=0, random_len=scheme.B)
+        assert moved.columns != scheme.columns
+        unit = (1,) + (0,) * (scheme.B - 1)
+        assert secure._expand(moved, unit) == scheme.gabidulin.col(0)
 
 
 class TestAgainstStackedOracle:
