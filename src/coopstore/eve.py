@@ -353,25 +353,33 @@ class _AnalysisContext(RowSpace):
 
 
 def _subset_chains(nodes, sizes, rng=None, samples=200):
-    """Yield tuples of pairwise disjoint subsets with the given sizes.
+    """Tuples of pairwise disjoint subsets of nodes with the given sizes.
 
-    Exhaustive by default; seeded random draws when a generator is given
-    (used beyond desk scale, where full enumeration is impractical).
+    Exhaustive by default, depth first: each subset in
+    itertools.combinations order over the nodes the subsets before it
+    left, and chains that share a prefix share its subset objects.  Seeded
+    random draws when a generator is given (used beyond desk scale, where
+    full enumeration is impractical).
     """
     if rng is None:
+        walk = iter([((), list(nodes))])  # (prefix, the nodes it leaves)
+        for size in sizes[:-1]:
+            walk = _extend_chains(walk, size)
+        last = sizes[-1] if sizes else 0
+        combinations = itertools.combinations
+        return (prefix + (chosen,) for prefix, pool in walk for chosen in combinations(pool, last))
+    return _drawn_chains(nodes, sizes, rng, samples)
 
-        def rec(pool, remaining):
-            if not remaining:
-                yield ()
-                return
-            size, tail = remaining[0], remaining[1:]
-            for chosen in itertools.combinations(pool, size):
-                rest = [x for x in pool if x not in chosen]
-                for more in rec(rest, tail):
-                    yield (chosen,) + more
 
-        yield from rec(list(nodes), list(sizes))
-        return
+def _extend_chains(walk, size):
+    """Each (prefix, pool) of walk, extended by each size-subset of pool."""
+    for prefix, pool in walk:
+        for chosen in itertools.combinations(pool, size):
+            yield prefix + (chosen,), [x for x in pool if x not in chosen]
+
+
+def _drawn_chains(nodes, sizes, rng, samples):
+    """samples chains, each subset drawn by rng from the nodes left."""
     for _ in range(samples):
         pool = list(nodes)
         out = []
@@ -400,9 +408,12 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     helper_uniformity: per-helper entropy toward a set F is |F|*beta,
         identically across helpers.
 
-    Subset enumeration is exhaustive for n <= 10 (EXHAUSTIVE_NODE_LIMIT)
-    and seeded-random (200 draws per lemma) beyond.  Rows and ranks come
-    from one _AnalysisContext for the whole call.
+    group_volume and member_volume walk chains of disjoint subsets
+    (_subset_chains): every chain for n <= 10 (EXHAUSTIVE_NODE_LIMIT), and
+    SAMPLE_DRAWS (200) seeded draws each beyond.  traversal_span and
+    helper_uniformity enumerate every subset at any n.  Each chain
+    prefix's row sets are built once, when the walk reaches it.  Rows and
+    ranks come from one _AnalysisContext for the whole call.
     """
     import random as _random
 
@@ -416,34 +427,45 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     if p.t <= p.k:
         chk = res.get("group_volume")
         sizes = (p.t, p.k - p.t, p.d - p.k + p.t)
+        built = None  # the chain prefix (C, A) whose masks are built
         for c_set, a_set, b_set in _subset_chains(nodes, sizes, rng, SAMPLE_DRAWS):
             chk.checked += 1
+            if built != (c_set, a_set):
+                built = (c_set, a_set)
+                s_a = ctx.blocks("S", a_set, c_set, c_set)
+                given = ctx.blocks("W", c_set) | s_a
             # S_A^C and S_B^C make up S_{A u B}^C; |A| + |B| = d: a valid helper set
-            s_a = ctx.blocks("S", a_set, c_set, c_set)
             s_b = ctx.blocks("S", b_set, c_set, c_set)
             if ctx.rank(s_a | s_b) != p.d * p.t * p.beta:
                 chk.fail(("H(S_{A u B}^C) != dt*beta", c_set, a_set, b_set))
                 continue
-            if ctx.rank_given(s_b, ctx.blocks("W", c_set) | s_a) != 0:
+            if ctx.rank_given(s_b, given) != 0:
                 chk.fail(("H(S_B^C|W_C,S_A^C) != 0", c_set, a_set, b_set))
 
     # --- member volume ------------------------------------------------------
     chk = res.get("member_volume")
     sizes = (1, p.t - 1, p.k - 1, p.d - p.k + 1)
+    group_built = built = None  # the chain prefixes (i, C') and A' whose masks are built
     for i_set, c_prime, a_prime, b_prime in _subset_chains(nodes, sizes, rng, SAMPLE_DRAWS):
         i = i_set[0]
         chk.checked += 1
-        group = tuple(sorted((i,) + c_prime))
+        if group_built != (i_set, c_prime):
+            group_built, built = (i_set, c_prime), None
+            group = tuple(sorted((i,) + c_prime))
+            z = ctx.blocks("Z", c_prime, i_set, group)
+        if built != a_prime:
+            built = a_prime
+            s_a = ctx.blocks("S", a_prime, i_set, group)
+            s_az = s_a | z
+            given = ctx.blocks("W", i_set) | s_a
         # S_{A'}^i and S_{B'}^i make up S_{A' u B'}^i; |A'| + |B'| = d
-        s_a = ctx.blocks("S", a_prime, i_set, group)
         s_b = ctx.blocks("S", b_prime, i_set, group)
-        z = ctx.blocks("Z", c_prime, i_set, group)
-        if ctx.rank(s_a | s_b | z) != (p.d + p.t - 1) * p.beta:
+        if ctx.rank(s_az | s_b) != (p.d + p.t - 1) * p.beta:
             chk.fail(
                 ("H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta", i, c_prime, a_prime, b_prime)
             )
             continue
-        if ctx.rank_given(s_b | z, ctx.blocks("W", i_set) | s_a) != 0:
+        if ctx.rank_given(s_b | z, given) != 0:
             chk.fail(
                 ("H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0", i, c_prime, a_prime, b_prime)
             )
@@ -453,10 +475,15 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     allowed_f = sorted(code.supported_failed_nodes)
     for l2 in range(1, p.k):
         for f_set in itertools.combinations(allowed_f, l2):
-            tilde = ctx.blocks("D", f_set)
+            # tilde S^F joins the memoised spans of F's first l2 - 1 nodes
+            # (an F set of the round before) and of its last node
+            head, last = ctx.blocks("D", f_set[:-1]), ctx.blocks("D", f_set[-1:])
+            tilde = head | last
             span_ref = ctx.blocks("W", f_set) | ctx.blocks("S0", nodes, f_set)
             chk.checked += 1
-            if not (ctx.rank(tilde) == ctx.rank(span_ref) == ctx.rank(tilde | span_ref)):
+            if not (
+                ctx.rank_union(head, last) == ctx.rank(span_ref) == ctx.rank_union(tilde, span_ref)
+            ):
                 chk.fail(("span(tilde S^F) != span(W_F u S^F)", f_set))
                 continue
             rest = [x for x in nodes if x not in f_set]

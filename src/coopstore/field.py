@@ -238,7 +238,12 @@ class Field:
         return type(self) is type(other) and self.spec == other.spec
 
     def __hash__(self):
-        return hash(self.spec)
+        # kept: the kernels' table caches hash the field on every call
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.spec)
+            return self._hash
 
 
 class PrimeField(Field):

@@ -13,9 +13,15 @@ one int of w-byte lanes, one lane per column, column 0 most significant
 bytes.translate, the per-constant tables of Plank, Greenan and Miller
 (FAST 2013) that matrix.lincomb uses.  Which field takes which branch:
 
-- GF(p), p <= 16 (w = 1), _echelon_lanes: row + (p - v) * b, then the
-  mod-p table.  A lane holds at most (p - 1) + (p - 1)^2 <= 255 before
-  the translate, so nothing carries into the next lane.
+- GF(p), p <= 16 (w = 1), _echelon_lanes: row + (p - v) * b, with the
+  mod-p table's translate deferred while no lane can pass 255, the lazy
+  reduction matrix._lincomb_table makes too.  A reduced lane plus j row
+  operations holds at most (p - 1) + j(p - 1)^2, so a row is reduced
+  every 63 row operations at GF(3), 15 at GF(5), 6 at GF(7), 2 at GF(11)
+  and 1 at GF(13) (lane_tables), and once more before it joins the
+  basis; nothing carries into the next lane, and pivot coefficients are
+  read mod p.  The basis is bit for bit the one a translate after every
+  row operation gives (tests/helpers.echelon_lanes_oracle).
 - GF(2^m), m <= 8 (w = 1), _echelon_lanes: row XOR (b translated
   through the product table of v).
 - Towers (w = the field's nbytes), _echelon_tower: row XOR v * b, where
@@ -28,6 +34,9 @@ bytes.translate, the per-constant tables of Plank, Greenan and Miller
   (benchmarks/tower_lanes_ab.md), so it keeps its one translate.
 - GF(p), p > 16, and GF(2^m), m > 8, _echelon_generic: tuples of
   elements through the field's own sub/mul/inv.
+
+_echelon_lanes reads its tables from one lane_tables lookup per call, an
+lru_cache keyed by the field; a field computes its hash once and keeps it.
 
 The leading column and its value come from bit_length(); leading_in
 counts a basis's rows that lead in its first c columns, the rank of the
@@ -120,35 +129,49 @@ def leading_in(basis, ncols, c, field):
 
 
 def _echelon_lanes(basis, rows, ncols, field):
-    """echelon on byte-lane ints: GF(p), p <= 16, and GF(2^m), m <= 8."""
-    binary = field.kind == "binary"
+    """echelon on byte-lane ints: GF(p), p <= 16, and GF(2^m), m <= 8.
+
+    Over GF(p) a row's lanes are reduced mod p only every budget row
+    operations (see lane_tables) and once more before the row joins the
+    basis, so pivot coefficients are read mod p.  A GF(2^m) lane is always
+    below the field's order, so the same read leaves it as it is.
+    """
+    times, inverse, mod, budget = lane_tables(field)
     p = field.order
-    mod = None if binary else mod_table(p)
-    times = product_tables(field)
     from_bytes = int.from_bytes
     pivots = [(b.bit_length() - 1, b) for b in basis]  # (leading lane's shift, row)
     for row in rows:
+        left = budget  # row operations before row's lanes must be reduced
         for s, b in pivots:
-            v = (row >> s) & 255
+            v = ((row >> s) & 255) % p
             if v:
-                if binary:
+                if mod is None:
                     row ^= from_bytes(b.to_bytes(ncols, "big").translate(times[v]), "big")
                 else:
-                    row = from_bytes((row + (p - v) * b).to_bytes(ncols, "big").translate(mod), "big")
+                    row += (p - v) * b
+                    left -= 1
+                    if left:
+                        continue
+                    row = from_bytes(row.to_bytes(ncols, "big").translate(mod), "big")
+                    left = budget
                 if not row:
                     break
         else:
+            if left != budget:
+                row = from_bytes(row.to_bytes(ncols, "big").translate(mod), "big")
             if not row:
                 continue
             s = (row.bit_length() - 1) & ~7
             v = row >> s
             if v != 1:
-                row = from_bytes(row.to_bytes(ncols, "big").translate(times[field.inv(v)]), "big")
+                row = from_bytes(row.to_bytes(ncols, "big").translate(inverse[v]), "big")
             pivots.append((s, row))
             pivots.sort(reverse=True)
             if len(pivots) == ncols:
                 break
-    return tuple(b for _, b in pivots)
+    if len(pivots) == len(basis):
+        return basis
+    return tuple([b for _, b in pivots])
 
 
 def _echelon_tower(basis, rows, ncols, field):
@@ -277,6 +300,25 @@ def product_table(field, c):
 def product_tables(field):
     """product_table(field, c) for every element c, indexed by c."""
     return tuple(product_table(field, c) for c in range(field.order))
+
+
+@lru_cache(maxsize=None)
+def lane_tables(field):
+    """What _echelon_lanes reads for a field: (times, inverse, mod, budget).
+
+    times[c] and inverse[c] are the product tables of c and of 1/c
+    (inverse[0] is None).  mod is mod_table(p) over GF(p) and None over
+    GF(2^m), where lanes need no reduction.  Over GF(p) a row operation
+    adds at most (p - 1)^2 to a lane, so a lane reduced mod p holds at
+    most (p - 1) + budget * (p - 1)^2 <= 255 after budget more of them:
+    2 at GF(11), 6 at GF(7), 15 at GF(5), 63 at GF(3), 1 at GF(13).
+    """
+    times = product_tables(field)
+    inverse = (None,) + tuple(times[field.inv(c)] for c in range(1, field.order))
+    if field.kind == "binary":
+        return times, inverse, None, 0
+    p = field.order
+    return times, inverse, mod_table(p), (256 - p) // (p - 1) ** 2
 
 
 @lru_cache(maxsize=None)

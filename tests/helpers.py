@@ -78,6 +78,49 @@ def symbols_to_bytes_oracle(symbols, q, nbytes):
     return acc.to_bytes(nbytes, "little")
 
 
+def echelon_lanes_oracle(basis, rows, ncols, field, ops=None):
+    """kernels._echelon_lanes with one mod-p translate per row operation: the reference.
+
+    Over GF(p) every row operation row + (p - v) * b is reduced at once, so
+    a lane never holds more than (p - 1) + (p - 1)^2; over GF(2^m) a row
+    operation XORs in b translated through v's product table.  When ops
+    is a list, the number of row operations each row took is appended.
+    """
+    from coopstore.kernels import mod_table, product_tables
+
+    binary = field.kind == "binary"
+    p = field.order
+    mod = None if binary else mod_table(p)
+    times = product_tables(field)
+    from_bytes = int.from_bytes
+    pivots = [(b.bit_length() - 1, b) for b in basis]
+    for row in rows:
+        done = 0
+        for s, b in pivots:
+            v = (row >> s) & 255
+            if v:
+                done += 1
+                if binary:
+                    row ^= from_bytes(b.to_bytes(ncols, "big").translate(times[v]), "big")
+                else:
+                    row = from_bytes((row + (p - v) * b).to_bytes(ncols, "big").translate(mod), "big")
+                if not row:
+                    break
+        if ops is not None:
+            ops.append(done)
+        if not row:
+            continue
+        s = (row.bit_length() - 1) & ~7
+        v = row >> s
+        if v != 1:
+            row = from_bytes(row.to_bytes(ncols, "big").translate(times[field.inv(v)]), "big")
+        pivots.append((s, row))
+        pivots.sort(reverse=True)
+        if len(pivots) == ncols:
+            break
+    return tuple(b for _, b in pivots)
+
+
 class TowerOracle:
     """Digit-by-digit tower arithmetic: the reference for field.ExtensionField.
 
@@ -291,3 +334,6 @@ class FromScratchAnalysis:
 
     def finish(self, res):
         return res
+
+    def rank_union(self, first, second):
+        return self.rank(first | second)

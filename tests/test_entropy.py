@@ -175,6 +175,8 @@ class TestRowSpace:
             r, g = space.mask(rows), space.mask(given)
             assert set(space.rows(r)) == set(rows)
             joint = rank_rows(field, 5, rows + given)
+            # first, so that some unions miss with no part memoised
+            assert space.rank_union(r, g) == joint
             assert space.rank(r) == rank_rows(field, 5, rows)
             assert space.rank_given(r, g) == joint - rank_rows(field, 5, given)
             assert space.joint_rank(r, g) == joint
@@ -214,6 +216,33 @@ class TestRowSpace:
         assert space.rank_given(y, x) == 4 - 3
         assert (space.lookups, space.eliminations) == (5, 3)
         assert len(reduced) == 2
+
+
+    def test_union_joins_memoised_bases(self, monkeypatch):
+        space = RowSpace(GF3, 4)
+        x = space.mask([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])
+        y = space.mask([(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 2, 1)])
+        assert (space.rank(x), space.rank(y)) == (2, 2)
+        reduced = []
+        real = kernels.echelon
+
+        def recording(basis, rows, ncols, field):
+            reduced.append((len(basis), len(rows)))
+            return real(basis, rows, ncols, field)
+
+        monkeypatch.setattr(kernels, "echelon", recording)
+        # both bases are memoised and equally long: x's is extended by
+        # y's two basis rows, not by y's four rows
+        assert space.rank_union(x, y) == 4
+        assert reduced == [(2, 2)]
+        assert (space.lookups, space.eliminations) == (3, 3)
+        # the union is memoised: rank_given finds both sets' bases
+        assert space.rank_given(x, y) == 4 - 2
+        assert (space.lookups, space.eliminations) == (5, 3)
+        # a part whose basis is not memoised adds its rows outside the other
+        z = space.mask([(0, 1, 0, 0), (1, 0, 1, 0)])
+        assert space.rank_union(x, z) == 3
+        assert reduced == [(2, 2), (2, 1)]
 
 
 def obs_strategy(field, b):

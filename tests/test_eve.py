@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -449,6 +450,72 @@ class TestAnalysisContext:
             "rows_built": 2097,
             "rows_unique": 75,
         }
+
+
+class MisreportedRank(FromScratchAnalysis):
+    """The from-scratch reference, but one row set's rank reads one too high."""
+
+    target = frozenset()
+
+    def rank(self, rows):
+        return super().rank(rows) + (rows == self.target)
+
+
+class TestChainOrder:
+    """A witness is the first chain, in _subset_chains order, that fails.
+
+    Every test code passes group_volume and member_volume, so nothing else
+    pins which chain their witness names.  Here the rank of one row set,
+    S_{A u B}^C or S_{A' u B'}^i with Z_{C'}^i, is misreported, and the
+    witness must be the first chain whose first check ranks that set.
+    Several chains name one set (any split of the same helpers); the set
+    misreported is one that a chain past the middle of the walk names
+    again, so its witness comes earlier than that chain.
+    """
+
+    @staticmethod
+    def _chains(code, lemma):
+        """The lemma's chains in walk order, each with the row set its first check ranks."""
+        p = code.params
+        ref = FromScratchAnalysis(code)
+        nodes = list(range(1, p.n + 1))
+        rng = None if p.n <= eve.EXHAUSTIVE_NODE_LIMIT else random.Random(0)
+        group = list(eve._subset_chains(nodes, (p.t, p.k - p.t, p.d - p.k + p.t), rng, eve.SAMPLE_DRAWS))
+        if lemma == "group_volume":
+            return [
+                (chain, ref.blocks("S", chain[1] + chain[2], chain[0], chain[0])) for chain in group
+            ]
+        # member_volume draws after group_volume, from the same generator
+        sizes = (1, p.t - 1, p.k - 1, p.d - p.k + 1)
+        out = []
+        for i_set, c_prime, a_prime, b_prime in eve._subset_chains(nodes, sizes, rng, eve.SAMPLE_DRAWS):
+            target = tuple(sorted(i_set + c_prime))
+            rows = ref.blocks("S", a_prime + b_prime, i_set, target) | ref.blocks("Z", c_prime, i_set, target)
+            out.append(((i_set[0], c_prime, a_prime, b_prime), rows))
+        return out
+
+    @pytest.mark.parametrize("lemma", ["group_volume", "member_volume"])
+    @pytest.mark.parametrize("make", [n8, n11], ids=["exhaustive", "sampled"])
+    def test_witness_is_first_chain_naming_the_set(self, make, lemma, monkeypatch):
+        code = make()
+        chains = self._chains(code, lemma)
+        # the first set that a chain past the middle of the walk names again
+        seen = set()
+        for index, (_, rows) in enumerate(chains):
+            if index > len(chains) // 2 and rows in seen:
+                target = rows
+                break
+            seen.add(rows)
+        first = next(chain for chain, rows in chains if rows == target)
+        message = {
+            "group_volume": "H(S_{A u B}^C) != dt*beta",
+            "member_volume": "H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta",
+        }[lemma]
+        monkeypatch.setattr(MisreportedRank, "target", target)
+        monkeypatch.setattr(eve, "_AnalysisContext", MisreportedRank)
+        check = lemma_suite(code).checks[lemma]
+        assert not check.passed
+        assert check.witness == (message,) + first
 
 
 class TestSampledLemmaSuite:

@@ -12,7 +12,7 @@ from coopstore.errors import ReduciblePolynomial
 from coopstore.field import PUBLISHED_TOWERS, ExtensionField, binary_field, prime_field
 from coopstore.matrix import Mat
 
-from helpers import det_oracle
+from helpers import det_oracle, echelon_lanes_oracle
 
 
 def _random_rows(rng, field, nrows, ncols):
@@ -153,6 +153,73 @@ def test_tower_lanes_equal_generic_basis(name):
         assert tuple(kernels.unpack(field, b, ncols) for b in base) == generic
         generic = kernels._echelon_generic(generic, rows, ncols, field)
         assert tuple(kernels.unpack(field, b, ncols) for b in grown) == generic
+
+
+LANE_FIELDS = {
+    "GF(2)": lambda: prime_field(2),
+    "GF(3)": lambda: prime_field(3),
+    "GF(5)": lambda: prime_field(5),
+    "GF(7)": lambda: prime_field(7),
+    "GF(11)": lambda: prime_field(11),
+    "GF(13)": lambda: prime_field(13),
+    "GF(16)": lambda: binary_field(4),
+    "GF(256)": lambda: binary_field(8),
+}
+
+
+def _combination(rng, field, rows, coefs=None):
+    """sum_i c_i * rows[i], with coefs or random nonzero c_i."""
+    add, mul = field.add, field.mul
+    out = (0,) * len(rows[0])
+    for i, row in enumerate(rows):
+        c = coefs[i] if coefs else rng.randrange(1, field.order)
+        out = tuple(add(x, mul(c, y)) for x, y in zip(out, row))
+    return out
+
+
+@pytest.mark.parametrize("name", list(LANE_FIELDS))
+def test_lanes_equal_one_reduction_per_operation(name):
+    # Over GF(p) the lane loop reduces a row mod p only every budget row
+    # operations, the most a byte lane holds: (p - 1) + budget * (p - 1)^2
+    # <= 255.  Its basis must be the reference's, which reduces after every
+    # operation, bit for bit.  The starting basis leads with a unit in each
+    # of its first budget + 3 columns, so a row with those lanes nonzero
+    # takes budget + 3 row operations and crosses the budget.
+    field = LANE_FIELDS[name]()
+    q = field.order
+    budget = (256 - q) // (q - 1) ** 2 if field.kind == "prime" else 4
+    units, tail = budget + 3, 5
+    ncols = units + tail
+    rng = random.Random("lanes " + name)
+    ops = []
+    for tails in ("full", "random"):
+        # "full" tails hold q - 1 in every basis row, so with the row below
+        # (coefficient q - 1 at every pivot) each operation adds the most
+        # a lane can take
+        start_rows = [
+            tuple(int(c == i) for c in range(units))
+            + tuple(q - 1 if tails == "full" else rng.randrange(q) for _ in range(tail))
+            for i in range(units)
+        ]
+        start = echelon_lanes_oracle((), [kernels.pack(field, r) for r in start_rows], ncols, field)
+        assert len(start) == units
+        rows = [(1,) * units + (q - 1,) * tail]
+        # rows that zero out at the budget-th and the twice-budget-th
+        # operation, where the lane loop reduces them
+        rows.append(_combination(rng, field, start_rows[:budget]))
+        rows.append(_combination(rng, field, start_rows[: 2 * budget], [1] * (2 * budget)))
+        rows += _random_rows(rng, field, 12, ncols)
+        # dependent on the starting basis and on the rows before
+        for _ in range(6):
+            rows.append(_combination(rng, field, rng.sample(start_rows + rows, 3)))
+        rows += [tuple(rng.randrange(q) for _ in range(ncols)) for _ in range(8)]
+        packed = [kernels.pack(field, r) for r in rows]
+        expect = echelon_lanes_oracle(start, packed, ncols, field, ops)
+        assert kernels.echelon(start, packed, ncols, field) == expect
+        expect = echelon_lanes_oracle((), packed, ncols, field, ops)
+        assert kernels.echelon((), packed, ncols, field) == expect
+        assert len(expect) < len(packed)
+    assert max(ops) > budget
 
 
 @pytest.mark.parametrize("name", list(ECHELON_FIELDS))
