@@ -11,11 +11,11 @@ basis grown from nothing, or from a kept basis.  On a lane field a row is
 one int of w-byte lanes, one lane per column, column 0 most significant
 (pack), and a row operation is whole-row integer arithmetic plus
 bytes.translate, the per-constant tables of Plank, Greenan and Miller
-(FAST 2013) that matrix.lincomb uses.  Which field takes which branch:
+(FAST 2013) that matrix.lincombs uses.  Which field takes which branch:
 
 - GF(p), p <= 16 (w = 1), _echelon_lanes: row + (p - v) * b, with the
   mod-p table's translate deferred while no lane can pass 255, the lazy
-  reduction matrix._lincomb_table makes too.  A reduced lane plus j row
+  reduction matrix._lincombs_table makes too.  A reduced lane plus j row
   operations holds at most (p - 1) + j(p - 1)^2, so a row is reduced
   every 63 row operations at GF(3), 15 at GF(5), 6 at GF(7), 2 at GF(11)
   and 1 at GF(13) (lane_tables), and once more before it joins the

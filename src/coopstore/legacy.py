@@ -36,7 +36,7 @@ from .errors import (
     SingularLeakageMatrix,
 )
 from .eve import EveModel, download_label, leakage_observations, repair_download_rows
-from .matrix import Mat, dot, lincomb
+from .matrix import Mat, dot, lincombs
 from .stable import CodeParams, StableDeployment, repair_context
 from .stable import _interleave, _stream_size
 
@@ -319,15 +319,18 @@ class CodeB(StableDeployment):
         _stream_size(payloads, ctx.helpers, p.t)
         gsub = self.G.submatrix(range(p.k), [h - 1 for h in ctx.helpers])
         inv = gsub.transpose().inverse()
-        rows = []  # rows[i]: the k streams of row i of M, solved by group member i
+        inv_rows = [inv.row(r) for r in range(p.k)]
+        g_rows = [self._g_cols[fj - 1] for fj in ctx.group]
+        packets = {fj: [] for fj in ctx.group}  # fj -> its regenerated packet streams
         for fj in ctx.group:
+            # group member fj solves for the k streams of row idx of M ...
             idx = self.packet_index(fj, ctx.group)
             received = [payloads[lam][idx :: p.t] for lam in ctx.helpers]
-            rows.append([lincomb(f, inv.row(r), received) for r in range(p.k)])
-        return {
-            fj: _interleave([lincomb(f, self._g_cols[fj - 1], row) for row in rows])
-            for fj in ctx.group
-        }
+            row = list(lincombs(f, inv_rows, received))
+            # ... which give packet idx of every node in the group
+            for fi, stream in zip(ctx.group, lincombs(f, g_rows, row)):
+                packets[fi].append(stream)
+        return {fj: _interleave(streams) for fj, streams in packets.items()}
 
     # --- transfer primitives: the packet sent follows the group's serial order ---
 

@@ -3,7 +3,10 @@
 A Mat is immutable: (field, nrows, ncols, flat row-major tuple of canonical
 int elements).  Rank, inverse and solving go through the kernel layer
 (``kernels``), whose one row reduction is ``kernels.echelon``; the
-products mul and mul_vec are ``dot`` over rows and columns.  The
+products mul and mul_vec are ``dot`` over rows and columns.  lincombs is
+the data path's one kernel: several linear combinations of the same symbol
+streams per call, on integer byte lanes when the streams are bytes over
+GF(2^m), m <= 8, or GF(p), p < 128; lincomb is its one-row case.  The
 structured constructors build the code-generator matrices: Vandermonde,
 systematic-plus-Cauchy (every square submatrix of which is invertible),
 and Moore matrices of Frobenius powers.
@@ -166,22 +169,38 @@ def dot(field, u, v):
 
 
 def lincomb(field, coeffs, streams):
-    """Elementwise sum_i coeffs[i] * streams[i] over equal-length symbol streams.
+    """Elementwise sum_i coeffs[i] * streams[i]: lincombs of one row."""
+    return next(lincombs(field, [coeffs], streams))
 
-    The batched data path's one kernel: a whole stream of generations per
-    call.  Streams are int lists, or bytes / bytearrays when the field has
-    at most 256 elements; the result has the type of its input.  Bytes
-    streams over GF(2^m), m <= 8, and GF(p), p < 128, run through product
-    tables (see lincomb_branch); every other case runs the int-list
-    comprehension, which stays the reference.
+
+def lincombs(field, rows, streams):
+    """Each row's elementwise sum_i row[i] * streams[i], yielded in row order.
+
+    The batched data path's one kernel: every output over the same equal-
+    length source streams, a whole stream of generations each, from one
+    call, which yields each output as it is made so that the caller can
+    place it before the next is built.  Streams are int lists, or bytes /
+    bytearrays of field elements when the field has at most 256 elements;
+    an output is a list for int lists and bytes for bytes or bytearrays.
+    Bytes streams over GF(2^m), m <= 8, and GF(p), p < 128,
+    run on integer byte lanes (_lincombs_table, lincomb_branch); every
+    other case runs the int-list comprehension, which stays the
+    reference.  Streams of unequal length, or a row whose length is not
+    the stream count, raise DimensionMismatch before anything is yielded.
     """
-    terms = [(c, s) for c, s in zip(coeffs, streams) if c]
-    length = len(streams[0]) if streams else 0
+    rows = [tuple(row) for row in rows]
+    lengths = {len(s) for s in streams}
+    if len(lengths) > 1:
+        raise DimensionMismatch(f"stream lengths {sorted(lengths)} differ")
+    for row in rows:
+        if len(row) != len(streams):
+            raise DimensionMismatch(f"a row of {len(row)} coefficients for {len(streams)} streams")
+    length = lengths.pop() if lengths else 0
     if streams and isinstance(streams[0], (bytes, bytearray)) and field.order <= 256:
         if lincomb_branch(field) == "bytes-table":
-            return _lincomb_table(field, terms, length)
-        return bytes(_lincomb_list(field, terms, length))
-    return _lincomb_list(field, terms, length)
+            return _lincombs_table(field, rows, streams, length)
+        return (bytes(_lincomb_list(field, _terms(row, streams), length)) for row in rows)
+    return (_lincomb_list(field, _terms(row, streams), length) for row in rows)
 
 
 def lincomb_branch(field) -> str:
@@ -193,6 +212,10 @@ def lincomb_branch(field) -> str:
     if (field.kind == "binary" and field.order <= 256) or (field.kind == "prime" and field.order < 128):
         return "bytes-table"
     return "int-list"
+
+
+def _terms(row, streams):
+    return [(c, s) for c, s in zip(row, streams) if c]
 
 
 def _lincomb_list(field, terms, length):
@@ -215,36 +238,78 @@ def _lincomb_list(field, terms, length):
     return acc
 
 
-def _lincomb_table(field, terms, length):
-    """Bytes lincomb: one translate per term, one big-int sum over all of them.
+def _lincombs_table(field, rows, streams, length):
+    """Bytes lincombs on integer byte lanes, each source read as an int at most once.
 
-    Each term c * stream is stream.translate(product table of c), the
-    region-multiply-by-constant table of Plank, Greenan and Miller (FAST
-    2013).  The products are added as the ints int.from_bytes gives: by XOR
-    in GF(2^m); in GF(p) by integer addition, which cannot carry from one
-    byte to the next while the bytes' bound stays at most 255, with one
-    translate through the mod-p table whenever the next term would pass it.
+    A source stream is read as one int (int.from_bytes, little-endian,
+    one lane per symbol) the first time a term needs it as it stands, and
+    that int serves every later row.  A term is then:
+    - GF(2^m): that int when c = 1; otherwise the stream translated
+      through the product table of c, the region-multiply-by-constant
+      table of Plank, Greenan and Miller (FAST 2013).  Terms are summed by
+      XOR.
+    - GF(p): c times that int when (c + 1)(p - 1) <= 255; otherwise the
+      stream translated through the product table of c.  Terms are summed
+      by integer addition, which cannot carry from one lane into the next
+      while the running lane bound stays at most 255.  A term adds
+      c(p - 1), or p - 1 for a table term, to that bound; before a term
+      would take it past 255, the sum is translated through the mod-p
+      table, which leaves each lane at most p - 1, and the condition above
+      keeps that reduced lane plus the term at most 255.  Each output then
+      takes one final translate through the mod-p table.
+    A row with one nonzero coefficient is its stream (c = 1) or one
+    translate, and a zero row is zero bytes.  Lanes must hold field
+    elements: shard payloads are checked for that on load.
     """
-    if not terms:
-        return bytes(length)
-    if len(terms) == 1:
-        c, s = terms[0]
-        return s.translate(kernels.product_table(field, c))
-    if field.kind == "binary":
-        acc = 0
-        for c, s in terms:
-            acc ^= int.from_bytes(s.translate(kernels.product_table(field, c)), "little")
-        return acc.to_bytes(length, "little")
-    top = field.order - 1
-    mod = kernels.mod_table(field.order)
-    acc = bound = 0
-    for c, s in terms:
-        if bound + top > 255:
-            acc = int.from_bytes(acc.to_bytes(length, "little").translate(mod), "little")
-            bound = top
-        acc += int.from_bytes(s.translate(kernels.product_table(field, c)), "little")
-        bound += top
-    return acc.to_bytes(length, "little").translate(mod)
+    times = kernels.product_table
+    from_bytes = int.from_bytes
+    ints = {}
+
+    def as_int(i):
+        x = ints.get(i)
+        if x is None:
+            x = ints[i] = from_bytes(streams[i], "little")
+        return x
+
+    binary = field.kind == "binary"
+    if not binary:
+        top = field.order - 1
+        fits = 255 // top - 1  # the largest c with (c + 1) * top <= 255
+        mod = kernels.mod_table(field.order)
+    for row in rows:
+        terms = [(c, i) for i, c in enumerate(row) if c]
+        if len(terms) <= 1:
+            if not terms:
+                yield bytes(length)
+            else:
+                c, i = terms[0]
+                yield bytes(streams[i] if c == 1 else streams[i].translate(times(field, c)))
+            continue
+        if binary:
+            acc = 0
+            for c, i in terms:
+                if c == 1:
+                    acc ^= as_int(i)
+                else:
+                    acc ^= from_bytes(streams[i].translate(times(field, c)), "little")
+            yield acc.to_bytes(length, "little")
+            continue
+        acc = bound = 0
+        for c, i in terms:
+            step = c * top if c <= fits else top
+            if bound + step > 255:
+                acc = from_bytes(acc.to_bytes(length, "little").translate(mod), "little")
+                bound = top
+            bound += step
+            # each sum is made as it is added, so a row holds at most three
+            # stream-sized ints at once
+            if c == 1:
+                acc += as_int(i)
+            elif c <= fits:
+                acc += c * as_int(i)
+            else:
+                acc += from_bytes(streams[i].translate(times(field, c)), "little")
+        yield acc.to_bytes(length, "little").translate(mod)
 
 
 def vandermonde(field, points, k: int) -> Mat:

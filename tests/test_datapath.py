@@ -2,7 +2,7 @@
 
 Encode, every k-subset decode and every (group, helpers) repair at S1 run
 both ways on random files and must agree symbol for symbol; bytes-stream
-lincomb must agree with the int-list branch, and lane striping with the
+lincombs must agree with the int-list branch, and lane striping with the
 one-big-integer reference; and the shard files of a fixed input keep the
 digests the earlier CLI produced.
 """
@@ -23,7 +23,8 @@ from coopstore.errors import (
     TooFewShards,
 )
 from coopstore.field import PUBLISHED_TOWERS, ExtensionField, binary_field, prime_field
-from coopstore.matrix import Mat, dot, lincomb, lincomb_branch
+from coopstore import stable
+from coopstore.matrix import Mat, _lincomb_list, dot, lincomb, lincomb_branch, lincombs
 from coopstore.stable import (
     CodeParams,
     RepairContext,
@@ -108,7 +109,12 @@ class TestLincomb:
 BYTES_FIELDS = {
     "gf2": prime_field(2),
     "gf3": prime_field(3),
+    "gf5": prime_field(5),
+    "gf7": prime_field(7),
     "gf11": prime_field(11),
+    "gf13": prime_field(13),
+    "gf17": prime_field(17),
+    "gf31": prime_field(31),
     "gf127": prime_field(127),
     "gf131": prime_field(131),
     "gf2^4": binary_field(4),
@@ -150,7 +156,8 @@ class TestBytesLincomb:
 
 
 def test_gf11_sum_past_the_reduction_point():
-    """30 terms at their largest: the byte bound passes 255 after 25 of them."""
+    """30 terms at their largest: each adds 100 to the lane bound, so the row
+    is reduced mod 11 before every second term from the third on."""
     field = prime_field(11)
     rng = random.Random(30)
     top = [10] * 64
@@ -163,6 +170,130 @@ def test_gf11_sum_past_the_reduction_point():
     ):
         want = lincomb(field, coeffs, streams)
         assert list(lincomb(field, coeffs, [bytes(x) for x in streams])) == want
+
+
+LANE_FIELDS = {name: f for name, f in BYTES_FIELDS.items() if lincomb_branch(f) == "bytes-table"}
+
+
+def lincomb_reference(field, row, streams):
+    """One output of lincombs by the int-list branch."""
+    terms = [(c, list(s)) for c, s in zip(row, streams) if c]
+    return _lincomb_list(field, terms, len(streams[0]) if streams else 0)
+
+
+@pytest.mark.parametrize("name", sorted(LANE_FIELDS))
+class TestLincombs:
+    """Several rows per call on integer byte lanes, against the int-list branch."""
+
+    def test_every_coefficient_in_every_position(self, name):
+        field = LANE_FIELDS[name]
+        rng = random.Random(name)
+        q = field.order
+        for width in (2, 3, 5):
+            streams = [[rng.randrange(q) for _ in range(97)] for _ in range(width)]
+            # the top lane of every stream, where a lane bound that is too
+            # loose carries into the next symbol
+            for s in streams:
+                s[5] = q - 1
+            for pos in range(width):
+                rows = []
+                for c in range(q):
+                    row = [rng.randrange(q) for _ in range(width)]
+                    row[pos] = c
+                    rows.append(row)
+                # unit rows, zero rows and rows of one coefficient ride along
+                rows += [[0] * width, [1 if j == pos else 0 for j in range(width)]]
+                rows += [[q - 1 if j == pos else 0 for j in range(width)], [q - 1] * width]
+                for kind in (bytes, bytearray):
+                    given = [kind(s) for s in streams]
+                    got = list(lincombs(field, rows, given))
+                    assert given == [kind(s) for s in streams]  # inputs unchanged
+                    assert len(got) == len(rows)
+                    for row, out in zip(rows, got):
+                        assert type(out) is bytes, (row, kind)
+                        assert list(out) == lincomb_reference(field, row, streams), row
+
+    def test_random_rows_and_lengths(self, name):
+        field = LANE_FIELDS[name]
+        rng = random.Random(name + "rows")
+        q = field.order
+        for length in (0, 1, 2, 31, 300):
+            for width in (1, 2, 4, 9):
+                streams = [[rng.randrange(q) for _ in range(length)] for _ in range(width)]
+                rows = [[rng.randrange(q) for _ in range(width)] for _ in range(6)]
+                got = list(lincombs(field, rows, [bytes(s) for s in streams]))
+                assert [list(out) for out in got] == [
+                    lincomb_reference(field, row, streams) for row in rows
+                ]
+                assert lincomb(field, rows[0], [bytearray(s) for s in streams]) == got[0]
+
+    def test_unit_row_is_its_stream(self, name):
+        field = LANE_FIELDS[name]
+        source = bytes(range(field.order))
+        buffer = bytearray(source)
+        out = list(lincombs(field, [(1, 0), (0, 1)], [source, buffer]))
+        assert out[0] is source
+        assert out[1] == source and type(out[1]) is bytes
+        buffer[0] = 1
+        assert out[1] == source  # a bytearray's unit row is a copy
+
+
+def test_gf17_lane_bound_counts_the_reduced_lane():
+    """(c + 1)(p - 1) <= 255 decides an int term, not c(p - 1) <= 255.
+
+    15 * 0 + 4 * 4 + 15 * 16 = 256 = 1 mod 17.  After 4 * 4 the lane is
+    reduced to 16, and 15 * 16 more would make 256: it carries into the
+    next symbol, which then reads 1 where this one reads 0.
+    """
+    field = prime_field(17)
+    streams = [b"\0\0\0", b"\4\0\0", b"\x10\0\0"]
+    assert lincomb(field, [15, 4, 15], streams) == b"\1\0\0"
+    assert lincomb(field, [15, 4, 15], [b"\0", b"\4", b"\x10"]) == b"\1"
+    rows = [[15, 4, 15], [4, 15, 15], [16, 16, 16]]
+    assert list(lincombs(field, rows, streams)) == [b"\1\0\0", b"\x0b\0\0", b"\x0e\0\0"]
+
+
+class TestUnequalStreams:
+    """Streams of unequal length are refused by every branch."""
+
+    @pytest.mark.parametrize(
+        "field, kind",
+        [
+            (prime_field(11), list),  # int-list
+            (prime_field(11), bytes),  # bytes-table, integer lanes
+            (binary_field(8), bytes),  # bytes-table, XOR
+            (prime_field(131), bytes),  # int-list over bytes streams
+            (prime_field(17), bytearray),
+        ],
+        ids=["gf11-list", "gf11-bytes", "gf2^8-bytes", "gf131-bytes", "gf17-bytearray"],
+    )
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0), (0, 1)])
+    def test_refused(self, field, kind, lengths):
+        streams = [kind([1] * n) for n in lengths]
+        coeffs = [2] * len(lengths)
+        with pytest.raises(DimensionMismatch, match="stream lengths"):
+            lincomb(field, coeffs, streams)
+        with pytest.raises(DimensionMismatch, match="stream lengths"):
+            lincombs(field, [coeffs, [1] + [0] * (len(lengths) - 1)], streams)
+
+    def test_row_of_the_wrong_width(self, gf11):
+        with pytest.raises(DimensionMismatch, match="a row of 1 coefficients for 2 streams"):
+            lincombs(gf11, [[1, 2], [3]], [b"\1", b"\2"])
+
+
+class TestChunks:
+    """Batches that span several chunks equal the same batch in one chunk."""
+
+    @pytest.mark.parametrize("q", [11, 256])
+    def test_encode_and_decode_across_chunks(self, q, monkeypatch):
+        code = s1_code(q)
+        symbols = random_symbols(code, 700, q)  # 118 generations at GF(11)
+        whole = code.encode_batch(symbols)
+        decoded = code.reconstruct_batch({j: whole[j] for j in (2, 4, 6)})
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(stable, "CHUNK_GENERATIONS", chunk)
+            assert code.encode_batch(symbols) == whole, chunk
+            assert code.reconstruct_batch({j: whole[j] for j in (2, 4, 6)}) == decoded == symbols
 
 
 class TestStriping:
@@ -218,7 +349,7 @@ class TestStriping:
             symbols_to_bytes(bytes(8), q, 3)
 
 
-@pytest.mark.parametrize("q", [11, 16, 131, 256, 257])
+@pytest.mark.parametrize("q", [11, 16, 17, 131, 256, 257])
 class TestAgainstPerGeneration:
     def test_encode(self, q):
         code = s1_code(q)
@@ -302,7 +433,9 @@ class TestBatchErrors:
 # sha256 of node_001..node_006.shard for the 500-byte input below: p=11 and
 # m=4 written by the per-generation encode path before the batched one
 # replaced it; m=8 and p=131 by the list-stream batched path before bytes
-# streams replaced it
+# streams replaced it; p=17, where integer-lane and product-table terms
+# meet in one row, by one translate per term before integer lanes
+# replaced it
 PINNED = {
     "p=11": (
         "97b196f697081d44daf5cd13fee56c9481f632f074e7e08d46c8e6e0f1cc135e",
@@ -327,6 +460,14 @@ PINNED = {
         "a0748f27edd51c67378e7acb1de1373c161684c7fecf9a0ad9184b7688135ba7",
         "ab39134e23c9d062e9fc1f5760c78058699cf3fcfcc78a616f1ea9b81d0f29a1",
         "3c938f5b9c2599e6fb1763c9323e0d889e2e08e135fc6a22c4b59cf5a7a1b966",
+    ),
+    "p=17": (
+        "1500ef76940a6c0b0edcc6e556966dfca2496dfea3a2c35c6e140163d980189a",
+        "32f56abc3105d0327936a432a849cd143c0de0ec359ea853a6fd6109246fb2ca",
+        "0231d99338af8a7a8f97c4c58f894502758de4ec0f74e6b24775ab1a323984ae",
+        "bd479c6105e6dea36660d7c45aa6d0df02c030e1bb91a9415b459ab5c91679b0",
+        "3226cd8491f34f2484a53c0b3325aecc08c86a1ba0087ec5083c29942339214e",
+        "7ba06e5d7bc8570e57c3d66e8eedfd380a69a1fe314fdf6d9a88e02ebf1af487",
     ),
     "p=131": (
         "8004aa0c1765a4022fdc252a4f903995d048e860ea93a610fa788f50b0e414fe",
