@@ -20,7 +20,6 @@ import os
 import stat
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -137,7 +136,8 @@ def _make_code(config):
 
 
 def _echo_config(config, field, params) -> dict:
-    return {**config, "field": {"kind": field.kind, "order": field.order}, "params": asdict(params)}
+    field_echo = {"kind": field.kind, "order": field.order}
+    return {**config, "field": field_echo, "params": params._asdict()}
 
 
 # ---------------------------------------------------------------------------

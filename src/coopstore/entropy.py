@@ -19,36 +19,44 @@ is integer-valued in that unit; multiply by log2(q) for bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
 from . import kernels
 from .errors import DimensionMismatch, InstanceTooLarge
+from .record import Record
 
 BRUTE_FORCE_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """Labeled linear functionals of one uniform message vector.
+class ObservationSet(Record):
+    """Labeled linear functionals of one uniform message vector; frozen.
 
     rows are flat tuples of length message_len over the field; labels track
-    provenance (which node/transfer produced each observed symbol).
+    provenance (which node/transfer produced each observed symbol).  Not a
+    tuple: its len() is its row count.
     """
 
-    field: object
-    message_len: int
-    rows: tuple = ()
-    labels: tuple = ()
+    __slots__ = ("field", "message_len", "rows", "labels")
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.labels):
+    def __init__(self, field, message_len: int, rows: tuple = (), labels: tuple = ()):
+        if len(rows) != len(labels):
             raise DimensionMismatch("one label per row required")
-        for r in self.rows:
-            if len(r) != self.message_len:
+        for r in rows:
+            if len(r) != message_len:
                 raise DimensionMismatch("row length != message length")
+        for name, value in zip(self.__slots__, (field, message_len, rows, labels)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._astuple())
 
     def __len__(self):
         return len(self.rows)

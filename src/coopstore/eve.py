@@ -29,7 +29,7 @@ RowSpace, one mask per node in it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
@@ -37,23 +37,27 @@ from operator import or_
 # entropy_symbols is unused here, but perfbench's tracer rebinds it in eve by name
 from .entropy import ObservationSet, RowSpace, entropy_symbols, observations  # noqa: F401
 from .errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
+from .record import Record
 
 # Closed-form capacity is not claimed for these parameters.
 NOT_COVERED = "not-covered"
 
 
-@dataclass(frozen=True)
-class EveModel:
-    """E: nodes with contents read; F: nodes with repair downloads read."""
+class EveModel(namedtuple("EveModel", "E F")):
+    """E: nodes with contents read; F: nodes with repair downloads read; each sorted."""
 
-    E: tuple = ()
-    F: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "E", tuple(sorted(self.E)))
-        object.__setattr__(self, "F", tuple(sorted(self.F)))
-        if set(self.E) & set(self.F):
+    def __new__(cls, E=(), F=()):
+        E, F = tuple(sorted(E)), tuple(sorted(F))
+        if set(E) & set(F):
             raise InvalidEveModel("E and F must be disjoint")
+        return super().__new__(cls, E, F)
+
+    @classmethod
+    def _make(cls, iterable):
+        """As namedtuple's _make, but through __new__: _replace sorts and checks too."""
+        return cls(*iterable)
 
     @property
     def l1(self):
@@ -223,12 +227,16 @@ def bandwidth_comparison(n, k, d, t, B):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LemmaCheck:
-    name: str
-    checked: int = 0
-    passed: bool = True
-    witness: object = None
+class LemmaCheck(Record):
+    """One lemma's tally: cases checked, whether all passed, the first failure's witness."""
+
+    __slots__ = ("name", "checked", "passed", "witness")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.passed = True
+        self.witness = None
 
     def fail(self, witness):
         if self.passed:
@@ -236,13 +244,17 @@ class LemmaCheck:
             self.witness = witness
 
 
-@dataclass
-class LemmaResults:
-    checks: dict = dc_field(default_factory=dict)
-    rank_lookups: int = 0  # row sets whose rank the call asked for
-    rank_eliminations: int = 0  # of those, the ones eliminated
-    rows_built: int = 0  # row keys the call fetched from the code
-    rows_unique: int = 0  # distinct rows among everything it ranked
+class LemmaResults(Record):
+    """A lemma suite's checks by name, and its rank and row counters."""
+
+    __slots__ = ("checks", "rank_lookups", "rank_eliminations", "rows_built", "rows_unique")
+
+    def __init__(self):
+        self.checks = {}
+        self.rank_lookups = 0  # row sets whose rank the call asked for
+        self.rank_eliminations = 0  # of those, the ones eliminated
+        self.rows_built = 0  # row keys the call fetched from the code
+        self.rows_unique = 0  # distinct rows among everything it ranked
 
     def get(self, name) -> LemmaCheck:
         return self.checks.setdefault(name, LemmaCheck(name))
@@ -525,14 +537,10 @@ def lemma_suite(code, seed=0) -> LemmaResults:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CapacityCell:
-    l1: int
-    l2: int
-    E: tuple
-    F: tuple
-    measured: int
-    predicted: object
+class CapacityCell(namedtuple("CapacityCell", "l1 l2 E F measured predicted")):
+    """One placement's measured secrecy capacity beside the predicted one (or NOT_COVERED)."""
+
+    __slots__ = ()
 
     @property
     def matches(self):

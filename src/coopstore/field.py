@@ -39,7 +39,7 @@ keeps it for the life of the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -152,23 +152,22 @@ def is_irreducible_gf2(poly: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(
+    namedtuple(
+        "FieldSpec",
+        "kind p m poly base degree reduction",
+        defaults=(0, 0, 0, None, 0, ()),
+    )
+):
     """Declarative description of a field: prime GF(p), binary GF(2^m) or a tower.
 
-    A tower spec names its base's spec, its degree and its reduction
-    polynomial (low degree first); FieldSpec.tower resolves that polynomial
-    from PUBLISHED_TOWERS, so equal towers have equal specs and
-    field_create builds each once.
+    kind is "prime", "binary" or "tower".  A tower spec names its base's
+    spec, its degree and its reduction polynomial (low degree first);
+    FieldSpec.tower resolves that polynomial from PUBLISHED_TOWERS, so equal
+    towers have equal specs and field_create builds each once.
     """
 
-    kind: str  # "prime" | "binary" | "tower"
-    p: int = 0
-    m: int = 0
-    poly: int = 0
-    base: "FieldSpec | None" = None
-    degree: int = 0
-    reduction: tuple[int, ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":

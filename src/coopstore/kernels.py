@@ -37,6 +37,8 @@ bytes.translate, the per-constant tables of Plank, Greenan and Miller
 
 _echelon_lanes reads its tables from one lane_tables lookup per call, an
 lru_cache keyed by the field; a field computes its hash once and keeps it.
+A coefficient's product table is built the first time a row operation or
+a pivot needs it, so a GF(2^8) inverse builds a few tables, not all 256.
 
 The leading column and its value come from bit_length(); leading_in
 counts a basis's rows that lead in its first c columns, the rank of the
@@ -146,7 +148,9 @@ def _echelon_lanes(basis, rows, ncols, field):
             v = ((row >> s) & 255) % p
             if v:
                 if mod is None:
-                    row ^= from_bytes(b.to_bytes(ncols, "big").translate(times[v]), "big")
+                    row ^= from_bytes(
+                        b.to_bytes(ncols, "big").translate(times[v] or lane_table(field, v)), "big"
+                    )
                 else:
                     row += (p - v) * b
                     left -= 1
@@ -164,7 +168,10 @@ def _echelon_lanes(basis, rows, ncols, field):
             s = (row.bit_length() - 1) & ~7
             v = row >> s
             if v != 1:
-                row = from_bytes(row.to_bytes(ncols, "big").translate(inverse[v]), "big")
+                row = from_bytes(
+                    row.to_bytes(ncols, "big").translate(inverse[v] or lane_table(field, v, True)),
+                    "big",
+                )
             pivots.append((s, row))
             pivots.sort(reverse=True)
             if len(pivots) == ncols:
@@ -297,28 +304,37 @@ def product_table(field, c):
 
 
 @lru_cache(maxsize=None)
-def product_tables(field):
-    """product_table(field, c) for every element c, indexed by c."""
-    return tuple(product_table(field, c) for c in range(field.order))
-
-
-@lru_cache(maxsize=None)
 def lane_tables(field):
     """What _echelon_lanes reads for a field: (times, inverse, mod, budget).
 
-    times[c] and inverse[c] are the product tables of c and of 1/c
-    (inverse[0] is None).  mod is mod_table(p) over GF(p) and None over
-    GF(2^m), where lanes need no reduction.  Over GF(p) a row operation
-    adds at most (p - 1)^2 to a lane, so a lane reduced mod p holds at
-    most (p - 1) + budget * (p - 1)^2 <= 255 after budget more of them:
-    2 at GF(11), 6 at GF(7), 15 at GF(5), 63 at GF(3), 1 at GF(13).
+    times[c] and inverse[c] are the product tables of c and of 1/c once
+    lane_table has built them, None before: an elimination over GF(2^8)
+    meets a few of the 255 nonzero coefficients, not all of them.  mod is
+    mod_table(p) over GF(p) and None over GF(2^m), where lanes need no
+    reduction.  Over GF(p) a row operation adds at most (p - 1)^2 to a
+    lane, so a lane reduced mod p holds at most (p - 1) + budget * (p - 1)^2
+    <= 255 after budget more of them: 2 at GF(11), 6 at GF(7), 15 at
+    GF(5), 63 at GF(3), 1 at GF(13).
     """
-    times = product_tables(field)
-    inverse = (None,) + tuple(times[field.inv(c)] for c in range(1, field.order))
+    times, inverse = [None] * field.order, [None] * field.order
     if field.kind == "binary":
         return times, inverse, None, 0
     p = field.order
     return times, inverse, mod_table(p), (256 - p) // (p - 1) ** 2
+
+
+def lane_table(field, c, inverse=False):
+    """times[c] of lane_tables(field), or inverse[c] with inverse, built on first use and kept.
+
+    _echelon_lanes reads a table as `times[c] or lane_table(field, c)`, so
+    a built table costs one list index and no call.
+    """
+    times, inverses, _, _ = lane_tables(field)
+    tables = inverses if inverse else times
+    table = tables[c]
+    if table is None:
+        table = tables[c] = product_table(field, field.inv(c) if inverse else c)
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ flagged as granted rows in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .entropy import ObservationSet, entropy_symbols, observations
 from .errors import (
@@ -55,11 +55,10 @@ def admissibility_value(field, omega: int, alpha: int) -> int:
     return field.mul(val, field.inv(field.pow(omega, alpha - 1)))
 
 
-@dataclass(frozen=True)
-class CodeAParams:
-    field: object
-    d: int
-    omega: int
+class CodeAParams(namedtuple("CodeAParams", "field d omega")):
+    """Code A over a field: d helpers and the diagonal generator omega."""
+
+    __slots__ = ()
 
     @property
     def n(self):
@@ -161,13 +160,14 @@ def code_a_inverse_leakage_matrix(params: CodeAParams, j: int) -> Mat:
     return Mat.from_rows(params.field, cols).transpose()
 
 
-@dataclass(frozen=True)
-class CodeAAttackResult:
-    recovered_a: tuple
-    recovered_b: tuple
-    leaked_entropy: int
-    observations: ObservationSet
-    parity_index: int
+class CodeAAttackResult(
+    namedtuple(
+        "CodeAAttackResult", "recovered_a recovered_b leaked_entropy observations parity_index"
+    )
+):
+    """What code_a_attack recovered, and the ObservationSet it used."""
+
+    __slots__ = ()
 
 
 def code_a_attack(params: CodeAParams, a, b, j: int = 1) -> CodeAAttackResult:
@@ -362,13 +362,12 @@ def code_b_repair_data(code: CodeB, data: Mat, group, helpers):
     return symbols, observations(code.field, code.params.B, rows)
 
 
-@dataclass(frozen=True)
-class CodeBAttackResult:
-    recovered: Mat
-    leaked_entropy: int
-    observations: ObservationSet
-    groups: tuple
-    helpers: tuple
+class CodeBAttackResult(
+    namedtuple("CodeBAttackResult", "recovered leaked_entropy observations groups helpers")
+):
+    """What code_b_attack recovered (a Mat), and the ObservationSet it used."""
+
+    __slots__ = ()
 
 
 def code_b_attack(code: CodeB, data: Mat) -> CodeBAttackResult:

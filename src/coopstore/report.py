@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
+from .record import Record
 from .shardfile import write_atomic
 
 REPORT_VERSION = 1
 
 
-@dataclass
-class ReportDoc:
-    command: str
-    config: dict
-    results: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    timings_ms: dict = field(default_factory=dict)
+class ReportDoc(Record):
+    """One command's report: its config echo, then results, failures and timings_ms."""
+
+    __slots__ = ("command", "config", "results", "failures", "timings_ms")
+
+    def __init__(self, command: str, config: dict):
+        self.command = command
+        self.config = config
+        self.results = {}
+        self.failures = []
+        self.timings_ms = {}
 
     @property
     def passed(self) -> bool:

@@ -31,7 +31,7 @@ is one translate per nonzero coefficient (ExtensionField.combine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from . import kernels
@@ -54,15 +54,16 @@ from .matrix import Mat, moore_matrix
 from .stable import CodeParams, StableCode
 
 
-@dataclass(frozen=True)
-class SecureScheme:
-    code: StableCode  # the symbol-field code (functional/analysis layer)
-    ext: ExtensionField
-    gabidulin: Mat  # B x B Moore generator over ext
-    secret_len: int
-    random_len: int
-    l1: int
-    l2: int
+class SecureScheme(
+    namedtuple("SecureScheme", "code ext gabidulin secret_len random_len l1 l2")
+):
+    """A secure-mode scheme over one stable code.
+
+    code is the symbol-field code (functional/analysis layer), ext the
+    tower and gabidulin the B x B Moore generator over it.  It has no
+    __slots__: code_ext and columns are cached in the instance's __dict__,
+    and a scheme made by _replace builds its own.
+    """
 
     @property
     def B(self):
@@ -156,14 +157,19 @@ def decode_secret(scheme: SecureScheme, shards):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecrecyCheck:
-    eve: EveModel
-    observed_rank: int
-    randomness_entropy: int
-    coverable: bool  # H(e) <= H(r)
-    randomness_determined: bool  # H(r | secret, e) == 0
-    mutual_information: int
+class SecrecyCheck(
+    namedtuple(
+        "SecrecyCheck",
+        "eve observed_rank randomness_entropy coverable randomness_determined "
+        "mutual_information",
+    )
+):
+    """One placement's secrecy ranks.
+
+    coverable: H(e) <= H(r); randomness_determined: H(r | secret, e) == 0.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -35,12 +35,12 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigError, CorruptShard, InvalidConfig, IoError
 from .field import FieldSpec, field_create
-from .stable import CodeParams
+from .stable import CodeParams, check_deployment
 from .striping import MAX_FIELD_ORDER
 
 MAGIC = b"CRCS"
@@ -53,14 +53,10 @@ VARIANT_TAGS = {"stable": 0, "code-a": 1, "code-b": 2}
 TAG_VARIANTS = {v: k for k, v in VARIANT_TAGS.items()}
 
 
-@dataclass(frozen=True)
-class ShardMeta:
-    variant: str
-    field_spec: FieldSpec
-    params: CodeParams
-    node_id: int
-    generations: int
+class ShardMeta(namedtuple("ShardMeta", "variant field_spec params node_id generations")):
+    """A shard header: variant name, FieldSpec, CodeParams, node id, generation count."""
 
+    __slots__ = ()
     symbol_width = 1  # bytes per symbol; perfbench/layers.py reads it
 
 
@@ -222,6 +218,7 @@ def _parse_header(path, blob) -> ShardMeta:
             n=n, k=k, d=d, t=t, alpha=alpha, beta=beta, beta_prime=beta_prime, B=big_b,
             q=field.order,
         )
+        check_deployment(params, field)
     except ConfigError as exc:
         raise CorruptShard(f"{path}: invalid header: {exc}") from exc
     return ShardMeta(
@@ -329,7 +326,7 @@ class ShardDir:
         first, full, payloads = None, None, {}
         for node in nodes:
             path = self.path / shard_filename(node)
-            if not path.exists() or first and not 1 <= node <= first.params.n:
+            if not path.exists() or first is not None and not 1 <= node <= first.params.n:
                 continue
             if len(payloads) == full:
                 if group is not None:
@@ -351,7 +348,7 @@ class ShardDir:
         A shard whose sha256 misses its manifest.json digest is refused unwritten.
         """
         path = self.path / shard_filename(node)
-        write_shard(path, replace(first, node_id=node), payload, sha256=self._digest(path, node))
+        write_shard(path, first._replace(node_id=node), payload, sha256=self._digest(path, node))
 
     def _digest(self, path, node):
         """The manifest's sha256 for a shard, None when the manifest has none."""
@@ -366,7 +363,7 @@ class ShardDir:
         """A shard's header must name its file's node and have the first shard's shape."""
         if meta.node_id != node:
             raise CorruptShard(f"{path}: header is for node {meta.node_id}, not {node}")
-        if replace(meta, node_id=first.node_id) != first:
+        if meta._replace(node_id=first.node_id) != first:
             raise CorruptShard(
                 f"{path}: variant, field, params or generation count differ "
                 f"from {shard_filename(first.node_id)}"

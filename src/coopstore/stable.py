@@ -34,7 +34,7 @@ defines).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DimensionMismatch,
@@ -48,34 +48,31 @@ from .errors import (
 from .matrix import Mat, dot, lincombs, systematic_superregular, vandermonde
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(namedtuple("CodeParams", "n k d t alpha beta beta_prime B q")):
     """Validated parameter tuple at the minimum-storage cooperative point."""
 
-    n: int
-    k: int
-    d: int
-    t: int
-    alpha: int
-    beta: int
-    beta_prime: int
-    B: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.n, self.k, self.d, self.t, self.q) < 1:
+    def __new__(cls, n, k, d, t, alpha, beta, beta_prime, B, q):
+        if min(n, k, d, t, q) < 1:
             raise NonIntegralParams("all parameters must be positive")
-        if self.n < self.d + self.t:
-            raise NonIntegralParams(f"need n >= d + t, got n={self.n}, d+t={self.d + self.t}")
-        if self.d < self.k:
+        if n < d + t:
+            raise NonIntegralParams(f"need n >= d + t, got n={n}, d+t={d + t}")
+        if d < k:
             raise NonIntegralParams("no such codes exist with d < k")
-        if self.B % self.k or self.alpha != self.B // self.k:
+        if B % k or alpha != B // k:
             raise NonIntegralParams("storage per node must equal B/k")
-        denom = self.k * (self.d - self.k + self.t)
-        if self.B % denom:
+        denom = k * (d - k + t)
+        if B % denom:
             raise NonIntegralParams("B must be divisible by k(d-k+t)")
-        if self.beta != self.B // denom or self.beta_prime != self.beta:
+        if beta != B // denom or beta_prime != beta:
             raise NonIntegralParams("repair and exchange bandwidth must equal B/(k(d-k+t))")
+        return super().__new__(cls, n, k, d, t, alpha, beta, beta_prime, B, q)
+
+    @classmethod
+    def _make(cls, iterable):
+        """As namedtuple's _make, but through __new__: _replace checks its values too."""
+        return cls(*iterable)
 
     @staticmethod
     def mscr(n: int, k: int, d: int, t: int, q: int, beta: int = 1) -> "CodeParams":
@@ -86,16 +83,18 @@ class CodeParams:
         )
 
 
-@dataclass(frozen=True)
-class RepairContext:
-    """A repair group (the replaced nodes) plus the chosen helper set."""
+class RepairContext(namedtuple("RepairContext", "group helpers")):
+    """A repair group (the replaced nodes) plus the chosen helper set, each sorted."""
 
-    group: tuple
-    helpers: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "group", tuple(sorted(self.group)))
-        object.__setattr__(self, "helpers", tuple(sorted(self.helpers)))
+    def __new__(cls, group, helpers):
+        return super().__new__(cls, tuple(sorted(group)), tuple(sorted(helpers)))
+
+    @classmethod
+    def _make(cls, iterable):
+        """As namedtuple's _make, but through __new__: _replace sorts too."""
+        return cls(*iterable)
 
 
 def repair_context(code, group, helpers=None) -> RepairContext:
@@ -117,6 +116,24 @@ def repair_context(code, group, helpers=None) -> RepairContext:
     return RepairContext(group, helpers)
 
 
+def check_deployment(params: CodeParams, field) -> None:
+    """Raise unless StableDeployment.create can build params over field.
+
+    The construction is scalar (beta = 1) with d = k, over the field
+    GF(q) that params name, which needs q >= n + 1 for n distinct nonzero
+    evaluation points.  A shard header naming other params is foreign.
+    """
+    n = params.n
+    if field.order < n + 1:
+        raise FieldTooSmall(f"need field order >= {n + 1} for n={n} nonzero evaluation points")
+    if params.d != params.k:
+        raise NonIntegralParams("this construction requires d = k")
+    if params.beta != 1:
+        raise NonIntegralParams("scalar construction: beta must be 1")
+    if field.order != params.q:
+        raise DimensionMismatch("field order does not match params.q")
+
+
 class StableDeployment:
     """The deployment shared by the d = k codes, plus their functional protocol.
 
@@ -133,12 +150,6 @@ class StableDeployment:
     """
 
     def __init__(self, params: CodeParams, field, G: Mat):
-        if params.d != params.k:
-            raise NonIntegralParams("this construction requires d = k")
-        if params.beta != 1:
-            raise NonIntegralParams("scalar construction: beta must be 1")
-        if field.order != params.q:
-            raise DimensionMismatch("field order does not match params.q")
         self.params = params
         self.field = field
         self.G = G
@@ -146,12 +157,8 @@ class StableDeployment:
 
     @classmethod
     def create(cls, params: CodeParams, field):
-        n = params.n
-        if field.order < n + 1:
-            raise FieldTooSmall(
-                f"need field order >= {n + 1} for n={n} nonzero evaluation points"
-            )
-        return cls(params, field, vandermonde(field, range(1, n + 1), params.k))
+        check_deployment(params, field)
+        return cls(params, field, vandermonde(field, range(1, params.n + 1), params.k))
 
     @property
     def supported_failed_nodes(self):
@@ -514,16 +521,15 @@ def _blank(like, size):
     return bytearray(size) if isinstance(like, (bytes, bytearray)) else [0] * size
 
 
-@dataclass(frozen=True)
-class StabilityWitness:
+class StabilityWitness(
+    namedtuple(
+        "StabilityWitness",
+        "helper failed first_context first_row second_context second_row",
+    )
+):
     """Two contexts in which the same helper->failed transfer differs."""
 
-    helper: int
-    failed: int
-    first_context: tuple
-    first_row: tuple
-    second_context: tuple
-    second_row: tuple
+    __slots__ = ()
 
     def describe(self) -> str:
         c1, d1 = self.first_context

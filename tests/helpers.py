@@ -78,6 +78,17 @@ def symbols_to_bytes_oracle(symbols, q, nbytes):
     return acc.to_bytes(nbytes, "little")
 
 
+def product_tables_oracle(field):
+    """The product table of every element, all built at once through field.mul.
+
+    The reference for kernels.lane_tables, which builds each on first use.
+    """
+    mul = field.mul
+    return tuple(
+        bytes(mul(c, x) if x < field.order else 0 for x in range(256)) for c in range(field.order)
+    )
+
+
 def echelon_lanes_oracle(basis, rows, ncols, field, ops=None):
     """kernels._echelon_lanes with one mod-p translate per row operation: the reference.
 
@@ -86,12 +97,12 @@ def echelon_lanes_oracle(basis, rows, ncols, field, ops=None):
     operation XORs in b translated through v's product table.  When ops
     is a list, the number of row operations each row took is appended.
     """
-    from coopstore.kernels import mod_table, product_tables
+    from coopstore.kernels import mod_table
 
     binary = field.kind == "binary"
     p = field.order
     mod = None if binary else mod_table(p)
-    times = product_tables(field)
+    times = product_tables_oracle(field)
     from_bytes = int.from_bytes
     pivots = [(b.bit_length() - 1, b) for b in basis]
     for row in rows:

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import hashlib
 import json
@@ -16,9 +15,10 @@ import pytest
 from coopstore import cli, errors, eve, legacy, shardfile
 from coopstore.cli import main
 from coopstore.eve import lemma_suite, specific_verifications
-from coopstore.field import DEFAULT_POLY
+from coopstore.field import DEFAULT_POLY, FieldSpec
 from coopstore.instances import s1
 from coopstore.report import ReportDoc
+from coopstore.stable import CodeParams
 
 
 def run(argv):
@@ -177,7 +177,7 @@ class TestAttack:
 
         def partial(code, data):
             result = real(code, data)
-            return dataclasses.replace(result, leaked_entropy=code.params.B - 1)
+            return result._replace(leaked_entropy=code.params.B - 1)
 
         monkeypatch.setattr(legacy, "code_b_attack", partial)
         assert run(["attack", "--variant", "code-b"]) == 1
@@ -422,22 +422,52 @@ for argv in (
     ["repair", "--shard-dir", shards, "--group", "2,5"],
 ):
     assert cli.main(argv) == 0, argv
-print("\\n".join(sorted(m for m in sys.modules if m.startswith("coopstore."))))
+print("\\n".join(sorted(sys.modules)))
 """
+
+ONE_COMMAND = """
+import sys
+from coopstore import cli
+
+assert cli.main(sys.argv[1:]) == 0, sys.argv
+print("\\n".join(sorted(sys.modules)))
+"""
+
+# no command loads these: building dataclasses took about half of a
+# re-import of coopstore.cli, and dataclasses imports inspect
+RECORD_MODULES = {"dataclasses", "inspect"}
+
+
+def fresh_modules(script, *args):
+    """Every module a fresh interpreter has loaded after running script.
+
+    -S keeps site-packages' .pth files from importing modules of their own.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines())
 
 
 def test_data_path_commands_load_no_analysis_module(tmp_path):
     # a fresh interpreter, since this one has loaded every module already
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c", DATA_PATH_ONLY, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    loaded = {line for line in done.stdout.splitlines() if line.startswith("coopstore.")}
+    loaded = fresh_modules(DATA_PATH_ONLY, tmp_path)
     assert "coopstore.stable" in loaded
     analysis = {"coopstore.eve", "coopstore.legacy", "coopstore.secure", "coopstore.entropy"}
     assert loaded.isdisjoint(analysis), sorted(loaded & analysis)
+    assert loaded.isdisjoint(RECORD_MODULES), sorted(loaded & RECORD_MODULES)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["secure-verify", "--l1", "1", "--l2", "1"]], ids=["verify", "secure"]
+)
+def test_analysis_commands_load_no_dataclasses(argv):
+    loaded = fresh_modules(ONE_COMMAND, *argv)
+    assert {"coopstore.eve", "coopstore.entropy"} <= loaded
+    assert loaded.isdisjoint(RECORD_MODULES), sorted(loaded & RECORD_MODULES)
 
 
 class TestEveryCommandReport:
@@ -1074,6 +1104,46 @@ class TestForeignHeader:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "node_002.shard" in err and reason in err, err
         assert not any((shards / f"node_00{j}.shard").exists() for j in (1, 5))
+
+    # params that CodeParams accepts but the stable code cannot build
+    UNBUILDABLE = {
+        "d-ne-k": (CodeParams.mscr(7, 3, 4, 2, q=11), "this construction requires d = k"),
+        "beta-2": (CodeParams.mscr(6, 3, 3, 2, q=11, beta=2), "scalar construction: beta must be 1"),
+    }
+
+    def unbuildable_dir(self, tmp_path, case):
+        """Every shard of a directory under one consistent header for the case's params."""
+        params, reason = self.UNBUILDABLE[case]
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        rng = random.Random(7)
+        for node in range(1, params.n + 1):
+            meta = shardfile.ShardMeta("stable", FieldSpec.prime(11), params, node, 4)
+            payload = bytes(rng.randrange(11) for _ in range(4 * params.alpha))
+            shardfile.write_shard(shards / shardfile.shard_filename(node), meta, payload)
+        return shards, reason
+
+    @pytest.mark.parametrize("case", list(UNBUILDABLE))
+    def test_unbuildable_params_decode_fails_naming_shard(self, tmp_path, capsys, case):
+        shards, reason = self.unbuildable_dir(tmp_path, case)
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        assert run(["decode", "--shard-dir", shards, "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {shards / 'node_001.shard'}: invalid header: {reason}\n", err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(UNBUILDABLE))
+    def test_unbuildable_params_repair_fails_naming_shard(self, tmp_path, capsys, case):
+        shards, reason = self.unbuildable_dir(tmp_path, case)
+        for j in (1, 2):
+            (shards / f"node_00{j}.shard").unlink()
+        before = sorted(p.name for p in shards.iterdir())
+        capsys.readouterr()
+        assert run(["repair", "--shard-dir", shards, "--group", "1,2"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {shards / 'node_003.shard'}: invalid header: {reason}\n", err
+        assert sorted(p.name for p in shards.iterdir()) == before
 
 
 class TestWideFieldEncode:

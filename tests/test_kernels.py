@@ -3,7 +3,11 @@ and solve against the permutation-expansion determinant."""
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,7 @@ from coopstore.errors import ReduciblePolynomial
 from coopstore.field import PUBLISHED_TOWERS, ExtensionField, binary_field, prime_field
 from coopstore.matrix import Mat
 
-from helpers import det_oracle, echelon_lanes_oracle
+from helpers import det_oracle, echelon_lanes_oracle, product_tables_oracle
 
 
 def _random_rows(rng, field, nrows, ncols):
@@ -220,6 +224,76 @@ def test_lanes_equal_one_reduction_per_operation(name):
         assert kernels.echelon((), packed, ncols, field) == expect
         assert len(expect) < len(packed)
     assert max(ops) > budget
+
+
+@pytest.mark.parametrize("name", list(LANE_FIELDS))
+def test_lazy_lane_tables_equal_eager_ones(name):
+    # lane_table builds a coefficient's tables on first use: fresh tables
+    # hold none, and every build, in any order, gives the table the eager
+    # build gives, kept in lane_tables for the next lookup
+    field = LANE_FIELDS[name]()
+    kernels.lane_tables.cache_clear()
+    times, inverse, _, _ = kernels.lane_tables(field)
+    assert times == inverse == [None] * field.order
+    eager = product_tables_oracle(field)
+    coefs = list(range(field.order))
+    random.Random("lazy " + name).shuffle(coefs)
+    for c in coefs:
+        assert kernels.lane_table(field, c) == eager[c] and times[c] is kernels.lane_table(field, c)
+        if c:
+            table = kernels.lane_table(field, c, inverse=True)
+            assert table == eager[field.inv(c)] and inverse[c] is table
+    assert None not in times and inverse[1:].count(None) == 0
+    with pytest.raises(ZeroDivisionError):
+        kernels.lane_table(field, 0, inverse=True)
+
+
+@pytest.mark.parametrize("name", list(LANE_FIELDS))
+def test_echelon_on_fresh_lane_tables(name):
+    # an echelon that starts from unbuilt tables gives the oracle's basis,
+    # which reads eager ones
+    field = LANE_FIELDS[name]()
+    rng = random.Random("fresh " + name)
+    rows = [kernels.pack(field, r) for r in _random_rows(rng, field, 14, 9)]
+    kernels.lane_tables.cache_clear()
+    assert kernels.echelon((), rows, 9, field) == echelon_lanes_oracle((), rows, 9, field)
+    # no row operation multiplies by 0, so its table is never built
+    assert kernels.lane_tables(field)[0][0] is None
+
+
+# builds a GF(2^8) decode's product tables in a fresh interpreter
+DECODE_TABLES = """
+import sys
+from coopstore import cli, kernels
+from coopstore.field import binary_field
+argv = ["decode", "--shard-dir", sys.argv[1], "--output", sys.argv[2], "--nodes", "2,4,6"]
+assert cli.main(argv) == 0
+times, inverse, _, _ = kernels.lane_tables(binary_field(8))
+built = [sum(t is not None for t in tables) for tables in (times, inverse)]
+print(kernels.product_table.cache_info().currsize, *built)
+"""
+
+
+def test_gf256_decode_builds_only_the_tables_it_uses(tmp_path):
+    # the eager lane tables built all 256 product tables (65,536 field.mul
+    # calls) at the first GF(2^8) inverse of a process
+    from coopstore import cli
+
+    data = tmp_path / "input.bin"
+    data.write_bytes(random.Random(8).randbytes(4096))
+    shards = tmp_path / "shards"
+    argv = ["encode", "--input", str(data), "--out-dir", str(shards), "--field", "m=8"]
+    assert cli.main(argv) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", DECODE_TABLES, str(shards), str(tmp_path / "out.bin")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    built, times, inverse = map(int, done.stdout.split()[-3:])
+    # the 3x3 inverse and the k streams' lincombs meet at most 2k^2 coefficients
+    assert 0 < times <= built <= 18 and 0 < inverse <= 9, done.stdout
+    assert (tmp_path / "out.bin").read_bytes() == data.read_bytes()
 
 
 @pytest.mark.parametrize("name", list(ECHELON_FIELDS))

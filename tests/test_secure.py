@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -247,8 +246,8 @@ class TestPackedExpand:
         scheme = scheme_create(s1_binary(), l1, l2)
         if tampered:
             # the TestPinnedOutputs negative control: one secret symbol more
-            scheme = dataclasses.replace(
-                scheme, secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
+            scheme = scheme._replace(
+                secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
             )
         b, q = scheme.B, scheme.code.field.order
         rng = random.Random(0xE4A9D + 100 * l1 + 10 * l2 + tampered)
@@ -263,7 +262,7 @@ class TestPackedExpand:
     def test_columns_follow_secret_len(self, scheme):
         # the packed columns put the randomness positions first, so a scheme
         # with another secret_len packs its own
-        moved = dataclasses.replace(scheme, secret_len=0, random_len=scheme.B)
+        moved = scheme._replace(secret_len=0, random_len=scheme.B)
         assert moved.columns != scheme.columns
         unit = (1,) + (0,) * (scheme.B - 1)
         assert secure._expand(moved, unit) == scheme.gabidulin.col(0)
@@ -289,8 +288,8 @@ class TestAgainstStackedOracle:
         assert len(checks) == placements and all(c.passed for c in checks)
 
     def test_negative_control(self, scheme):
-        tampered = dataclasses.replace(
-            scheme, secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
+        tampered = scheme._replace(
+            secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
         )
         checks = self.assert_matches_oracle(tampered)
         assert not any(c.passed or c.coverable for c in checks)
@@ -299,7 +298,7 @@ class TestAgainstStackedOracle:
         # one more random symbol than needed: still no leakage, but the
         # observations no longer pin the randomness down
         base = scheme_create(s1_binary(), 1, 1)
-        padded = dataclasses.replace(base, secret_len=0, random_len=base.B)
+        padded = base._replace(secret_len=0, random_len=base.B)
         checks = self.assert_matches_oracle(padded)
         assert all(c.passed and c.coverable and not c.randomness_determined for c in checks)
 
@@ -334,8 +333,8 @@ class TestPinnedOutputs:
         assert (len(rows), _digest(rows)) == PINNED_SWEEPS[(l1, l2)]
 
     def test_tampered_sweep(self, scheme):
-        tampered = dataclasses.replace(
-            scheme, secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
+        tampered = scheme._replace(
+            secret_len=scheme.secret_len + 1, random_len=scheme.random_len - 1
         )
         assert _digest(self.summary(verify_secrecy_sweep(tampered))) == PINNED_TAMPERED
 
