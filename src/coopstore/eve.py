@@ -11,19 +11,27 @@ concrete instance by exhaustive subset enumeration: joint repair-data
 entropies, the reduction of full downloads to storage-plus-repair spans,
 and the per-helper entropy counts that produce the closed-form capacity.
 
-repair_download_rows is the one walk over a node's repair contexts: it
-gives each download once, keyed by a tuple (kind, sender, group,
-helpers).  A rank depends only on the rows, never on their names, so
-every analysis (lemma suite, capacity sweep, measured capacity, secrecy
-checks) ranks plain rows in one entropy.RowSpace per call, and
-download_label names a key only where something prints it
-(leakage_observations and the attacks).  A row set is one mask, the OR
-of its rows' handles.  The lemma suite ranks in an _AnalysisContext, a
-RowSpace that keeps one mask per (kind, sender, targets, group) block and
-fetches each functional row once per (kind, helper, failed, group), never
-per (helper, failed) alone: the suite must not assume the stability it
-checks.  The capacity and secrecy sweeps rank through PlacementRows: one
-RowSpace, one mask per node in it.
+repair_download_rows is the labelled walk over a node's repair contexts:
+it gives each download once per (group, helper set), keyed by a tuple
+(kind, sender, group, helpers), and download_label names a key only where
+something prints it (leakage_observations and the attacks).
+download_span, the node's distinct downloads, walks repair groups
+instead: one download_rows call per pair of code.download_groups.  Its
+premise is that a helper's row does not depend on the helper set, which
+holds for both StableDeployment codes (each reads a helper on its own,
+through repair_functional(helper, node, group)); a code whose downloads
+depend on the helper set must name its contexts as its download_groups,
+as CodeAAdapter does.  A rank depends only on the rows, never on their
+names, so every analysis (lemma suite, capacity sweep, measured capacity,
+secrecy checks) ranks plain rows in one entropy.RowSpace per call.  A row
+set is one mask, the OR of its rows' handles.  The lemma suite ranks in
+an _AnalysisContext, a RowSpace that keeps one mask per (kind, sender,
+targets, group) block and fetches each functional row once per (kind,
+helper, failed, group), never per (helper, failed) alone: the suite must
+not assume the stability it checks.  The capacity and secrecy sweeps rank
+through PlacementRows: one RowSpace, one mask per node in it; the
+capacity sweep joins F's view once per F set and ranks each of its E
+sets against it.
 """
 
 from __future__ import annotations
@@ -50,6 +58,10 @@ class EveModel(namedtuple("EveModel", "E F")):
 
     def __new__(cls, E=(), F=()):
         E, F = tuple(sorted(E)), tuple(sorted(F))
+        for name, nodes in (("E", E), ("F", F)):
+            twice = [a for a, b in zip(nodes, nodes[1:]) if a == b]
+            if twice:
+                raise InvalidEveModel(f"{name} names node {twice[0]} twice")
         if set(E) & set(F):
             raise InvalidEveModel("E and F must be disjoint")
         return super().__new__(cls, E, F)
@@ -102,14 +114,24 @@ def download_label(code, receiver: int, key) -> str:
 
 
 def download_span(code, node: int):
-    """The distinct rows of repair_download_rows(code, node), first occurrence first.
+    """The distinct rows of repair_download_rows(code, node), from one walk over its groups.
 
-    They span exactly what the full traversal spans, so a rank taken over
-    them is the measured leakage, not an assumed one.  The traversal yields
-    hundreds of rows but only a handful of distinct ones; callers build the
-    span once per node per call and reuse it across placements.
+    One download_rows call per (group, senders) pair of
+    code.download_groups(node) (see the module docstring for the premise);
+    the order is each group in turn, its repair rows then its exchange
+    rows, first occurrence first.  The rows are exactly the traversal's
+    distinct rows, so a rank taken over them is the measured leakage, not
+    an assumed one.  The traversal yields hundreds of rows but only a
+    handful of distinct ones; callers build the span once per node per call
+    and reuse it across placements.
     """
-    return list(dict.fromkeys(row for _, row in repair_download_rows(code, node)))
+    return list(
+        dict.fromkeys(
+            row
+            for group, senders in code.download_groups(node)
+            for _, row in code.download_rows(node, group, senders)
+        )
+    )
 
 
 def leakage_observations(code, eve: EveModel) -> ObservationSet:
@@ -131,9 +153,10 @@ class PlacementRows:
     A node of F shows its download_span and granted rows, a node of E its
     storage rows; each node's rows are built once, as one mask in space.
     expand maps a row to the row the space holds (by default the row
-    itself); each distinct row is expanded and interned once.  rank(eve)
-    is the joint_rank of W_E over F's view, and basis(eve) their
-    joint_basis; F's basis is memoised.
+    itself); each distinct row is expanded and interned once.  mask(nodes,
+    downloads) joins the nodes' masks; the capacity sweep ranks W_E over
+    F's view with the space's joint_rank, and basis(eve) is their
+    joint_basis.  F's basis is memoised.
     """
 
     def __init__(self, code, space, expand=lambda row: row):
@@ -143,27 +166,27 @@ class PlacementRows:
         self._nodes = {}  # (node, in F) -> its rows' mask
 
     def _node(self, node, downloads):
-        key = (node, downloads)
-        if key not in self._nodes:
-            code = self.code
-            if downloads:
-                built = download_span(code, node) + [row for _, row in code.granted_rows(node)]
-            else:
-                built = [row for _, row in code.storage_rows(node)]
-            self._nodes[key] = reduce(or_, map(self._intern, built), 0)
-        return self._nodes[key]
+        code = self.code
+        if downloads:
+            built = download_span(code, node) + [row for _, row in code.granted_rows(node)]
+        else:
+            built = [row for _, row in code.storage_rows(node)]
+        mask = self._nodes[node, downloads] = reduce(or_, map(self._intern, built), 0)
+        return mask
+
+    def mask(self, nodes, downloads):
+        """One mask of the nodes' rows: their download views when downloads, else storage."""
+        memo = self._nodes
+        mask = 0
+        for node in nodes:
+            rows = memo.get((node, downloads))
+            mask |= self._node(node, downloads) if rows is None else rows
+        return mask
 
     def observed(self, eve: EveModel):
         """(F's rows, E's rows) as one mask each, once eve is validated."""
         validate_eve(self.code, eve)
-        return (
-            reduce(or_, (self._node(f, True) for f in eve.F), 0),
-            reduce(or_, (self._node(e, False) for e in eve.E), 0),
-        )
-
-    def rank(self, eve: EveModel):
-        f_rows, e_rows = self.observed(eve)
-        return self.space.joint_rank(e_rows, f_rows)
+        return self.mask(eve.F, True), self.mask(eve.E, False)
 
     def basis(self, eve: EveModel):
         f_rows, e_rows = self.observed(eve)
@@ -547,16 +570,21 @@ class CapacityCell(namedtuple("CapacityCell", "l1 l2 E F measured predicted")):
         return self.predicted is NOT_COVERED or self.measured == self.predicted
 
 
-def placements(code, l1: int, l2: int):
-    """Every disjoint placement with |E| = l1 and |F| = l2, as EveModels.
+def _placement_sets(code, l1: int, l2: int):
+    """(F set, its E sets) for every disjoint placement with |E| = l1 and |F| = l2.
 
     F is drawn from the nodes whose traversal the code can model, E from
-    the other nodes; both in lexicographic order, F outermost.
+    the other nodes; both sorted tuples in lexicographic order.
     """
     nodes = range(1, code.params.n + 1)
     for f_set in itertools.combinations(sorted(code.supported_failed_nodes), l2):
-        rest = [x for x in nodes if x not in f_set]
-        for e_set in itertools.combinations(rest, l1):
+        yield f_set, itertools.combinations([x for x in nodes if x not in f_set], l1)
+
+
+def placements(code, l1: int, l2: int):
+    """Every disjoint placement with |E| = l1 and |F| = l2, as EveModels, F outermost."""
+    for f_set, e_sets in _placement_sets(code, l1, l2):
+        for e_set in e_sets:
             yield EveModel(E=e_set, F=f_set)
 
 
@@ -566,15 +594,16 @@ def capacity_cell(code, eve: EveModel) -> CapacityCell:
     Only the stable code has a closed form; every other code is measured
     against NOT_COVERED.
     """
-    return _capacity_cells(code, [eve])[0]
+    validate_eve(code, eve)
+    return _capacity_cells(code, [(eve.l1, eve.l2, [(eve.F, [eve.E])])])[0]
 
 
 def capacity_table(code, pairs=None):
     """capacity_cell for every admissible placement.
 
     pairs defaults to every (l1, l2) with l1 + l2 <= k - 1; for each pair
-    every placement is enumerated.  A pair outside that range raises
-    InvalidL before any placement is enumerated.
+    every placement is enumerated, in the order of placements().  A pair
+    outside that range raises InvalidL before any placement is enumerated.
     """
     p = code.params
     if pairs is None:
@@ -582,19 +611,28 @@ def capacity_table(code, pairs=None):
     pairs = list(pairs)  # read twice: checked, then enumerated
     for l1, l2 in pairs:
         _check_pair(p, l1, l2)
-    return _capacity_cells(code, (eve for l1, l2 in pairs for eve in placements(code, l1, l2)))
+    return _capacity_cells(code, ((l1, l2, _placement_sets(code, l1, l2)) for l1, l2 in pairs))
 
 
-def _capacity_cells(code, eves):
-    """capacity_cell of each placement, all ranked in one RowSpace."""
+def _capacity_cells(code, sweep):
+    """The cells of valid placements, all ranked in one RowSpace.
+
+    sweep holds (l1, l2, F sets) triples, each F set paired with its E
+    sets.  F's view is joined once per F set and E's storage rows once per
+    placement, and each placement is the joint_rank of the two.
+    """
     p = code.params
-    view = PlacementRows(code, RowSpace(code.field, p.B))
+    rows = PlacementRows(code, RowSpace(code.field, p.B))
+    joint_rank = rows.space.joint_rank
     stable = code.variant == "stable"
     cells = []
-    for eve in eves:
-        leaked = view.rank(eve)
-        predicted = predicted_secrecy_capacity(p, eve.l1, eve.l2) if stable else NOT_COVERED
-        cells.append(CapacityCell(eve.l1, eve.l2, eve.E, eve.F, p.B - leaked, predicted))
+    for l1, l2, f_sets in sweep:
+        predicted = predicted_secrecy_capacity(p, l1, l2) if stable else NOT_COVERED
+        for f_set, e_sets in f_sets:
+            f_rows = rows.mask(f_set, True)
+            for e_set in e_sets:
+                leaked = joint_rank(rows.mask(e_set, False), f_rows)
+                cells.append(CapacityCell(l1, l2, e_set, f_set, p.B - leaked, predicted))
     return cells
 
 

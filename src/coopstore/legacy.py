@@ -258,6 +258,9 @@ class CodeAAdapter:
             helpers = tuple(i for i in range(2, p.n + 1) if i != ell)
             yield group, helpers
 
+    # one helper set per group, so download_span walks the contexts themselves
+    download_groups = contexts
+
     def context_label(self, group, helpers) -> str:
         """The "C=1,l" tag: Code A's downloads depend on the group alone."""
         return f"C={','.join(map(str, group))}"

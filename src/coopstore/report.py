@@ -46,21 +46,28 @@ class ReportDoc(Record):
         write_atomic(path, text.encode())
 
 
+class _Joined(dict):
+    """Each node tuple's comma-joined string, built once on first lookup."""
+
+    def __missing__(self, nodes):
+        text = self[nodes] = ",".join(map(str, nodes))
+        return text
+
+
 def capacity_rows(cells):
-    rows = []
-    for c in cells:
-        rows.append(
-            {
-                "l1": c.l1,
-                "l2": c.l2,
-                "E": ",".join(map(str, c.E)),
-                "F": ",".join(map(str, c.F)),
-                "measured": c.measured,
-                "predicted": c.predicted,
-                "match": bool(c.matches),
-            }
-        )
-    return rows
+    joined = _Joined()  # a sweep repeats each E and F tuple across many cells
+    return [
+        {
+            "l1": c.l1,
+            "l2": c.l2,
+            "E": joined[c.E],
+            "F": joined[c.F],
+            "measured": c.measured,
+            "predicted": c.predicted,
+            "match": bool(c.matches),
+        }
+        for c in cells
+    ]
 
 
 def write_capacity_csv(path, cells) -> None:
@@ -78,11 +85,10 @@ def write_capacity_csv(path, cells) -> None:
 
 
 def text_table(headers, rows) -> str:
+    """Left-aligned columns two spaces apart, a dash rule under the headers."""
     cols = [headers] + [[str(v) for v in row] for row in rows]
-    widths = [max(len(r[i]) for r in cols) for i in range(len(headers))]
-    lines = []
-    for idx, row in enumerate(cols):
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-        if idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    widths = [max(map(len, col)) for col in zip(*cols)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    lines = [line(*row).rstrip() for row in cols]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)

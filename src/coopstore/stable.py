@@ -145,7 +145,9 @@ class StableDeployment:
     group is the whole difference between a stable and an unstable code.
     download_rows gives a context's downloads once, keyed by (kind, sender)
     tuples, and context_label the context's tag; eve.download_label builds a
-    printed name from the two only where one is printed.
+    printed name from the two only where one is printed.  download_groups
+    names the (group, senders) pairs whose download_rows hold every download
+    to a node: one per repair group, not one per context.
     The batch operations need only G, so every code here shares them.
     """
 
@@ -168,14 +170,24 @@ class StableDeployment:
     def storage_rows(self, node: int):
         return [(f"W_{node}[{i}]", self._packet_row(i, node)) for i in range(self.params.t)]
 
-    def contexts(self, node: int):
-        """All (group, helper set) pairs in which the node is repaired."""
+    def download_groups(self, node: int):
+        """Every repair group holding the node, each with the nodes outside it as senders.
+
+        One download_rows call per pair yields every download to the node
+        (eve.download_span): download_rows reads each helper on its own, so
+        a helper sends the same row under every helper set of a group, and
+        since n - t >= d every node outside a group helps in some context.
+        """
         p = self.params
         others = [i for i in range(1, p.n + 1) if i != node]
         for rest in itertools.combinations(others, p.t - 1):
             group = tuple(sorted((node,) + rest))
-            pool = [i for i in range(1, p.n + 1) if i not in group]
-            for helpers in itertools.combinations(pool, p.d):
+            yield group, tuple(i for i in range(1, p.n + 1) if i not in group)
+
+    def contexts(self, node: int):
+        """All (group, helper set) pairs in which the node is repaired."""
+        for group, outside in self.download_groups(node):
+            for helpers in itertools.combinations(outside, self.params.d):
                 yield group, helpers
 
     def context_label(self, group, helpers) -> str:

@@ -348,3 +348,15 @@ class FromScratchAnalysis:
 
     def rank_union(self, first, second):
         return self.rank(first | second)
+
+
+def text_table_oracle(headers, rows) -> str:
+    """report.text_table as first written: a width per header, ljust per cell."""
+    cols = [headers] + [[str(v) for v in row] for row in rows]
+    widths = [max(len(r[i]) for r in cols) for i in range(len(headers))]
+    lines = []
+    for idx, row in enumerate(cols):
+        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)

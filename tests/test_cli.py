@@ -15,10 +15,11 @@ import pytest
 from coopstore import cli, errors, eve, legacy, shardfile
 from coopstore.cli import main
 from coopstore.eve import lemma_suite, specific_verifications
-from coopstore.field import DEFAULT_POLY, FieldSpec
+from coopstore.field import DEFAULT_POLY, FieldSpec, prime_field
 from coopstore.instances import s1
-from coopstore.report import ReportDoc
-from coopstore.stable import CodeParams
+from coopstore.report import ReportDoc, capacity_rows, text_table
+from coopstore.stable import CodeParams, StableCode
+from helpers import text_table_oracle
 
 
 def run(argv):
@@ -235,6 +236,20 @@ class TestSweepVerify:
         assert (cell["E"], cell["F"]) == ("4", "1")
 
     @pytest.mark.parametrize(
+        "nodes, message",
+        [({"F": [3, 3]}, "F names node 3 twice"), ({"E": [1, 1], "F": [3]}, "E names node 1 twice")],
+        ids=["F-3-3", "E-1-1"],
+    )
+    def test_repeated_eve_node_is_a_config_error(self, tmp_path, capsys, nodes, message):
+        # a repeated node is one eavesdropped node, not two: no cell, no
+        # false mismatch against the closed form, no l1 + l2 bound
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eve": nodes}))
+        assert run(["capacity-sweep", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "pairs", [[[-1, 1]], [[1]], [[0, 1, 2]], [["0", 1]], [[True, 0]], 5],
         ids=["negative", "one-value", "three-values", "string", "bool", "not-a-list"],
     )
@@ -337,6 +352,37 @@ class TestSweepVerify:
         }
         assert len(doc["results"]["placements"]) == 30
         assert all(p["mutual_information"] == 0 for p in doc["results"]["placements"])
+
+
+class TestTextTable:
+    """report.text_table against the column-by-column reference it replaced."""
+
+    HEADERS = ["l1", "l2", "E", "F", "measured", "predicted", "match"]
+
+    @pytest.mark.parametrize(
+        "params", [None, CodeParams.mscr(n=8, k=4, d=4, t=2, q=11)], ids=["s1", "n8"]
+    )
+    def test_capacity_tables(self, params):
+        code = s1() if params is None else StableCode.create(params, prime_field(11))
+        cells = eve.capacity_table(code)
+        rows = capacity_rows(cells)
+        assert [(r["E"], r["F"]) for r in rows] == [
+            (",".join(map(str, c.E)), ",".join(map(str, c.F))) for c in cells
+        ]
+        table = [
+            [r["l1"], r["l2"], r["E"] or "-", r["F"] or "-", r["measured"], r["predicted"], r["match"]]
+            for r in rows
+        ]
+        assert text_table(self.HEADERS, table) == text_table_oracle(self.HEADERS, table)
+
+    def test_random_rows(self):
+        rng = random.Random(7)
+        values = ["", "-", "x", "1,2,3", "not-covered", True, False, 0, 12, -3]
+        for _ in range(200):
+            width = rng.randrange(0, 6)
+            headers = ["".join(rng.choices("ab ", k=rng.randrange(0, 4))) for _ in range(width)]
+            rows = [rng.choices(values, k=width) for _ in range(rng.randrange(0, 5))]
+            assert text_table(headers, rows) == text_table_oracle(headers, rows)
 
 
 def test_bad_params_are_config_errors(tmp_path, sample_file, capsys):

@@ -13,12 +13,14 @@ from coopstore.eve import (
     NOT_COVERED,
     EveModel,
     bandwidth_comparison,
+    capacity_cell,
     capacity_table,
     download_span,
     leakage_observations,
     lemma_suite,
     PlacementRows,
     measured_secrecy_capacity,
+    placements as eve_placements,
     predicted_secrecy_capacity,
     repair_download_rows,
     specific_verifications,
@@ -155,16 +157,47 @@ class TestLeakageObservations:
         assert more_e >= base and more_f >= base
 
 
+GROUP_WALK = pytest.mark.parametrize(
+    "make",
+    [s1, b1, n8, n9, t_over_k, code_a],
+    ids=["s1", "b1", "n8", "n9", "t-over-k", "code-a"],
+)
+
+
 class TestDownloadSpan:
-    @pytest.mark.parametrize("make", [s1, b1, code_a, n8], ids=["s1", "b1", "code-a", "n8"])
+    @GROUP_WALK
+    def test_group_walk_holds_every_context_row(self, make):
+        # download_span's premise: under each group, every context's
+        # download_rows are the rows the group walk gives for its helpers,
+        # key by key, and the walk visits the groups the contexts do
+        code = make()
+        for node in code.supported_failed_nodes:
+            walk = {
+                group: dict(code.download_rows(node, group, senders))
+                for group, senders in code.download_groups(node)
+            }
+            contexts = list(code.contexts(node))
+            assert list(walk) == list(dict.fromkeys(group for group, _ in contexts))
+            for group, helpers in contexts:
+                for key, row in code.download_rows(node, group, helpers):
+                    assert walk[group][key] == row
+
+    @GROUP_WALK
     def test_span_is_the_distinct_traversal_rows(self, make):
         code = make()
         for f in code.supported_failed_nodes:
             span = download_span(code, f)
-            full = [row for _, row in repair_download_rows(code, f)]
+            full = repair_download_rows(code, f)
             assert len(span) == len(set(span)) <= len(full)
-            assert set(span) == set(full)
-            assert span == sorted(span, key=full.index)
+            assert set(span) == {row for _, row in full}
+            # the documented order: each group in turn, in traversal order,
+            # its repair rows before its exchange rows, first occurrence first
+            groups = list(dict.fromkeys(key[2] for key, _ in full))
+            order = sorted(
+                range(len(full)),
+                key=lambda i: (groups.index(full[i][0][2]), full[i][0][0] == "Z", i),
+            )
+            assert span == list(dict.fromkeys(full[i][1] for i in order))
 
     @pytest.mark.parametrize(
         "make",
@@ -269,6 +302,22 @@ class TestCapacityTable:
         assert by_pair[(0, 1)] == 6
         assert by_pair[(1, 1)] == 30
         assert by_pair[(0, 2)] == 15
+
+    @pytest.mark.parametrize(
+        "make",
+        [s1, b1, n8, n8_gf16, n8_gf17, t_over_k, code_a],
+        ids=["s1", "b1", "n8", "n8-gf16", "n8-gf17", "t-over-k", "code-a"],
+    )
+    def test_sweep_equals_cell_by_cell(self, make):
+        # the F-first sweep against one validated capacity_cell per
+        # placement, in placements() order over the default pairs
+        code = make()
+        k = code.params.k
+        pairs = [(l1, tot - l1) for tot in range(k) for l1 in range(tot + 1)]
+        expect = [
+            capacity_cell(code, eve) for l1, l2 in pairs for eve in eve_placements(code, l1, l2)
+        ]
+        assert capacity_table(code) == expect
 
     def test_capacity_from_single_helper_entropy(self):
         # measured == (k - l1 - l2)(alpha - H(S_g^F)) for any g in G
