@@ -413,8 +413,8 @@ def cmd_verify(args, clock) -> ReportDoc:
     import random
     from fractions import Fraction
 
+    from . import eve
     from .entropy import brute_force_entropy, entropy_symbols, observations
-    from .eve import bandwidth_comparison, lemma_suite, specific_verifications
 
     config = _load_config(args)
     code = _make_code(config)
@@ -431,27 +431,25 @@ def cmd_verify(args, clock) -> ReportDoc:
         print(f"  second: C={witness.second_context[0]} D={witness.second_context[1]}")
         print(f"          row {witness.second_row}")
 
-    lemmas = lemma_suite(code, seed=config["seed"])
+    # one analysis context for the command: every call below ranks in it
+    ctx = eve._AnalysisContext(code)
+    lemmas = eve.lemma_suite(code, seed=config["seed"], ctx=ctx)
     report.results["lemmas"] = lemmas.summary()
     for name, chk in lemmas.checks.items():
         if not chk.passed:
             report.fail(f"{name}: {chk.witness}")
-    # summed over every call
-    ranks = lemmas.counters()
 
     if code.variant == "stable":
         verif = {}
         for l2 in range(1, p.k):
             for l1 in range(0, p.k - l2):
-                res = specific_verifications(code, l1, l2)
+                res = eve.specific_verifications(code, l1, l2, ctx=ctx)
                 verif[f"l1={l1},l2={l2}"] = res.summary()
-                for name, value in res.counters().items():
-                    ranks[name] += value
                 for name, chk in res.checks.items():
                     if not chk.passed:
                         report.fail(f"verification {name} at (l1={l1},l2={l2}): {chk.witness}")
         report.results["placement_verifications"] = verif
-    report.results["lemma_ranks"] = ranks
+    report.results["lemma_ranks"] = ctx.finish(eve.LemmaResults()).counters()
 
     # entropy oracle cross-check on seeded random observation sets
     rng = random.Random(config["seed"])
@@ -470,7 +468,7 @@ def cmd_verify(args, clock) -> ReportDoc:
             oracle_cases += 1
     report.results["entropy_oracle_cases"] = oracle_cases
 
-    msr, mscr = bandwidth_comparison(p.n, p.k, p.d, p.t, p.B)
+    msr, mscr = eve.bandwidth_comparison(p.n, p.k, p.d, p.t, p.B)
     report.results["bandwidth"] = {"msr_total": str(msr), "mscr_total": str(mscr)}
     print(f"bandwidth per {p.t}-failure repair: MSCR {mscr} {'<' if mscr < msr else '='} MSR {msr}")
 

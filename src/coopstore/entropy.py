@@ -159,7 +159,7 @@ class RowSpace:
         """Memoise mask's basis: the basis start extended by the packed rows extra."""
         self.eliminations += 1
         basis = kernels.echelon(start, extra, self.ncols, self.field)
-        # at n=8, the lemma suite's 5,254 row sets have 1,990 distinct bases
+        # at n=8, the lemma suite's 4,107 row sets have 1,969 distinct bases
         basis = self._bases[mask] = self._distinct.setdefault(basis, basis)
         return basis
 
@@ -191,7 +191,11 @@ class RowSpace:
 
     def rank(self, rows):
         """H(rows) in symbols, rows as a mask."""
-        return len(self._basis(rows))
+        self.lookups += 1
+        basis = self._bases.get(rows)
+        if basis is None:
+            basis = self._memoise(rows, (), self._raw(rows))
+        return len(basis)
 
     def rank_union(self, first, second):
         """H(first, second) = rank(first | second), both masks, memoised like

@@ -24,11 +24,15 @@ depend on the helper set must name its contexts as its download_groups,
 as CodeAAdapter does.  A rank depends only on the rows, never on their
 names, so every analysis (lemma suite, capacity sweep, measured capacity,
 secrecy checks) ranks plain rows in one entropy.RowSpace per call.  A row
-set is one mask, the OR of its rows' handles.  The lemma suite ranks in
-an _AnalysisContext, a RowSpace that keeps one mask per (kind, sender,
-targets, group) block and fetches each functional row once per (kind,
-helper, failed, group), never per (helper, failed) alone: the suite must
-not assume the stability it checks.  The capacity and secrecy sweeps rank
+set is one mask, the OR of its rows' handles.  The lemma suite and the
+placement verifications rank in an _AnalysisContext, a RowSpace that
+keeps one mask per (kind, sender, targets, group) block and fetches each
+functional row once per (kind, helper, failed, group), never per
+(helper, failed) alone: the suite must not assume the stability it
+checks.  The verify command makes one context and ranks every call in
+it.  The lemma suite settles a chain prefix's conditional check with one
+rank when the prefix's conditioning set already reaches a bound set's
+rank (see lemma_suite).  The capacity and secrecy sweeps rank
 through PlacementRows: one RowSpace, one mask per node in it; the
 capacity sweep joins F's view once per F set and ranks each of its E
 sets against it.
@@ -324,7 +328,7 @@ _FETCH = {
 
 
 class _AnalysisContext(RowSpace):
-    """The RowSpace of one lemma_suite or specific_verifications call.
+    """The RowSpace of one verify command, or of one analysis call made without one.
 
     blocks(kind, senders, targets, group) is the mask of the row set the
     rank identities name kind_senders^targets: every sender's row of that
@@ -337,8 +341,8 @@ class _AnalysisContext(RowSpace):
     (helper, failed) alone, since CodeB's rows depend on the group and the
     suite must not assume the stability it checks.  Nominal rows carry
     group None, and a node's storage rows are fetched as one key.  finish
-    reports the RowSpace counters, the keys fetched (rows_built) and the
-    distinct rows (rows_unique).
+    reports the RowSpace counters so far, the keys fetched (rows_built)
+    and the distinct rows (rows_unique).
     """
 
     def __init__(self, code):
@@ -429,7 +433,7 @@ EXHAUSTIVE_NODE_LIMIT = 10
 SAMPLE_DRAWS = 200
 
 
-def lemma_suite(code, seed=0) -> LemmaResults:
+def lemma_suite(code, seed=0, ctx=None) -> LemmaResults:
     """Rank-identity verification on one code instance.
 
     group_volume: joint entropy of repair data toward any group is
@@ -447,14 +451,27 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     (_subset_chains): every chain for n <= 10 (EXHAUSTIVE_NODE_LIMIT), and
     SAMPLE_DRAWS (200) seeded draws each beyond.  traversal_span and
     helper_uniformity enumerate every subset at any n.  Each chain
-    prefix's row sets are built once, when the walk reaches it.  Rows and
-    ranks come from one _AnalysisContext for the whole call.
+    prefix's row sets are built once, when the walk reaches it.
+
+    A prefix's conditioning set, W_C u S_A^C (or W_i u S_{A'}^i), lies in
+    a bound set ranked once per C: W_C with S^C of every node outside C
+    (per (i, C'): W_i with Z_{C'}^i and S^i of every node outside the
+    group).  The bound holds every set the prefix's chains condition too,
+    so when the conditioning set reaches the bound's rank the conditional
+    check holds for every B of the prefix; otherwise each chain checks
+    it.  The first check runs on every chain in walk order, so counts and
+    witnesses are those of a chain-by-chain walk.
+
+    Rows and ranks come from ctx: an _AnalysisContext made for the call
+    unless the caller passes one (verify passes one context to every call
+    it makes).
     """
     import random as _random
 
     p = code.params
     res = LemmaResults()
-    ctx = _AnalysisContext(code)
+    if ctx is None:
+        ctx = _AnalysisContext(code)
     nodes = list(range(1, p.n + 1))
     rng = None if p.n <= EXHAUSTIVE_NODE_LIMIT else _random.Random(seed)
 
@@ -462,19 +479,30 @@ def lemma_suite(code, seed=0) -> LemmaResults:
     if p.t <= p.k:
         chk = res.get("group_volume")
         sizes = (p.t, p.k - p.t, p.d - p.k + p.t)
-        built = None  # the chain prefix (C, A) whose masks are built
+        c_built = built = None  # the chain prefixes C and A whose masks are built
         for c_set, a_set, b_set in _subset_chains(nodes, sizes, rng, SAMPLE_DRAWS):
             chk.checked += 1
-            if built != (c_set, a_set):
-                built = (c_set, a_set)
+            if c_built != c_set:
+                c_built, built = c_set, None
+                w_c = ctx.blocks("W", c_set)
+                # each sender's block once per C; chains OR them
+                single = {x: ctx.blocks("S", (x,), c_set, c_set) for x in nodes if x not in c_set}
+                bound = ctx.rank(reduce(or_, single.values(), w_c))
+            if built != a_set:
+                built = a_set
                 s_a = ctx.blocks("S", a_set, c_set, c_set)
-                given = ctx.blocks("W", c_set) | s_a
+                given = w_c | s_a
+                # the bound's rank reached: H(S_B^C | given) = 0 for every B
+                saturated = ctx.rank(given) == bound
             # S_A^C and S_B^C make up S_{A u B}^C; |A| + |B| = d: a valid helper set
-            s_b = ctx.blocks("S", b_set, c_set, c_set)
-            if ctx.rank(s_a | s_b) != p.d * p.t * p.beta:
+            s_ab = s_a
+            for x in b_set:
+                s_ab |= single[x]
+            if ctx.rank(s_ab) != p.d * p.t * p.beta:
                 chk.fail(("H(S_{A u B}^C) != dt*beta", c_set, a_set, b_set))
                 continue
-            if ctx.rank_given(s_b, given) != 0:
+            # given holds S_A^C, so H(S_{A u B}^C | given) = H(S_B^C | given)
+            if not saturated and ctx.rank_given(s_ab, given) != 0:
                 chk.fail(("H(S_B^C|W_C,S_A^C) != 0", c_set, a_set, b_set))
 
     # --- member volume ------------------------------------------------------
@@ -488,19 +516,27 @@ def lemma_suite(code, seed=0) -> LemmaResults:
             group_built, built = (i_set, c_prime), None
             group = tuple(sorted((i,) + c_prime))
             z = ctx.blocks("Z", c_prime, i_set, group)
+            w_i = ctx.blocks("W", i_set)
+            single = {x: ctx.blocks("S", (x,), i_set, group) for x in nodes if x not in group}
+            bound = ctx.rank(reduce(or_, single.values(), w_i | z))
         if built != a_prime:
             built = a_prime
             s_a = ctx.blocks("S", a_prime, i_set, group)
             s_az = s_a | z
-            given = ctx.blocks("W", i_set) | s_a
+            given = w_i | s_a
+            # the bound's rank reached: H(S_B'^i, Z_C'^i | given) = 0 for every B'
+            saturated = ctx.rank(given) == bound
         # S_{A'}^i and S_{B'}^i make up S_{A' u B'}^i; |A'| + |B'| = d
-        s_b = ctx.blocks("S", b_prime, i_set, group)
-        if ctx.rank(s_az | s_b) != (p.d + p.t - 1) * p.beta:
+        joint = s_az
+        for x in b_prime:
+            joint |= single[x]
+        if ctx.rank(joint) != (p.d + p.t - 1) * p.beta:
             chk.fail(
                 ("H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta", i, c_prime, a_prime, b_prime)
             )
             continue
-        if ctx.rank_given(s_b | z, given) != 0:
+        # given holds S_{A'}^i, so conditioning joint on it leaves S_{B'}^i, Z_{C'}^i
+        if not saturated and ctx.rank_given(joint, given) != 0:
             chk.fail(
                 ("H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0", i, c_prime, a_prime, b_prime)
             )
@@ -636,7 +672,7 @@ def _capacity_cells(code, sweep):
     return cells
 
 
-def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
+def specific_verifications(code, l1: int, l2: int, ctx=None) -> LemmaResults:
     """The three concrete checks on the canonical placement E=[1,l1], F=[l1+1,l1+l2].
 
     downloads_span: downloads of F span exactly storage-plus-repair; for
@@ -648,13 +684,16 @@ def specific_verifications(code, l1: int, l2: int) -> LemmaResults:
     leak_totals: the leaked total is (l1+l2)*alpha + sum_g H(S_g^F) with
         per-helper entropy min(l2, t)*beta, reproducing the closed-form
         capacity.
+
+    ctx as for lemma_suite.
     """
     p = code.params
     _check_pair(p, l1, l2)
     if l2 < 1:
         raise InvalidL(f"need l2 >= 1 for the canonical check, got {l2}")
     res = LemmaResults()
-    ctx = _AnalysisContext(code)
+    if ctx is None:
+        ctx = _AnalysisContext(code)
     e_set = tuple(range(1, l1 + 1))
     f_set = tuple(range(l1 + 1, l1 + l2 + 1))
     nodes = list(range(1, p.n + 1))

@@ -19,7 +19,7 @@ from coopstore.field import DEFAULT_POLY, FieldSpec, prime_field
 from coopstore.instances import s1
 from coopstore.report import ReportDoc, capacity_rows, text_table
 from coopstore.stable import CodeParams, StableCode
-from helpers import text_table_oracle
+from helpers import FromScratchAnalysis, text_table_oracle
 
 
 def run(argv):
@@ -445,9 +445,9 @@ def test_verify_seed_reaches_the_lemma_suite(monkeypatch):
     seeds = []
     real = eve.lemma_suite
 
-    def spy(code, seed=0):
+    def spy(code, seed=0, ctx=None):
         seeds.append(seed)
-        return real(code, seed=seed)
+        return real(code, seed=seed, ctx=ctx)
 
     monkeypatch.setattr(eve, "lemma_suite", spy)
     assert run(["verify", "--seed", "7"]) == 0
@@ -589,27 +589,52 @@ class TestEveryCommandReport:
         assert json.loads(report.read_text())["timings_ms"]["attack"] >= 20
 
     def test_verify_reports_rank_memo_counters(self, tmp_path):
-        # summed over the lemma suite and, for the stable code, every
-        # placement verification; code-b has only the lemma suite
+        # the totals of the command's one analysis context, which the lemma
+        # suite and, for the stable code, every placement verification
+        # rank in; code-b has only the lemma suite
         counted = {}
         for variant in ("stable", "code-b"):
             report = tmp_path / f"{variant}.json"
             run(["verify", "--variant", variant, "--report", report])
             counted[variant] = json.loads(report.read_text())["results"]["lemma_ranks"]
         assert counted == {
-            "stable": {"lookups": 2167, "eliminations": 755, "rows_built": 231, "rows_unique": 75},
-            "code-b": {"lookups": 1873, "eliminations": 350, "rows_built": 186, "rows_unique": 12},
+            "stable": {"lookups": 1372, "eliminations": 603, "rows_built": 196, "rows_unique": 32},
+            "code-b": {"lookups": 1078, "eliminations": 294, "rows_built": 186, "rows_unique": 12},
         }
         code = s1()
+        ctx = eve._AnalysisContext(code)
+        lemma_suite(code, ctx=ctx)
+        for l1, l2 in ((0, 1), (1, 1), (0, 2)):
+            res = specific_verifications(code, l1, l2, ctx=ctx)
+        assert counted["stable"] == res.counters()
+        # a context per call would eliminate the bases they share again
         calls = [lemma_suite(code)] + [
             specific_verifications(code, l1, l2) for l1, l2 in ((0, 1), (1, 1), (0, 2))
         ]
-        assert counted["stable"] == {
-            "lookups": sum(r.rank_lookups for r in calls),
-            "eliminations": sum(r.rank_eliminations for r in calls),
-            "rows_built": sum(r.rows_built for r in calls),
-            "rows_unique": sum(r.rows_unique for r in calls),
-        }
+        assert sum(r.rank_eliminations for r in calls) > counted["stable"]["eliminations"]
+
+    def test_verify_ranks_in_one_context(self, tmp_path, monkeypatch):
+        # made through eve._AnalysisContext when the command runs, so the
+        # memo-free reference swaps in and must leave the report unchanged
+        # but for its counters
+        def report(name):
+            path = tmp_path / f"{name}.json"
+            assert run(["verify", "--params", "n=8,k=4,d=4,t=2", "--report", path]) == 0
+            doc = json.loads(path.read_text())
+            del doc["timings_ms"], doc["results"]["lemma_ranks"]
+            return doc
+
+        made = []
+
+        class Counted(FromScratchAnalysis):
+            def __init__(self, code):
+                made.append(code)
+                super().__init__(code)
+
+        memoised = report("memoised")
+        monkeypatch.setattr(eve, "_AnalysisContext", Counted)
+        assert report("from-scratch") == memoised
+        assert len(made) == 1
 
 
 class TestCachedParser:

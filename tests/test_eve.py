@@ -63,6 +63,39 @@ def n11(cls=StableCode):
     return cls.create(CodeParams.mscr(n=11, k=3, d=3, t=2, q=13), prime_field(13))
 
 
+class NoisyHelper(StableCode):
+    """A stable code whose helper 3 sends a seeded random row toward each (failed, group).
+
+    The rows depend on the group, so the code really fails group_volume
+    and member_volume: it reaches the conditional checks' unsaturated
+    branch, which every shipped code skips.
+    """
+
+    seed = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._noise = {}  # (failed, group) -> helper 3's row
+
+    def repair_functional(self, helper, failed, group=None):
+        row = super().repair_functional(helper, failed, group)
+        if helper != 3:
+            return row
+        noise = self._noise.get((failed, group))
+        if noise is None:
+            rng = random.Random(f"{self.seed}:{failed}:{group}")
+            noise = self._noise[failed, group] = tuple(rng.randrange(self.field.order) for _ in row)
+        return noise
+
+
+def noisy(shape, seed):
+    """NoisyHelper at S1's or n8's parameters over GF(11), its rows drawn from seed."""
+    n, k = {"s1": (6, 3), "n8": (8, 4)}[shape]
+    code = NoisyHelper.create(CodeParams.mscr(n=n, k=k, d=k, t=2, q=11), prime_field(11))
+    code.seed = seed
+    return code
+
+
 def t_over_k():
     """The t > k, d = k regime: n=5, k=d=2, t=3 over GF(11)."""
     return StableCode.create(CodeParams.mscr(n=5, k=2, d=2, t=3, q=11), prime_field(11))
@@ -426,7 +459,7 @@ class TestAnalysisContext:
 
     @pytest.mark.parametrize(
         "make, distinct, from_scratch",
-        [(s1, 726, 2115), (b1, 350, 1873), (n8, 5254, 22888)],
+        [(s1, 594, 1320), (b1, 294, 1078), (n8, 4107, 12752)],
         ids=["s1", "b1", "n8"],
     )
     def test_each_row_set_eliminated_once(self, make, distinct, from_scratch, monkeypatch):
@@ -494,86 +527,236 @@ class TestAnalysisContext:
             "helper_uniformity": 129,
         }
         assert res.counters() == {
-            "lookups": 69405,
-            "eliminations": 13903,
+            "lookups": 34965,
+            "eliminations": 9768,
             "rows_built": 2097,
             "rows_unique": 75,
         }
 
 
 class MisreportedRank(FromScratchAnalysis):
-    """The from-scratch reference, but one row set's rank reads one too high."""
+    """The from-scratch reference, but the ranks of the row sets in targets read delta off."""
 
-    target = frozenset()
+    targets = frozenset()
+    delta = 1
 
     def rank(self, rows):
-        return super().rank(rows) + (rows == self.target)
+        return super().rank(rows) + (self.delta if rows in self.targets else 0)
+
+
+def _named_again(chains):
+    """The first row set that a chain past the middle of the walk names again.
+
+    chains holds (chain, row set) pairs in walk order; when no set recurs
+    past the middle, the middle chain's set.
+    """
+    seen = set()
+    for index, (_, rows) in enumerate(chains):
+        if index > len(chains) // 2 and rows in seen:
+            return rows
+        seen.add(rows)
+    return chains[len(chains) // 2][1]
+
+
+# each chain lemma's two failure messages: its first check, then its conditional one
+MESSAGES = {
+    "group_volume": ("H(S_{A u B}^C) != dt*beta", "H(S_B^C|W_C,S_A^C) != 0"),
+    "member_volume": (
+        "H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta",
+        "H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0",
+    ),
+}
 
 
 class TestChainOrder:
     """A witness is the first chain, in _subset_chains order, that fails.
 
-    Every test code passes group_volume and member_volume, so nothing else
-    pins which chain their witness names.  Here the rank of one row set,
-    S_{A u B}^C or S_{A' u B'}^i with Z_{C'}^i, is misreported, and the
-    witness must be the first chain whose first check ranks that set.
-    Several chains name one set (any split of the same helpers); the set
-    misreported is one that a chain past the middle of the walk names
-    again, so its witness comes earlier than that chain.
+    Every shipped code passes group_volume and member_volume, so nothing
+    else pins which chain their witness names.  Here the rank of one row
+    set is misreported, and the witness must be the first chain that
+    ranks that set.  For the first check the set is S_{A u B}^C, or
+    S_{A' u B'}^i with Z_{C'}^i; several chains name one set (any split of
+    the same helpers).  For the conditional check it is the conditioning
+    set W_C u S_A^C, or W_i u S_{A'}^i, which every chain of one prefix
+    names.  The set misreported is one that a chain past the middle of the
+    walk names again, so its witness comes earlier than that chain.
     """
 
     @staticmethod
-    def _chains(code, lemma):
-        """The lemma's chains in walk order, each with the row set its first check ranks."""
+    def _walk(code, lemma):
+        """The lemma's chains in walk order, as its witnesses name them."""
         p = code.params
-        ref = FromScratchAnalysis(code)
         nodes = list(range(1, p.n + 1))
         rng = None if p.n <= eve.EXHAUSTIVE_NODE_LIMIT else random.Random(0)
-        group = list(eve._subset_chains(nodes, (p.t, p.k - p.t, p.d - p.k + p.t), rng, eve.SAMPLE_DRAWS))
+        sizes = (p.t, p.k - p.t, p.d - p.k + p.t)
+        group = list(eve._subset_chains(nodes, sizes, rng, eve.SAMPLE_DRAWS))
         if lemma == "group_volume":
-            return [
-                (chain, ref.blocks("S", chain[1] + chain[2], chain[0], chain[0])) for chain in group
-            ]
+            return group
         # member_volume draws after group_volume, from the same generator
         sizes = (1, p.t - 1, p.k - 1, p.d - p.k + 1)
+        return [
+            (i_set[0], c_prime, a_prime, b_prime)
+            for i_set, c_prime, a_prime, b_prime in eve._subset_chains(
+                nodes, sizes, rng, eve.SAMPLE_DRAWS
+            )
+        ]
+
+    @classmethod
+    def _chains(cls, code, lemma, conditional):
+        """Each chain with the row set its first check ranks, or its conditioning set."""
+        ref = FromScratchAnalysis(code)
         out = []
-        for i_set, c_prime, a_prime, b_prime in eve._subset_chains(nodes, sizes, rng, eve.SAMPLE_DRAWS):
-            target = tuple(sorted(i_set + c_prime))
-            rows = ref.blocks("S", a_prime + b_prime, i_set, target) | ref.blocks("Z", c_prime, i_set, target)
-            out.append(((i_set[0], c_prime, a_prime, b_prime), rows))
+        for chain in cls._walk(code, lemma):
+            if lemma == "group_volume":
+                c_set, a_set, b_set = chain
+                if conditional:
+                    rows = ref.blocks("W", c_set) | ref.blocks("S", a_set, c_set, c_set)
+                else:
+                    rows = ref.blocks("S", a_set + b_set, c_set, c_set)
+            else:
+                i, c_prime, a_prime, b_prime = chain
+                group = tuple(sorted((i,) + c_prime))
+                if conditional:
+                    rows = ref.blocks("W", (i,)) | ref.blocks("S", a_prime, (i,), group)
+                else:
+                    rows = ref.blocks("S", a_prime + b_prime, (i,), group) | ref.blocks(
+                        "Z", c_prime, (i,), group
+                    )
+            out.append((chain, rows))
         return out
+
+    def _assert_witness(self, code, lemma, conditional, monkeypatch):
+        chains = self._chains(code, lemma, conditional)
+        target = _named_again(chains)
+        first = next(chain for chain, rows in chains if rows == target)
+        monkeypatch.setattr(MisreportedRank, "targets", {target})
+        monkeypatch.setattr(MisreportedRank, "delta", -1 if conditional else 1)
+        monkeypatch.setattr(eve, "_AnalysisContext", MisreportedRank)
+        check = lemma_suite(code).checks[lemma]
+        assert not check.passed
+        assert check.witness == (MESSAGES[lemma][conditional],) + first
 
     @pytest.mark.parametrize("lemma", ["group_volume", "member_volume"])
     @pytest.mark.parametrize("make", [n8, n11], ids=["exhaustive", "sampled"])
     def test_witness_is_first_chain_naming_the_set(self, make, lemma, monkeypatch):
+        # the first check's set reads one too high
+        self._assert_witness(make(), lemma, False, monkeypatch)
+
+    @pytest.mark.parametrize("lemma", ["group_volume", "member_volume"])
+    @pytest.mark.parametrize("make", [n8, n11], ids=["exhaustive", "sampled"])
+    def test_conditional_witness_is_first_chain_of_the_prefix(self, make, lemma, monkeypatch):
+        # the conditioning set reads one too low, so its prefix is not
+        # saturated and each of its chains fails the conditional check
+        self._assert_witness(make(), lemma, True, monkeypatch)
+
+    @staticmethod
+    def _bounds(code):
+        """Every saturation bound set the two chain lemmas may rank.
+
+        W_C with S^C of every node outside C, for every group C, and W_i
+        with Z_{C'}^i and S^i of every node outside the group, for every
+        member i of it.
+        """
+        p = code.params
+        ref = FromScratchAnalysis(code)
+        nodes = range(1, p.n + 1)
+        out = set()
+        for group in itertools.combinations(nodes, p.t):
+            outside = [x for x in nodes if x not in group]
+            out.add(ref.blocks("W", group) | ref.blocks("S", outside, group, group))
+            for i in group:
+                c_prime = tuple(x for x in group if x != i)
+                out.add(
+                    ref.blocks("W", (i,))
+                    | ref.blocks("Z", c_prime, (i,), group)
+                    | ref.blocks("S", outside, (i,), group)
+                )
+        return out
+
+    @pytest.mark.parametrize(
+        "make, delta",
+        [
+            (n8, 1),
+            (n8, -1),
+            (n11, 1),
+            (n11, -1),
+            (lambda: noisy("n8", 2), 1),
+            (lambda: noisy("s1", 6), 1),
+        ],
+        ids=["n8-high", "n8-low", "n11-high", "n11-low", "noisy-n8-high", "noisy-s1-high"],
+    )
+    def test_misreported_bounds_change_nothing(self, make, delta, monkeypatch):
+        # a bound read too high saturates no prefix, so every chain takes
+        # the conditional check: a failing code's witnesses stay.  On a
+        # passing code a bound read either way fails no chain.  Only the
+        # chain lemmas are compared: the other two may rank a bound's rows
+        # as a set of their own (in the stable code a repair row toward
+        # one node is an exchange row from it).
         code = make()
-        chains = self._chains(code, lemma)
-        # the first set that a chain past the middle of the walk names again
-        seen = set()
-        for index, (_, rows) in enumerate(chains):
-            if index > len(chains) // 2 and rows in seen:
-                target = rows
-                break
-            seen.add(rows)
-        first = next(chain for chain, rows in chains if rows == target)
-        message = {
-            "group_volume": "H(S_{A u B}^C) != dt*beta",
-            "member_volume": "H(S_{A'uB'}^i, Z_{C'}^i) != (d+t-1)beta",
-        }[lemma]
-        monkeypatch.setattr(MisreportedRank, "target", target)
+        chain_lemmas = ("group_volume", "member_volume")
+        summary = lemma_suite(code).summary()
+        monkeypatch.setattr(MisreportedRank, "targets", self._bounds(code))
+        monkeypatch.setattr(MisreportedRank, "delta", delta)
         monkeypatch.setattr(eve, "_AnalysisContext", MisreportedRank)
-        check = lemma_suite(code).checks[lemma]
-        assert not check.passed
-        assert check.witness == (message,) + first
+        misread = lemma_suite(code).summary()
+        assert {name: misread[name] for name in chain_lemmas} == {
+            name: summary[name] for name in chain_lemmas
+        }
+
+
+# (checked, witness) of the chain lemmas on NoisyHelper codes, as a walk
+# that ranks every chain's conditional check gives them; the seeds'
+# witnesses name group_volume's first check and its conditional one
+NOISY_SUMMARIES = {
+    ("s1", 0): {
+        "group_volume": (180, "('H(S_{A u B}^C) != dt*beta', (1, 2), (3,), (5, 6))"),
+        "member_volume": (360, "(\"H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0\", 1, (2,), (3, 4), (5,))"),
+    },
+    ("s1", 6): {
+        "group_volume": (180, "('H(S_B^C|W_C,S_A^C) != 0', (1, 6), (3,), (2, 4))"),
+        "member_volume": (360, "(\"H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0\", 1, (2,), (3, 4), (5,))"),
+    },
+    ("n8", 0): {
+        "group_volume": (2520, "('H(S_{A u B}^C) != dt*beta', (1, 2), (3, 4), (6, 7))"),
+        "member_volume": (
+            3360,
+            "(\"H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0\", 1, (2,), (3, 4, 5), (6,))",
+        ),
+    },
+    ("n8", 2): {
+        "group_volume": (2520, "('H(S_B^C|W_C,S_A^C) != 0', (1, 2), (3, 4), (5, 6))"),
+        "member_volume": (
+            3360,
+            "(\"H(S_B'^i, Z_C'^i | W_i, S_A'^i) != 0\", 1, (2,), (3, 4, 5), (6,))",
+        ),
+    },
+}
+
+
+class TestFailingCodes:
+    """Codes whose group_volume and member_volume really fail, on the memoised walk."""
+
+    @pytest.mark.parametrize("shape, seed", list(NOISY_SUMMARIES), ids=lambda v: str(v))
+    def test_summary_equals_reference_and_pin(self, shape, seed, monkeypatch):
+        summary = lemma_suite(noisy(shape, seed)).summary()
+        assert {
+            name: (summary[name]["checked"], summary[name]["witness"])
+            for name in ("group_volume", "member_volume")
+        } == NOISY_SUMMARIES[shape, seed]
+        assert not summary["group_volume"]["passed"]
+        assert not summary["member_volume"]["passed"]
+        monkeypatch.setattr(eve, "_AnalysisContext", FromScratchAnalysis)
+        assert lemma_suite(noisy(shape, seed)).summary() == summary
 
 
 class TestSampledLemmaSuite:
     """lemma_suite beyond EXHAUSTIVE_NODE_LIMIT: seeded draws of the subsets."""
 
-    def test_stable_passes(self):
+    @staticmethod
+    def _assert_passes(seed):
         code = n11()
         assert code.params.n > eve.EXHAUSTIVE_NODE_LIMIT
-        res = lemma_suite(code)
+        res = lemma_suite(code, seed=seed)
         assert res.all_passed, res.summary()
         assert {name: chk.checked for name, chk in res.checks.items()} == {
             "group_volume": 200,
@@ -581,6 +764,13 @@ class TestSampledLemmaSuite:
             "traversal_span": 2046,
             "helper_uniformity": 66,
         }
+
+    def test_stable_passes(self):
+        self._assert_passes(seed=0)
+
+    def test_stable_passes_at_seed_5(self):
+        # the draws differ from seed 0's, and every one passes too
+        self._assert_passes(seed=5)
 
     def test_code_b_fails_l4_l5(self):
         res = lemma_suite(n11(CodeB))
