@@ -106,8 +106,9 @@ class RowSpace:
     call.  A union's miss starts from a part's memoised basis and reduces
     the other part's memoised basis rows, or, when that is not memoised,
     only the union's rows outside the part it starts from.  joint_rank,
-    for row sets asked once (one placement's whole view), extends given's
-    basis in one kernels.rank call and keeps nothing; joint_basis extends
+    for row sets asked once (the capacity sweep's placements that no
+    longer placement extends), extends given's basis by rows in one
+    kernels.rank call and keeps nothing; joint_basis extends
     it the same way in one kernels.echelon call and hands out the basis,
     for a caller that reads more than its length.  lookups counts the
     memo's lookups, eliminations its misses.  A space lives as long as the

@@ -33,9 +33,10 @@ checks.  The verify command makes one context and ranks every call in
 it.  The lemma suite settles a chain prefix's conditional check with one
 rank when the prefix's conditioning set already reaches a bound set's
 rank (see lemma_suite).  The capacity and secrecy sweeps rank
-through PlacementRows: one RowSpace, one mask per node in it; the
-capacity sweep joins F's view once per F set and ranks each of its E
-sets against it.
+through PlacementRows: one RowSpace, one mask per node in it.  The
+capacity sweep ranks placements along chains: each placement's basis
+extends a kept shorter one's by one node's rows, (E, F) that of (E minus
+its last node, F), and F's own that of F minus its last node.
 """
 
 from __future__ import annotations
@@ -158,9 +159,9 @@ class PlacementRows:
     storage rows; each node's rows are built once, as one mask in space.
     expand maps a row to the row the space holds (by default the row
     itself); each distinct row is expanded and interned once.  mask(nodes,
-    downloads) joins the nodes' masks; the capacity sweep ranks W_E over
-    F's view with the space's joint_rank, and basis(eve) is their
-    joint_basis.  F's basis is memoised.
+    downloads) joins the nodes' masks; the capacity sweep extends kept
+    placement bases by one node's mask at a time (see _capacity_cells), and
+    basis(eve) is the joint_basis of E's rows over F's memoised basis.
     """
 
     def __init__(self, code, space, expand=lambda row: row):
@@ -647,27 +648,52 @@ def capacity_table(code, pairs=None):
     pairs = list(pairs)  # read twice: checked, then enumerated
     for l1, l2 in pairs:
         _check_pair(p, l1, l2)
-    return _capacity_cells(code, ((l1, l2, _placement_sets(code, l1, l2)) for l1, l2 in pairs))
+    return _capacity_cells(code, [(l1, l2, _placement_sets(code, l1, l2)) for l1, l2 in pairs])
 
 
 def _capacity_cells(code, sweep):
-    """The cells of valid placements, all ranked in one RowSpace.
+    """The cells of valid placements, ranked along chains in one RowSpace.
 
-    sweep holds (l1, l2, F sets) triples, each F set paired with its E
-    sets.  F's view is joined once per F set and E's storage rows once per
-    placement, and each placement is the joint_rank of the two.
+    sweep is a list of (l1, l2, F sets) triples, each F set paired with
+    its E sets.  Each placement's basis extends a shorter placement's by one
+    node's rows: (E, F) extends (E[:-1], F) by the storage rows of E's
+    last node, and ((), F) extends ((), F[:-1]) by the view of F's last
+    node.  The space keeps (rank_union) F's basis, and every placement of
+    a pair (l1, l2) whose (l1 + 1, l2) is swept too, since that pair
+    extends it; any other placement is a joint_rank, which keeps nothing.
+    A prefix that is not kept yet (pairs out of order, a lone pair, one
+    cell) is built and kept along its own chain.
     """
     p = code.params
     rows = PlacementRows(code, RowSpace(code.field, p.B))
-    joint_rank = rows.space.joint_rank
+    space = rows.space
     stable = code.variant == "stable"
+    extended = {(l1 - 1, l2) for l1, l2, _ in sweep if l1}
+    kept = {((), ()): 0}  # (E, F) -> its mask, once space keeps its basis
+
+    def keep(e_set, f_set):
+        """The mask of placement (E, F), its basis kept along its chain."""
+        mask = kept.get((e_set, f_set))
+        if mask is None:
+            if e_set:
+                prefix, last = keep(e_set[:-1], f_set), rows.mask(e_set[-1:], False)
+            else:
+                prefix, last = keep((), f_set[:-1]), rows.mask(f_set[-1:], True)
+            space.rank_union(prefix, last)
+            mask = kept[e_set, f_set] = prefix | last
+        return mask
+
     cells = []
     for l1, l2, f_sets in sweep:
         predicted = predicted_secrecy_capacity(p, l1, l2) if stable else NOT_COVERED
+        leaf = l1 and (l1, l2) not in extended
         for f_set, e_sets in f_sets:
-            f_rows = rows.mask(f_set, True)
             for e_set in e_sets:
-                leaked = joint_rank(rows.mask(e_set, False), f_rows)
+                if leaf:
+                    prefix = keep(e_set[:-1], f_set)
+                    leaked = space.joint_rank(rows.mask(e_set[-1:], False) & ~prefix, prefix)
+                else:
+                    leaked = space.rank(keep(e_set, f_set))
                 cells.append(CapacityCell(l1, l2, e_set, f_set, p.B - leaked, predicted))
     return cells
 

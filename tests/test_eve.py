@@ -2,15 +2,17 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import pytest
 
 from coopstore import eve, kernels
-from coopstore.entropy import RowSpace, entropy_symbols, rank_rows
+from coopstore.entropy import ObservationSet, RowSpace, entropy_symbols, rank_rows
 from coopstore.errors import InvalidEveModel, InvalidL, LemmaViolation, NonIntegralParams
 from coopstore.eve import (
     NOT_COVERED,
+    CapacityCell,
     EveModel,
     bandwidth_comparison,
     capacity_cell,
@@ -44,9 +46,9 @@ def n8_gf16():
     return StableCode.create(CodeParams.mscr(n=8, k=4, d=4, t=2, q=16), binary_field(4))
 
 
-def n8_gf17():
+def n8_gf17(cls=StableCode):
     """n8's parameters over GF(17): above the byte lanes, the tuple-row echelon."""
-    return StableCode.create(CodeParams.mscr(n=8, k=4, d=4, t=2, q=17), prime_field(17))
+    return cls.create(CodeParams.mscr(n=8, k=4, d=4, t=2, q=17), prime_field(17))
 
 
 def code_a():
@@ -101,13 +103,14 @@ def t_over_k():
     return StableCode.create(CodeParams.mscr(n=5, k=2, d=2, t=3, q=11), prime_field(11))
 
 
-def count_ranks(monkeypatch):
+def count_ranks(monkeypatch, rows=False):
     """A Counter of kernels.rank and kernels.echelon calls from now on.
 
     One elimination is one call of kernels.echelon: a RowSpace's basis memo
     calls it directly, and kernels.rank (RowSpace.joint_rank, and
     entropy.rank_rows, which the from-scratch reference ranks through)
-    calls it once per rank.
+    calls it once per rank.  With rows, "echelon_rows" also counts the rows
+    those echelon calls reduce onto their bases.
     """
     calls = Counter()
     for name in ("rank", "echelon"):
@@ -115,6 +118,8 @@ def count_ranks(monkeypatch):
 
         def counted(*args, real=real, name=name, **kwargs):
             calls[name] += 1
+            if rows and name == "echelon":
+                calls["echelon_rows"] += len(args[1])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, counted)
@@ -352,6 +357,51 @@ class TestCapacityTable:
         ]
         assert capacity_table(code) == expect
 
+    @pytest.mark.parametrize(
+        "make",
+        [s1, b1, n8, n8_gf16, lambda: n8_gf17(CodeB), t_over_k, n9],
+        ids=["s1", "b1", "n8", "n8-gf16", "n8-gf17-code-b", "t-over-k", "n9"],
+    )
+    def test_chains_equal_from_scratch_reference(self, make):
+        # the chain-walking sweep against every placement ranked from
+        # scratch through the labelled path, for pairs in the default
+        # order, reversed, the lone top pair (none of its prefixes is a
+        # swept placement) and the top pair swept first and again in the
+        # default list; and one capacity_cell.  leakage_observations is
+        # its E nodes' views then its F nodes', so each node's labelled
+        # view is built once and a placement's is their concatenation.
+        code = make()
+        p = code.params
+        stable = code.variant == "stable"
+        empty = leakage_observations(code, EveModel())
+        node_views = {}
+        reference = {}
+
+        def view(eve):
+            parts = [((e,), ()) for e in eve.E] + [((), (f,)) for f in eve.F]
+            for part in parts:
+                if part not in node_views:
+                    node_views[part] = leakage_observations(code, EveModel(*part))
+            return reduce(ObservationSet.concat, map(node_views.get, parts), empty)
+
+        def expect(pairs):
+            cells = []
+            for l1, l2 in pairs:
+                predicted = predicted_secrecy_capacity(p, l1, l2) if stable else NOT_COVERED
+                for eve in eve_placements(code, l1, l2):
+                    if eve not in reference:
+                        reference[eve] = p.B - entropy_symbols(view(eve))
+                    cells.append(CapacityCell(l1, l2, eve.E, eve.F, reference[eve], predicted))
+            return cells
+
+        default = [(l1, tot - l1) for tot in range(p.k) for l1 in range(tot + 1)]
+        top = (p.k - 2, 1)
+        for pairs in (default, default[::-1], [top], [top] + default):
+            assert capacity_table(code, pairs) == expect(pairs), pairs
+        eve = list(eve_placements(code, *top))[-1]
+        assert view(eve) == leakage_observations(code, eve)
+        assert [capacity_cell(code, eve)] == expect([top])[-1:]
+
     def test_capacity_from_single_helper_entropy(self):
         # measured == (k - l1 - l2)(alpha - H(S_g^F)) for any g in G
         code = s1()
@@ -476,15 +526,31 @@ class TestAnalysisContext:
         assert calls == {"rank": from_scratch, "echelon": from_scratch}
 
     def test_capacity_table_reuses_f_set_bases(self, monkeypatch):
-        # one RowSpace per sweep: each of the 92 F sets' bases is reduced
-        # once, and each of the 484 placements with E nonempty extends its
-        # F set's basis by W_E in one kernels.rank call; the others are
-        # F's memoised rank.  Fewer eliminations than the 577 placements.
-        calls = count_ranks(monkeypatch)
+        # one RowSpace per sweep, ranked along chains: each of the 92 F
+        # sets' bases extends F minus its last node's by that node's view,
+        # and each of the 92 placements of (1, 0), (1, 1) and (2, 0), which
+        # the next pair extends, extends E minus its last node's basis by
+        # that node's storage rows; each is one kept elimination.  The other
+        # 392 placements with E nonempty extend their kept prefix in one
+        # kernels.rank call that keeps nothing, except 6 (E one node, F =
+        # (1, 2)) whose rows all lie in F's view, which make no call.  The
+        # 93 placements with E empty are F's kept rank.  Each elimination
+        # reduces one node's rows onto a kept basis: 1,374 rows in all.
+        calls = count_ranks(monkeypatch, rows=True)
         cells = capacity_table(n8())
         assert len(cells) == 577
-        assert sum(1 for c in cells if c.E) == 484
-        assert calls == {"rank": 484, "echelon": 484 + 92}
+        assert sum(1 for c in cells if c.E) == 92 + 392
+        assert calls == {"rank": 392 - 6, "echelon": 92 + 92 + 392 - 6, "echelon_rows": 1374}
+
+    def test_capacity_table_keeps_nothing_between_calls(self, monkeypatch):
+        # a second sweep in the same process starts from nothing: the same
+        # eliminations, the same cells
+        calls = count_ranks(monkeypatch, rows=True)
+        first = capacity_table(n8())
+        counts = dict(calls)
+        calls.clear()
+        assert capacity_table(n8()) == first
+        assert calls == counts
 
     @pytest.mark.parametrize(
         "make",
